@@ -68,25 +68,66 @@ def build_graph(matrix: CouplingMatrix, node_count: int) -> CouplingGraph:
     )
 
 
-def check_connected(graph: CouplingGraph) -> tuple[bool, list[list[int]]]:
-    """Breadth-first connectivity; components listed in order of least member."""
+def breadth_first_forest(graph: CouplingGraph) -> tuple[list[list[int]], list[int]]:
+    """The one breadth-first search behind every chain verdict.
+
+    Each component is rooted at its least node and neighbors are visited in
+    ascending order.  Returns the components, each sorted and listed in
+    order of least member, and the parent pointers (-1 at roots).  The tree
+    edges form the spanning chain, and the tree path from a root to a node
+    is `coupling_path(graph, root, node)`: shortest, with ties broken
+    towards lexicographically smaller node sequences.
+    """
+    parent = [-1] * graph.node_count
     seen = [False] * graph.node_count
     components = []
-    for start in range(graph.node_count):
-        if seen[start]:
+    for root in range(graph.node_count):
+        if seen[root]:
             continue
+        seen[root] = True
         comp = []
-        queue = deque([start])
-        seen[start] = True
+        queue = deque([root])
         while queue:
             u = queue.popleft()
             comp.append(u)
             for v in graph.neighbors(u):
                 if not seen[v]:
                     seen[v] = True
+                    parent[v] = u
                     queue.append(v)
         components.append(sorted(comp))
+    return components, parent
+
+
+def check_connected(graph: CouplingGraph) -> tuple[bool, list[list[int]]]:
+    """Connectivity verdict; components listed in order of least member."""
+    components, _ = breadth_first_forest(graph)
     return len(components) == 1, components
+
+
+def _tree_edges(parent: list[int]) -> list[tuple[int, int]]:
+    return [(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0]
+
+
+def spanning_chain(graph: CouplingGraph) -> list[tuple[int, int]]:
+    """Breadth-first spanning forest edges, the default chain to certify."""
+    return _tree_edges(breadth_first_forest(graph)[1])
+
+
+def witness_paths(
+    graph: CouplingGraph, parent: list[int]
+) -> dict[tuple[ModeIndex, ModeIndex], list[ModeIndex]]:
+    """Forest path from each component's least node to every other member."""
+    witness = {}
+    for node in range(graph.node_count):
+        if parent[node] < 0:
+            continue
+        path = [node]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        path.reverse()
+        witness[(graph.modes[path[0]], graph.modes[node])] = [graph.modes[p] for p in path]
+    return witness
 
 
 def coupling_path(graph: CouplingGraph, j, k) -> list[int] | None:
@@ -115,25 +156,6 @@ def coupling_path(graph: CouplingGraph, j, k) -> list[int] | None:
         current = min(v for v in graph.neighbors(current) if dist.get(v, -1) == dist[current] - 1)
         path.append(current)
     return path
-
-
-def spanning_chain(graph: CouplingGraph) -> list[tuple[int, int]]:
-    """Breadth-first spanning forest edges, the default chain to certify."""
-    seen = [False] * graph.node_count
-    edges = []
-    for start in range(graph.node_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    edges.append((min(u, v), max(u, v)))
-                    queue.append(v)
-    return edges
 
 
 def certify_nonresonant_chain(
@@ -170,7 +192,7 @@ def certify_nonresonant_chain(
         t_pairs.append((a, b))
         if a != b:
             t_pairs.append((b, a))
-    t_arr = np.array(t_pairs, dtype=int)
+    t_arr = np.array(t_pairs, dtype=int).reshape(-1, 2)
     t_diff = lam[t_arr[:, 0]] - lam[t_arr[:, 1]]
     order = np.argsort(t_diff, kind="stable")
     t_diff_sorted = t_diff[order]
@@ -250,14 +272,8 @@ def certify(
     members (paths between arbitrary pairs concatenate two witnesses).
     """
     graph = build_graph(matrix, truncation)
-    connected, components = check_connected(graph)
-    witness = {}
-    for comp in components:
-        root = comp[0]
-        for node in comp[1:]:
-            path = coupling_path(graph, root, node)
-            witness[(graph.modes[root], graph.modes[node])] = [graph.modes[p] for p in path]
-    edges = spanning_chain(graph) if chain_edges is None else list(chain_edges)
+    components, parent = breadth_first_forest(graph)
+    edges = _tree_edges(parent) if chain_edges is None else list(chain_edges)
     raw = certify_nonresonant_chain(eigenvalues, matrix, edges, resonance_tol)
     violations = [
         (
@@ -268,9 +284,9 @@ def certify(
         for s, t, gap in raw
     ]
     return ChainCertificate(
-        connected=connected,
+        connected=len(components) == 1,
         components=[[graph.modes[i] for i in comp] for comp in components],
-        witness_paths=witness,
+        witness_paths=witness_paths(graph, parent),
         violations=violations,
         truncation=truncation,
         resonance_tol=resonance_tol,

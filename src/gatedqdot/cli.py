@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chains import build_graph, certify, check_connected, coupling_path, spanning_chain
+from .chains import breadth_first_forest, build_graph, certify, witness_paths
 from .config import ConfigValidationError, RunConfig, load_config
 from .coupling import QuadratureConfig, assemble_coupling_matrix
 from .dynamics import (
@@ -33,7 +33,6 @@ from .dynamics import (
     galerkin_mode_state,
     grid_mode_state,
     propagate_bilinear,
-    propagate_nonlinear,
     synthesize_chain_transfer,
     transfer_fidelity,
 )
@@ -111,20 +110,29 @@ def _gate_field(config: RunConfig):
     return solve_partial_gate_fd(segment, trace, config.L, config.grid.nx, config.grid.ny)
 
 
-def _quad(config: RunConfig, field) -> QuadratureConfig:
+def _coupling_stage(config: RunConfig):
+    """Spectrum and coupling matrix of the configured gate at the truncation."""
+    spectrum = enumerate_modes(config.L, config.truncation)
+    field = _gate_field(config)
     tol = config.tolerances.quadrature_self_check
     if config.gate.kind == "segment":
         # bilinear grid interpolation caps attainable quadrature agreement
         tol = max(tol, 1e-5)
-    return QuadratureConfig(
+    quad = QuadratureConfig(
         panels=config.quadrature.panels, nodes=config.quadrature.nodes, self_check_tol=tol
     )
-
-
-def _coupling_stage(config: RunConfig, spectrum, field):
-    return assemble_coupling_matrix(
-        field, spectrum, config.truncation, config.tolerances.zero_tol, _quad(config, field)
+    matrix = assemble_coupling_matrix(
+        field, spectrum, config.truncation, config.tolerances.zero_tol, quad
     )
+    return spectrum, matrix
+
+
+def _resonance_stage(config: RunConfig, spectrum, matrix):
+    """rho, shifted eigenvalues, resonance tolerance and weak non-resonance violations."""
+    rho = config.effective_rho()
+    shifted = shifted_spectrum(spectrum, matrix, rho, config.truncation).eigenvalues
+    tol = config.resonance_tol(shifted)
+    return rho, shifted, tol, check_weak_nonresonance(shifted, tol)
 
 
 def _write_rows_csv(path, header, rows):
@@ -173,9 +181,7 @@ def _cmd_potential(config: RunConfig, outdir: Path):
 
 
 def _cmd_coupling(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
+    _, matrix = _coupling_stage(config)
     matrix.to_csv(outdir / "coupling.csv")
     matrix.to_json(outdir / "coupling.json")
     entries = list(matrix.entries.values())
@@ -190,23 +196,16 @@ def _cmd_coupling(config: RunConfig, outdir: Path):
 
 
 def _cmd_chain(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
+    _, matrix = _coupling_stage(config)
     graph = build_graph(matrix, config.truncation)
-    connected, components = check_connected(graph)
-    witness = {}
-    for comp in components:
-        root = comp[0]
-        for node in comp[1:]:
-            path = coupling_path(graph, root, node)
-            witness[(graph.modes[root], graph.modes[node])] = [graph.modes[p] for p in path]
+    components, parent = breadth_first_forest(graph)
+    connected = len(components) == 1
     doc = {
         "connected": connected,
         "components": [[list(graph.modes[i]) for i in comp] for comp in components],
         "witness_paths": [
             {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
-            for (a, b), p in sorted(witness.items())
+            for (a, b), p in sorted(witness_paths(graph, parent).items())
         ],
         "truncation": config.truncation,
         "zero_tol": matrix.zero_tol,
@@ -225,17 +224,12 @@ def _cmd_chain(config: RunConfig, outdir: Path):
 
 
 def _cmd_resonance(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
-    rho = config.effective_rho()
-    shifted = shifted_spectrum(spectrum, matrix, rho, config.truncation)
-    tol = config.resonance_tol(shifted.eigenvalues)
-    violations = check_weak_nonresonance(shifted.eigenvalues, tol)
+    spectrum, matrix = _coupling_stage(config)
+    rho, shifted, tol, violations = _resonance_stage(config, spectrum, matrix)
     _write_rows_csv(
         outdir / "shifted_spectrum.csv",
         "position,lambda",
-        [(i, float(v)) for i, v in enumerate(shifted.eigenvalues)],
+        [(i, float(v)) for i, v in enumerate(shifted)],
     )
     results = {
         "rho": rho,
@@ -286,9 +280,17 @@ def _control_from_config(config: RunConfig) -> ControlSignal:
     return ControlSignal(samples=config.control, delta=config.delta)
 
 
-def _write_galerkin_trajectory(path, traj, k, eigenvalues, control):
+def _propagate_stage(config: RunConfig, spectrum, matrix, control, outdir: Path):
+    """Bilinear flow from the first path mode; writes trajectory.csv.
+
+    Returns the final state and the number K of logged populations.
+    """
+    initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
+    traj = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
+    k = min(config.dynamics.log_populations or 1, config.truncation)
+    eigenvalues = spectrum.eigenvalues[: config.truncation]
     controls = [value for _, value in control.samples] + [0.0]
-    with open(path, "w") as fh:
+    with open(outdir / "trajectory.csv", "w") as fh:
         cols = ["time", "norm", "h1_seminorm"] + [
             f"population_{i + 1}" for i in range(k)
         ] + ["control_value"]
@@ -298,20 +300,13 @@ def _write_galerkin_trajectory(path, traj, k, eigenvalues, control):
             pops = [state.population(i) for i in range(k)]
             row = [state.time, state.norm, h1] + pops + [controls[min(idx, len(controls) - 1)]]
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    return traj[-1], k
 
 
 def _cmd_evolve(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
+    spectrum, matrix = _coupling_stage(config)
     control = _control_from_config(config)
-    initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
-    traj = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
-    k = min(config.dynamics.log_populations or 1, config.truncation)
-    _write_galerkin_trajectory(
-        outdir / "trajectory.csv", traj, k, spectrum.eigenvalues[: config.truncation], control
-    )
-    final = traj[-1]
+    final, k = _propagate_stage(config, spectrum, matrix, control, outdir)
     results = {
         "total_duration": control.total_duration,
         "final_norm": final.norm,
@@ -323,9 +318,7 @@ def _cmd_evolve(config: RunConfig, outdir: Path):
 
 
 def _cmd_control(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
+    spectrum, matrix = _coupling_stage(config)
     path = config.dynamics.path
     control = synthesize_chain_transfer(
         path,
@@ -345,15 +338,10 @@ def _cmd_control(config: RunConfig, outdir: Path):
         "total_duration": control.total_duration,
     }
     if control.samples:
-        initial = galerkin_mode_state(spectrum, path[0], config.truncation)
-        traj = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
-        k = min(config.dynamics.log_populations or 1, config.truncation)
-        _write_galerkin_trajectory(
-            outdir / "trajectory.csv", traj, k, spectrum.eigenvalues[: config.truncation], control
-        )
+        final, _ = _propagate_stage(config, spectrum, matrix, control, outdir)
         artifacts.append("trajectory.csv")
-        results["fidelity"] = transfer_fidelity(traj[-1], path[-1])
-        results["final_norm"] = traj[-1].norm
+        results["fidelity"] = transfer_fidelity(final, path[-1])
+        results["final_norm"] = final.norm
     return results, artifacts
 
 
@@ -367,7 +355,8 @@ def _cmd_nonlinear(config: RunConfig, outdir: Path):
     else:
         control = ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta)
     base = NonlinearConfig(
-        alpha=0.0, dt=dyn.dt, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny, log_populations=0
+        alpha=0.0, dt=dyn.dt, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny,
+        log_populations=dyn.log_populations,
     )
     study = alpha_scaling_study(dyn.alphas, control, dyn.T, base, field, initial)
     _write_rows_csv(
@@ -378,11 +367,7 @@ def _cmd_nonlinear(config: RunConfig, outdir: Path):
             for r in study["rows"]
         ],
     )
-    log_cfg = NonlinearConfig(
-        alpha=dyn.alphas[-1], dt=dyn.dt, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny,
-        log_populations=dyn.log_populations,
-    )
-    logged = propagate_nonlinear(initial, control.clipped(dyn.T), log_cfg, field)
+    logged = study["runs"][-1]
     logged.to_csv(outdir / "nonlinear_trajectory.csv")
     results = {
         "alphas": list(dyn.alphas),
@@ -416,16 +401,11 @@ def _cmd_gate_sweep(config: RunConfig, outdir: Path):
 
 
 def _cmd_certify(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
+    spectrum, matrix = _coupling_stage(config)
     simplicity = _simplicity_results(spectrum, config.tolerances.simplicity)
-    field = _gate_field(config)
-    matrix = _coupling_stage(config, spectrum, field)
-    rho = config.effective_rho()
-    shifted = shifted_spectrum(spectrum, matrix, rho, config.truncation)
-    tol = config.resonance_tol(shifted.eigenvalues)
-    cert = certify(matrix, shifted.eigenvalues, config.truncation, tol)
+    rho, shifted, tol, weak = _resonance_stage(config, spectrum, matrix)
+    cert = certify(matrix, shifted, config.truncation, tol)
     cert.to_json(outdir / "chain.json")
-    weak = check_weak_nonresonance(shifted.eigenvalues, tol)
     verdict = {
         "hypothesis": "non-resonant connectedness chain at finite truncation",
         "truncation": config.truncation,
@@ -436,7 +416,7 @@ def _cmd_certify(config: RunConfig, outdir: Path):
         "chain": {
             "connected": cert.connected,
             "component_count": len(cert.components),
-            "chain_edges": len(spanning_chain(build_graph(matrix, config.truncation))),
+            "chain_edges": config.truncation - len(cert.components),
         },
         "resonance_violations": len(cert.violations),
         "weak_nonresonance_violations": len(weak),
@@ -460,7 +440,7 @@ _DISPATCH = {
 }
 
 
-def run(command: str, config_path, out_dir=None, threads: int = 1, verbose: bool = False) -> int:
+def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     """Execute one command; returns the process exit code."""
     if command not in _DISPATCH:
         print(f"unknown command: {command}", file=sys.stderr)
@@ -499,7 +479,6 @@ def run(command: str, config_path, out_dir=None, threads: int = 1, verbose: bool
         "scipy": scipy.__version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - t0,
-        "threads": threads,
         "body_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
     with open(outdir / "report.json", "w") as fh:
@@ -522,10 +501,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: ./gatedqdot-out)")
-    parser.add_argument("--threads", type=int, default=1, help="worker hint recorded in provenance")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-    return run(args.command, args.config, args.out, args.threads, args.verbose)
+    return run(args.command, args.config, args.out, args.verbose)
 
 
 if __name__ == "__main__":

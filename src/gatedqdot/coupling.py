@@ -249,19 +249,3 @@ def assemble_coupling_matrix(
         modes=tuple(modes), entries=entries, zero_tol=effective, dropped=dropped
     )
 
-
-def closed_form_entry(field: SpectralField, a, b, L: float) -> float:
-    """Normalized closed-form entry for a full-gate sine-superposition field."""
-    a = ModeIndex(*a)
-    b = ModeIndex(*b)
-    total = 0.0
-    for m, c in field.terms:
-        a1 = coupling_x1_closed(m, a.j1, b.j1)
-        if a1 != 0.0:
-            total += (
-                (4.0 / (math.pi * L))
-                * (c / math.cosh(m * L))
-                * a1
-                * coupling_x2_closed(m, a.j2, b.j2, L)
-            )
-    return total

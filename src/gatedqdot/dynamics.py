@@ -406,7 +406,8 @@ def alpha_scaling_study(
     Runs the same control and initial data once with alpha = 0 and once per
     requested alpha; reports ||psi_alpha(T) - psi_lin(T)||_L2 and the
     least-squares slope of log(deviation) against log(alpha) (None when
-    fewer than two points are available).
+    fewer than two points are available).  `runs` holds the per-alpha
+    results, `linear_reference` the alpha = 0 one.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
@@ -427,9 +428,9 @@ def alpha_scaling_study(
 
     linear = run(0.0)
     grid = initial.grid
+    runs = [run(a) for a in alphas]
     rows = []
-    for a in alphas:
-        res = run(a)
+    for a, res in zip(alphas, runs):
         rows.append(
             {
                 "alpha": a,
@@ -443,4 +444,4 @@ def alpha_scaling_study(
         slope = float(
             np.polyfit(np.log([r["alpha"] for r in rows]), np.log([r["deviation"] for r in rows]), 1)[0]
         )
-    return {"rows": rows, "slope": slope, "linear_reference": linear}
+    return {"rows": rows, "slope": slope, "linear_reference": linear, "runs": runs}

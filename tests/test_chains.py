@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedqdot.chains import (
+    breadth_first_forest,
     build_graph,
     certify,
     certify_nonresonant_chain,
@@ -149,6 +152,45 @@ class TestPaths:
                 assert (min(a, b), max(a, b)) in g.edges
 
 
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [p for p, m in zip(pairs, mask) if m]
+
+
+class TestForest:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_witness_paths_are_lexicographic_shortest_paths(self, instance):
+        n, edges = instance
+        matrix = toy_matrix(n, edges)
+        g = build_graph(matrix, n)
+        cert = certify(matrix, np.arange(n, dtype=float), n, 1e-9)
+        _, comps = check_connected(g)
+        expected = {}
+        for comp in comps:
+            for node in comp[1:]:
+                path = coupling_path(g, comp[0], node)
+                expected[(g.modes[comp[0]], g.modes[node])] = [g.modes[p] for p in path]
+        assert cert.witness_paths == expected
+        # the witness paths walk exactly the spanning-chain edges
+        tree = set()
+        for path in cert.witness_paths.values():
+            positions = [g.resolve(m) for m in path]
+            tree |= {(min(a, b), max(a, b)) for a, b in zip(positions[:-1], positions[1:])}
+        chain = spanning_chain(g)
+        assert tree == set(chain)
+        assert len(chain) == n - len(comps)
+
+    def test_forest_roots_at_least_node(self):
+        g = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]), 5)
+        comps, parent = breadth_first_forest(g)
+        assert comps == [[0, 2], [1, 3, 4]]
+        assert parent == [-1, -1, 0, 4, 1]
+
+
 class TestResonanceCertificate:
     def test_unshifted_collision_found(self, matrix_n2_100, spec100):
         edges = [(a, b) for a, b in matrix_n2_100.entries if a != b]
@@ -208,6 +250,11 @@ class TestResonanceCertificate:
         tree = spanning_chain(graph)
         shifted = shifted_spectrum(spec, matrix, 0.2, 40)
         assert certify_nonresonant_chain(shifted.eigenvalues, matrix, tree, 1e-6) == []
+
+    def test_coupling_free_graph(self):
+        cert = certify(toy_matrix(3, []), [1.0, 2.0, 3.0], 3, 1e-9)
+        assert cert.connected is False
+        assert cert.violations == []
 
     def test_spanning_chain_is_tree(self, matrix_n2_30):
         g = build_graph(matrix_n2_30, 30)

@@ -65,8 +65,8 @@ def test_fd_laplacian_oracle():
 
     m = 200
     h1, h2 = math.pi / m, 1.0 / m
-    dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(m - 1, m - 1)) / h1**2
-    dy = sp.diags([1, -2, 1], [-1, 0, 1], shape=(m - 1, m - 1)) / h2**2
+    dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(m - 1, m - 1), dtype=float) / h1**2
+    dy = sp.diags([1, -2, 1], [-1, 0, 1], shape=(m - 1, m - 1), dtype=float) / h2**2
     lap = sp.kronsum(dy, dx, format="csc")
     vals = spla.eigsh(-lap, k=3, sigma=0, which="LM", return_eigenvectors=False)
     vals = np.sort(vals)
