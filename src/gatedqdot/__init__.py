@@ -15,12 +15,9 @@ from .chains import (
 from .config import ConfigValidationError, RunConfig, load_config, validate_config
 from .coupling import (
     CouplingMatrix,
-    QuadratureConfig,
     assemble_coupling_matrix,
-    coupling_quadrature,
     coupling_x1_closed,
     coupling_x2_closed,
-    eigenvalue_slope,
 )
 from .dynamics import (
     ControlSignal,

@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .chains import breadth_first_forest, build_graph, certify, witness_paths
 from .config import ConfigValidationError, RunConfig, load_config
-from .coupling import QuadratureConfig, assemble_coupling_matrix
+from .coupling import assemble_coupling_matrix
 from .dynamics import (
     ControlSignal,
     NonlinearConfig,
@@ -114,15 +114,8 @@ def _coupling_stage(config: RunConfig):
     """Spectrum and coupling matrix of the configured gate at the truncation."""
     spectrum = enumerate_modes(config.L, config.truncation)
     field = _gate_field(config)
-    tol = config.tolerances.quadrature_self_check
-    if config.gate.kind == "segment":
-        # bilinear grid interpolation caps attainable quadrature agreement
-        tol = max(tol, 1e-5)
-    quad = QuadratureConfig(
-        panels=config.quadrature.panels, nodes=config.quadrature.nodes, self_check_tol=tol
-    )
     matrix = assemble_coupling_matrix(
-        field, spectrum, config.truncation, config.tolerances.zero_tol, quad
+        field, spectrum, config.truncation, config.tolerances.zero_tol
     )
     return spectrum, matrix
 
@@ -463,7 +456,7 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     except (ConfigValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -42,13 +42,6 @@ class ToleranceConfig:
     simplicity: float = 1e-9
     resonance: float | None = None  # None: 1e-9 * spectral diameter
     zero_tol: float | None = None  # None: relative row rule
-    quadrature_self_check: float = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadratureSection:
-    panels: int = 8
-    nodes: int = 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,6 @@ class RunConfig:
     gate: GateConfig = field(default_factory=GateConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    quadrature: QuadratureSection = field(default_factory=QuadratureSection)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     shape: ShapeConfig = field(default_factory=ShapeConfig)
     gate_sweep_fractions: tuple[float, ...] = (0.5, 0.75, 0.9, 0.99)
@@ -206,7 +198,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigValidationError(["top level: expected a JSON object"])
     allowed = {
         "L", "delta", "truncation", "rho", "gate", "grid", "tolerances",
-        "quadrature", "dynamics", "shape", "gate_sweep", "control",
+        "dynamics", "shape", "gate_sweep", "control",
     }
     _expect_keys(raw, allowed, "top level", errors)
 
@@ -231,26 +223,11 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(tol_raw, dict):
         errors.append("tolerances: expected an object")
         tol_raw = {}
-    _expect_keys(
-        tol_raw, {"simplicity", "resonance", "zero_tol", "quadrature_self_check"}, "tolerances", errors
-    )
+    _expect_keys(tol_raw, {"simplicity", "resonance", "zero_tol"}, "tolerances", errors)
     tolerances = ToleranceConfig(
         simplicity=_number(tol_raw, "simplicity", "tolerances", errors, default=1e-9, positive=True),
         resonance=_number(tol_raw, "resonance", "tolerances", errors, default=None, optional=True, positive=True),
         zero_tol=_number(tol_raw, "zero_tol", "tolerances", errors, default=None, optional=True, nonnegative=True),
-        quadrature_self_check=_number(
-            tol_raw, "quadrature_self_check", "tolerances", errors, default=1e-12, positive=True
-        ),
-    )
-
-    quad_raw = raw.get("quadrature", {})
-    if not isinstance(quad_raw, dict):
-        errors.append("quadrature: expected an object")
-        quad_raw = {}
-    _expect_keys(quad_raw, {"panels", "nodes"}, "quadrature", errors)
-    quadrature = QuadratureSection(
-        panels=_number(quad_raw, "panels", "quadrature", errors, default=8, integer=True, minimum=1),
-        nodes=_number(quad_raw, "nodes", "quadrature", errors, default=16, integer=True, minimum=2),
     )
 
     dyn_raw = raw.get("dynamics", {})
@@ -354,7 +331,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigValidationError(errors)
     return RunConfig(
         L=L, delta=delta, truncation=truncation, rho=rho, gate=gate, grid=grid,
-        tolerances=tolerances, quadrature=quadrature, dynamics=dynamics, shape=shape,
+        tolerances=tolerances, dynamics=dynamics, shape=shape,
         gate_sweep_fractions=tuple(float(f) for f in fracs), control=control,
     )
 

@@ -1,13 +1,14 @@
-"""Coupling operator entries int V0 phi_j phi_k and eigenvalue slopes.
+"""Coupling operator entries int V0 phi_j phi_k; diagonal entries are eigenvalue slopes.
 
 For the single-mode gate trace the entries factor into 1-D integrals
 
     A(n, j1, k1) = int_0^pi  sin(n x1) sin(j1 x1) sin(k1 x1) dx1
     B(n, j2, k2) = int_0^L   cosh(n x2) sin(j2 pi x2/L) sin(k2 pi x2/L) dx2
 
-with closed forms below; tensor-product Gauss-Legendre quadrature serves
-as the independent oracle and as the general path for grid fields.  A
-vanishes exactly when j1 + k1 + n is even (parity law); B never vanishes.
+with closed forms below.  A vanishes exactly when j1 + k1 + n is even
+(parity law); B never vanishes.  Lattice fields (finite-difference
+solutions) are integrated exactly through their bilinear interpolant.
+`panel_rule` (composite Gauss-Legendre) is the independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -15,28 +16,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-import numpy as np
 
-from .errors import QuadraturePrecisionError
-from .poisson import SpectralField
+import numpy as np
+from scipy.fft import dctn
+
+from .errors import NumericalError
+from .poisson import GridField, SpectralField
 from .spectral import ModeIndex, Spectrum
 
 COUPLING_CSV_HEADER = "a1,a2,b1,b2,value"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Panelized Gauss-Legendre rule; results are self-checked by panel doubling."""
-
-    panels: int = 8
-    nodes: int = 16
-    self_check_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.panels < 1 or self.nodes < 2:
-            raise ValueError("need at least 1 panel and 2 nodes")
-        if self.self_check_tol <= 0:
-            raise ValueError("self_check_tol must be positive")
 
 
 def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,40 +59,6 @@ def coupling_x2_closed(n: int, j2: int, k2: int, L: float) -> float:
     num = 2.0 * sign * L**2 * n * math.pi**2 * j2 * k2 * math.sinh(n * L)
     den = (n**2 * L**2 + math.pi**2 * (j2 - k2) ** 2) * (n**2 * L**2 + math.pi**2 * (j2 + k2) ** 2)
     return num / den
-
-
-def _tensor_integral(field, a: ModeIndex, b: ModeIndex, L: float, panels: int, nodes: int) -> float:
-    x1, w1 = panel_rule(0.0, math.pi, panels, nodes)
-    x2, w2 = panel_rule(0.0, L, panels, nodes)
-    v = field.values_on(x1, x2)
-    f1 = np.sin(a[0] * x1) * np.sin(b[0] * x1) * w1
-    f2 = np.sin(a[1] * math.pi * x2 / L) * np.sin(b[1] * math.pi * x2 / L) * w2
-    return (4.0 / (math.pi * L)) * float(f1 @ v @ f2)
-
-
-def coupling_quadrature(field, a, b, q: QuadratureConfig, L: float) -> float:
-    """Normalized entry (4/(pi L)) int V0 phi_a phi_b by tensor Gauss-Legendre.
-
-    The computation is repeated with doubled panel count; disagreement
-    beyond the config tolerance raises QuadraturePrecisionError.
-    """
-    a = ModeIndex(*a)
-    b = ModeIndex(*b)
-    coarse = _tensor_integral(field, a, b, L, q.panels, q.nodes)
-    fine = _tensor_integral(field, a, b, L, 2 * q.panels, q.nodes)
-    if abs(fine - coarse) > q.self_check_tol * max(1.0, abs(coarse), abs(fine)):
-        raise QuadraturePrecisionError(
-            f"quadrature self-check failed for modes {tuple(a)},{tuple(b)}: "
-            f"{coarse!r} vs {fine!r}"
-        )
-    return fine
-
-
-def eigenvalue_slope(field, mode, spectrum: Spectrum, q: QuadratureConfig) -> float:
-    """Slope d(lambda)/d(rho) at rho = 0: the diagonal entry int V0 phi_mode^2."""
-    mode = ModeIndex(*mode)
-    spectrum.position(mode)
-    return coupling_quadrature(field, mode, mode, q, spectrum.L)
 
 
 @dataclass(frozen=True)
@@ -181,21 +135,54 @@ def _raw_entries_spectral(field: SpectralField, modes, L: float) -> np.ndarray:
     return out
 
 
-def _raw_entries_quadrature(field, modes, L: float, panels: int, nodes: int) -> np.ndarray:
-    x1, w1 = panel_rule(0.0, math.pi, panels, nodes)
-    x2, w2 = panel_rule(0.0, L, panels, nodes)
-    v = field.values_on(x1, x2) * w2[None, :]
-    j1s = np.array([m.j1 for m in modes])
-    j2s = np.array([m.j2 for m in modes])
-    s1 = np.sin(j1s[:, None] * x1[None, :])
-    s2 = np.sin(j2s[:, None] * (math.pi / L) * x2[None, :])
-    n = len(modes)
-    out = np.zeros((n, n))
-    for i in range(n):
-        pair1 = (s1[i][None, :] * s1) * w1[None, :]  # (n, nx) x1 pair factors
-        core = pair1 @ v  # (n, ny)
-        out[i, :] = (4.0 / (math.pi * L)) * np.einsum("nj,nj->n", core, s2[i][None, :] * s2)
-    return 0.5 * (out + out.T)
+def _lattice_spacing(nodes: np.ndarray, span: float, axis: str) -> float:
+    """Spacing of `nodes` if they are the uniform lattice on [0, span]; else ValueError."""
+    cells = nodes.size - 1
+    if cells < 1 or not np.allclose(
+        nodes, np.linspace(0.0, span, cells + 1), rtol=0.0, atol=1e-12 * span
+    ):
+        raise ValueError(
+            f"grid field {axis} nodes are not a uniform lattice on [0, {span!r}]"
+        )
+    return span / cells
+
+
+def _raw_entries_lattice(field: GridField, modes, L: float) -> np.ndarray:
+    """Exact integrals of the bilinear interpolant of a lattice field.
+
+    On the uniform lattice x_i = i*h the hat functions h_i integrate
+    cosines in closed form, with w_i the trapezoid weight (1/2 at both
+    ends) and sinc(u) = sin(u)/u:
+
+        int h_i(x) cos(f x) dx = w_i * h * cos(f x_i) * sinc^2(f h/2).
+
+    sin(j x) sin(k x) is half the difference of the cosines at j - k and
+    j + k, so every entry is four lattice cosine sums, which one DCT-I of
+    the node values tabulates.  On an n-cell axis the lattice cosine is
+    even and 2n-periodic in the (integer) frequency, so frequencies above
+    n fold back into the table.
+    """
+    h1 = _lattice_spacing(field.x1, math.pi, "x1")
+    h2 = _lattice_spacing(field.x2, L, "x2")
+    nx, ny = field.x1.size - 1, field.x2.size - 1
+    table = (h1 * h2 / 4.0) * dctn(field.values, type=1)
+    j1 = np.array([m.j1 for m in modes])
+    j2 = np.array([m.j2 for m in modes])
+
+    def factor(freq, n):
+        # sinc^2 hat weight and folded DCT index of an integer frequency in
+        # units of pi/span; np.sinc(x) is sin(pi x)/(pi x), and f h/2 = pi freq/(2n)
+        freq = np.abs(freq)
+        fold = freq % (2 * n)
+        return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
+
+    out = np.zeros((len(modes), len(modes)))
+    for s in (1, -1):
+        w1, f1 = factor(j1[:, None] + s * j1[None, :], nx)
+        for t in (1, -1):
+            w2, f2 = factor(j2[:, None] + t * j2[None, :], ny)
+            out += (s * t) * w1 * w2 * table[f1, f2]
+    return out / (math.pi * L)
 
 
 def assemble_coupling_matrix(
@@ -203,15 +190,15 @@ def assemble_coupling_matrix(
     spectrum: Spectrum,
     truncation: int,
     zero_tol: float | None = None,
-    q: QuadratureConfig = QuadratureConfig(),
 ) -> CouplingMatrix:
     """Coupling matrix over the first `truncation` ordered modes.
 
-    Closed forms are used when the field is a full-gate sine superposition;
-    grid fields go through the quadrature oracle (with panel-doubling
-    self-check).  With zero_tol=None the structural-zero threshold is
-    1e-12 times the largest entry magnitude in either touching row, which
-    keeps large cosh-inflated rows from misclassifying true zeros.
+    A SpectralField (full-gate sine superposition) uses the closed forms; a
+    GridField must sample the uniform lattice on [0, pi] x [0, L], and its
+    bilinear interpolant is integrated exactly.  With zero_tol=None the
+    structural-zero threshold is 1e-12 times the largest entry magnitude
+    in either touching row, which keeps large cosh-inflated rows from
+    misclassifying true zeros.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -221,13 +208,14 @@ def assemble_coupling_matrix(
     L = spectrum.L
     if isinstance(field, SpectralField):
         raw = _raw_entries_spectral(field, modes, L)
+    elif isinstance(field, GridField):
+        raw = _raw_entries_lattice(field, modes, L)
     else:
-        raw = _raw_entries_quadrature(field, modes, L, q.panels, q.nodes)
-        fine = _raw_entries_quadrature(field, modes, L, 2 * q.panels, q.nodes)
-        scale = max(1.0, np.abs(raw).max(), np.abs(fine).max())
-        if np.abs(fine - raw).max() > q.self_check_tol * scale:
-            raise QuadraturePrecisionError("quadrature self-check failed during assembly")
-        raw = fine
+        raise ValueError(
+            f"gate field must be a SpectralField or a GridField, not {type(field).__name__}"
+        )
+    if not np.all(np.isfinite(raw)):
+        raise NumericalError("coupling entries overflow the float range")
 
     if zero_tol is None:
         row_max = np.abs(raw).max(axis=1)

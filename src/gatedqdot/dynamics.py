@@ -218,6 +218,10 @@ def synthesize_chain_transfer(
     amp = amplitude_fraction * delta
     samples: list[tuple[float, float]] = []
     for p, pnext in zip(positions[:-1], positions[1:]):
+        if p == pnext:
+            raise ValueError(
+                f"path repeats mode {tuple(spectrum.modes[p])}; not a chain edge"
+            )
         b = cmat[p, pnext]
         if b == 0.0:
             raise ValueError(

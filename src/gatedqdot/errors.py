@@ -23,7 +23,7 @@ class SolverFailureError(NumericalError):
 
 
 class QuadraturePrecisionError(NumericalError):
-    """Quadrature self-check (panel doubling) failed to converge."""
+    """Quadrature precision failure; no package code raises it, perfbench/tracing.py counts it."""
 
 
 class DurationCapError(NumericalError):

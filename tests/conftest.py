@@ -1,6 +1,6 @@
 import pytest
 
-from gatedqdot.coupling import QuadratureConfig, assemble_coupling_matrix
+from gatedqdot.coupling import assemble_coupling_matrix
 from gatedqdot.poisson import solve_full_gate_mode
 from gatedqdot.spectral import enumerate_modes
 
@@ -23,11 +23,6 @@ def field_n1():
 @pytest.fixture(scope="session")
 def field_n2():
     return solve_full_gate_mode(2, 1.0)
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QuadratureConfig()
 
 
 @pytest.fixture(scope="session")

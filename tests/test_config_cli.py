@@ -1,7 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatedqdot.cli import run
 from gatedqdot.config import ConfigValidationError, validate_config
@@ -41,6 +45,12 @@ class TestValidateConfig:
             validate_config({"bogus": 1})
         with pytest.raises(ConfigValidationError, match="unknown key"):
             validate_config({"grid": {"nx": 64, "nz": 4}})
+
+    @pytest.mark.parametrize("doc", [{"quadrature": {"panels": 8}}, {"quadrature": {"nodes": 16}}])
+    def test_quadrature_keys_rejected(self, doc):
+        with pytest.raises(ConfigValidationError, match="unknown key"):
+            validate_config(doc)
+        assert "quadrature" not in validate_config({}).to_dict()
 
     def test_errors_aggregated(self):
         try:
@@ -233,6 +243,79 @@ class TestCli:
         assert len(doc["triplets"]) == res["stored"]
         lines = (out / "coupling.csv").read_text().strip().splitlines()
         assert len(lines) == res["stored"] + 1
+
+
+class TestSegmentGates:
+    def test_default_segment_certifies(self, tmp_path):
+        cfg = write_config(tmp_path, {"gate": {"kind": "segment"}})
+        assert run("certify", cfg, tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("trace_mode", [1, 2, 3])
+    def test_trace_modes_certify(self, tmp_path, trace_mode):
+        doc = {
+            "L": 1.03,
+            "truncation": 60,
+            "grid": {"nx": 64, "ny": 64},
+            "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": trace_mode},
+        }
+        out = tmp_path / "out"
+        assert run("certify", write_config(tmp_path, doc), out) == 0
+        verdict = json.loads((out / "report.json").read_text())["results"]
+        assert verdict["chain"]["connected"] is True
+
+
+@pytest.mark.parametrize("command", ["coupling", "potential", "certify"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"gate": {"kind": "fourier_mode", "n": 800}},
+        {"L": 800.0, "truncation": 1, "gate": {"kind": "sine_series", "coefficients": [1.0]}},
+    ],
+)
+def test_overflow_is_numerical_failure(tmp_path, capsys, command, doc):
+    assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def gate_sections():
+    fourier = st.builds(
+        lambda n: {"kind": "fourier_mode", "n": n}, st.integers(1, 1000)
+    )
+    # the top sine mode reaches 1000; zero coefficients drop out of the field
+    sine = st.builds(
+        lambda top, c, lead: {
+            "kind": "sine_series",
+            "coefficients": ([lead] + [0.0] * (top - 2) if top > 1 else []) + [c],
+        },
+        st.integers(1, 1000),
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+    )
+    segment = st.builds(
+        lambda ends, mode: {"kind": "segment", "a": min(ends), "b": max(ends), "trace_mode": mode},
+        st.lists(st.floats(0.01, math.pi - 0.01), min_size=2, max_size=2, unique=True),
+        st.integers(1, 3),
+    )
+    return st.one_of(fourier, sine, segment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gate=gate_sections(),
+    L=st.floats(0.3, 3.0),
+    nx=st.integers(16, 48),
+    ny=st.integers(16, 48),
+    truncation=st.integers(1, 12),
+)
+# cosh(n*L) is finite here, but the closed-form entries overflow
+@example(gate={"kind": "fourier_mode", "n": 700}, L=1.0, nx=16, ny=16, truncation=12)
+def test_every_gate_section_has_a_documented_exit(gate, L, nx, ny, truncation):
+    doc = {"L": L, "truncation": truncation, "grid": {"nx": nx, "ny": ny}, "gate": gate}
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run("coupling", write_config(Path(tmp), doc), Path(tmp) / "out")
+    assert code in (0, 2, 3)
+    if gate["kind"] == "segment" and gate["b"] - gate["a"] >= 0.5:
+        assert code == 0
 
 
 def test_cli_main_help(capsys):

@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from gatedqdot.coupling import (
-    QuadratureConfig,
     assemble_coupling_matrix,
-    coupling_quadrature,
     coupling_x1_closed,
     coupling_x2_closed,
-    eigenvalue_slope,
     panel_rule,
 )
-from gatedqdot.errors import QuadraturePrecisionError
-from gatedqdot.spectral import shifted_spectrum
+from gatedqdot.poisson import (
+    GateProfile,
+    GateSegment,
+    SpectralField,
+    StaggeredGrid,
+    solve_full_gate_mode,
+    solve_hartree,
+    solve_partial_gate_fd,
+)
+from gatedqdot.spectral import enumerate_modes, shifted_spectrum
 
 
 def quad_a(n, j1, k1):
@@ -91,27 +96,25 @@ class TestClosedForms:
 
 
 class TestQuadratureEntry:
-    def test_product_entry(self, field_n2, quad):
-        got = coupling_quadrature(field_n2, (1, 1), (2, 1), quad, 1.0)
+    """Single entries against values derived from 1-D quadrature-checked closed forms."""
+
+    def test_product_entry(self, field_n2, spec100):
+        m = assemble_coupling_matrix(field_n2, spec100, 3)
+        assert spec100.modes[:2] == [(1, 1), (2, 1)]
         want = (4 / math.pi) * (16 / 15) * coupling_x2_closed(2, 1, 1, 1.0)
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(1.1181387502194358, rel=1e-12)
+        assert m.get(0, 1) == pytest.approx(want, rel=1e-12)
+        assert m.get(0, 1) == pytest.approx(1.1181387502194358, rel=1e-12)
 
-    def test_even_diagonal_zero(self, field_n2, quad):
-        assert coupling_quadrature(field_n2, (3, 2), (3, 2), quad, 1.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+    def test_even_diagonal_zero(self, field_n2, spec100):
+        pos = spec100.position((3, 2))
+        m = assemble_coupling_matrix(field_n2, spec100, pos + 1)
+        assert m.get(pos, pos) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_field(self, quad):
-        from gatedqdot.poisson import SpectralField
-
+    def test_zero_field(self, spec100):
         zero = SpectralField([], 1.0)
-        assert coupling_quadrature(zero, (1, 1), (2, 2), quad, 1.0) == 0.0
-
-    def test_self_check_raises(self, field_n2):
-        q = QuadratureConfig(panels=1, nodes=2, self_check_tol=1e-14)
-        with pytest.raises(QuadraturePrecisionError):
-            coupling_quadrature(field_n2, (9, 9), (8, 8), q, 1.0)
+        m = assemble_coupling_matrix(zero, spec100, 10)
+        assert m.entries == {}
+        assert m.to_dense().max() == 0.0
 
 
 class TestAssembly:
@@ -123,22 +126,22 @@ class TestAssembly:
         for a, b in matrix_n1_100.entries:
             assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 0
 
-    def test_parity_exhaustive_truncation_20(self, spec100, field_n2, field_n1, quad):
-        m2 = assemble_coupling_matrix(field_n2, spec100, 20, None, quad)
+    def test_parity_exhaustive_truncation_20(self, spec100, field_n2, field_n1):
+        m2 = assemble_coupling_matrix(field_n2, spec100, 20, None)
         stored2 = set(m2.entries)
         for i in range(20):
             for j in range(i, 20):
                 odd = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 1
                 assert ((i, j) in stored2) == odd
-        m1 = assemble_coupling_matrix(field_n1, spec100, 20, None, quad)
+        m1 = assemble_coupling_matrix(field_n1, spec100, 20, None)
         stored1 = set(m1.entries)
         for i in range(20):
             for j in range(i, 20):
                 even = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 0
                 assert ((i, j) in stored1) == even
 
-    def test_infinite_zero_tol_empty(self, field_n2, spec100, quad):
-        m = assemble_coupling_matrix(field_n2, spec100, 10, math.inf, quad)
+    def test_infinite_zero_tol_empty(self, field_n2, spec100):
+        m = assemble_coupling_matrix(field_n2, spec100, 10, math.inf)
         assert m.entries == {}
         assert m.dropped == 55
 
@@ -146,24 +149,9 @@ class TestAssembly:
         dense = matrix_n2_30.to_dense()
         assert np.array_equal(dense, dense.T)
 
-    def test_quadrature_assembly_matches_closed(self, field_n2, spec100, quad):
-        # route the spectral field through the generic quadrature assembler
-        class Wrapper:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def values_on(self, x1, x2):
-                return self.inner.values_on(x1, x2)
-
-        m_quad = assemble_coupling_matrix(Wrapper(field_n2), spec100, 12, None, quad)
-        m_cf = assemble_coupling_matrix(field_n2, spec100, 12, None, quad)
-        assert set(m_quad.entries) == set(m_cf.entries)
-        for key, val in m_cf.entries.items():
-            assert m_quad.entries[key] == pytest.approx(val, rel=1e-9)
-
-    def test_truncation_guard(self, field_n2, spec100, quad):
+    def test_truncation_guard(self, field_n2, spec100):
         with pytest.raises(ValueError):
-            assemble_coupling_matrix(field_n2, spec100, 101, None, quad)
+            assemble_coupling_matrix(field_n2, spec100, 101, None)
 
     def test_serialization_round_trip(self, matrix_n2_30, tmp_path):
         csv_path = tmp_path / "coupling.csv"
@@ -180,27 +168,102 @@ class TestAssembly:
 
 
 class TestEigenvalueSlope:
-    def test_even_gate_slopes_vanish(self, field_n2, spec100, quad):
-        for mode in spec100.modes[:6]:
-            assert abs(eigenvalue_slope(field_n2, mode, spec100, quad)) <= 1e-12
+    """Slopes d(lambda)/d(rho) at rho = 0 are the diagonal entries int V0 phi^2."""
 
-    def test_odd_gate_ground_slope(self, field_n1, spec100, quad):
+    def test_even_gate_slopes_vanish(self, matrix_n2_100):
+        for i in range(6):
+            assert abs(matrix_n2_100.get(i, i)) <= 1e-12
+
+    def test_odd_gate_ground_slope(self, matrix_n1_100):
         want = 32 * math.pi * math.sinh(1.0) / (3 * (1 + 4 * math.pi**2))
-        got = eigenvalue_slope(field_n1, (1, 1), spec100, quad)
+        got = matrix_n1_100.get(0, 0)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(0.9728979619121302, rel=1e-12)
 
-    def test_matches_diagonal_quadrature(self, field_n1, spec100, quad):
-        mode = spec100.modes[3]
-        assert eigenvalue_slope(field_n1, mode, spec100, quad) == coupling_quadrature(
-            field_n1, mode, mode, quad, 1.0
-        )
-
-    def test_hellmann_feynman(self, field_n1, spec100, matrix_n1_100, quad):
+    def test_hellmann_feynman(self, spec100, matrix_n1_100):
         h = 1e-4
         up = shifted_spectrum(spec100, matrix_n1_100, h, 60)
         dn = shifted_spectrum(spec100, matrix_n1_100, -h, 60)
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
         for pos in range(10):
-            slope = eigenvalue_slope(field_n1, spec100.modes[pos], spec100, quad)
-            assert fd[pos] == pytest.approx(slope, rel=1e-6)
+            assert fd[pos] == pytest.approx(matrix_n1_100.get(pos, pos), rel=1e-6)
+
+
+def segment_field(a, b, trace_mode, L, n):
+    """FD partial-gate field, with the trace the CLI poses on the snapped segment."""
+    segment = GateSegment(a, b)
+    ia, ib = segment.snap(n)
+    x1 = np.linspace(0.0, math.pi, n + 1)
+    trace = GateProfile.fourier_mode(trace_mode, L).trace(x1[ia : ib + 1])
+    trace[0] = trace[-1] = 0.0
+    return solve_partial_gate_fd(segment, trace, L, n, n)
+
+
+def cellwise_oracle(field, spectrum, truncation, nodes):
+    """Normalized entries by Gauss-Legendre with one panel per lattice cell.
+
+    The bilinear interpolant is smooth inside each cell, so the rule
+    converges geometrically once `nodes` resolves the mode frequencies.
+    """
+    L = spectrum.L
+    x1, w1 = panel_rule(0.0, math.pi, field.x1.size - 1, nodes)
+    x2, w2 = panel_rule(0.0, L, field.x2.size - 1, nodes)
+    v = field.values_on(x1, x2)
+    modes = spectrum.modes[:truncation]
+    s1 = np.array([np.sin(m.j1 * x1) for m in modes])
+    s2 = np.array([np.sin(m.j2 * math.pi * x2 / L) for m in modes])
+    out = np.zeros((truncation, truncation))
+    for a in range(truncation):
+        core = (s1[a] * s1 * w1) @ v
+        out[a] = np.einsum("by,by->b", core, s2[a] * s2 * w2)
+    return (4.0 / (math.pi * L)) * out
+
+
+class TestLatticeFields:
+    @pytest.mark.parametrize(
+        "trace_mode, n, truncation, nodes",
+        [(1, 64, 60, 8), (2, 64, 60, 8), (3, 64, 60, 8), (2, 16, 100, 16)],
+    )
+    def test_segment_entries_match_cellwise_oracle(self, trace_mode, n, truncation, nodes):
+        # at 16^2 and truncation 100 the frequencies j1 + k1 reach 40 > 16,
+        # so the entries read folded lattice-cosine frequencies
+        L = 1.03
+        field = segment_field(0.6, 2.2, trace_mode, L, n)
+        spectrum = enumerate_modes(L, truncation)
+        m = assemble_coupling_matrix(field, spectrum, truncation, 0.0)
+        got = m.to_dense()
+        want = cellwise_oracle(field, spectrum, truncation, nodes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("n, L", [(2, 1.0), (1, 1.3)])
+    def test_rasterized_closed_form_converges_at_second_order(self, n, L):
+        spectrum = enumerate_modes(L, 30)
+        full = solve_full_gate_mode(n, L)
+        exact = assemble_coupling_matrix(full, spectrum, 30)
+        scale = max(abs(v) for v in exact.entries.values())
+        errors = []
+        for size in (64, 128, 256, 512):
+            m = assemble_coupling_matrix(full.rasterize(size, size), spectrum, 30)
+            assert set(m.entries) == set(exact.entries)
+            errors.append(np.abs(m.to_dense() - exact.to_dense()).max() / scale)
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
+
+    def test_staggered_field_rejected(self):
+        grid = StaggeredGrid(L=1.0, nx=16, ny=16)
+        field = solve_hartree(np.ones(grid.shape), 1.0, grid)
+        with pytest.raises(ValueError, match="uniform lattice"):
+            assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
+
+    def test_other_height_rejected(self):
+        field = solve_full_gate_mode(1, 1.2).rasterize(32, 32)
+        with pytest.raises(ValueError, match="uniform lattice"):
+            assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
+
+    def test_other_field_types_rejected(self, field_n1, spec100):
+        class Sampled:
+            values_on = field_n1.values_on
+
+        with pytest.raises(ValueError, match="SpectralField or a GridField"):
+            assemble_coupling_matrix(Sampled(), spec100, 10)

@@ -149,6 +149,12 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="zero coupling"):
             synthesize_chain_transfer([(1, 1), (3, 1)], spec30, matrix_n2_30, DELTA, 0.5)
 
+    def test_repeated_mode_rejected(self, spec100, matrix_n1_100):
+        # an odd gate couples (1, 1) to itself, but a repeat is no transition:
+        # its frequency would be zero
+        with pytest.raises(ValueError, match="not a chain edge"):
+            synthesize_chain_transfer([(1, 1), (1, 1)], spec100, matrix_n1_100, DELTA, 0.5)
+
     def test_duration_cap(self, spec30, matrix_n2_30):
         with pytest.raises(DurationCapError):
             synthesize_chain_transfer(
