@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from .errors import NumericalError
-from .poisson import GridField, SpectralField
+from .poisson import GridField, SpectralField, gate_term_cosh
 from .spectral import ModeIndex, Spectrum
 
 COUPLING_CSV_HEADER = "a1,a2,b1,b2,value"
@@ -124,7 +124,7 @@ def _raw_entries_spectral(field: SpectralField, modes, L: float) -> np.ndarray:
     n = len(modes)
     out = np.zeros((n, n))
     for m, c in field.terms:
-        scale = (4.0 / (math.pi * L)) * c / math.cosh(m * L)
+        scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
         for i in range(n):
             for j in range(i, n):
                 a, b = modes[i], modes[j]

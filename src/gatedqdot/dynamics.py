@@ -7,8 +7,11 @@ controls incur no time-step error at all.  Resonant population transfer
 along a coupling path is synthesized as a chain of first-order pi pulses:
 on each edge a cosine drive at the transition frequency of the DC-shifted
 spectrum, with mean delta/2 so the admissible range [0, delta] is never
-left.  The nonlinear solver is Strang splitting on a staggered grid with
-the Hartree field re-solved at every half step.
+left.  Each drive is sampled on a grid commensurate with its period, so
+its samples repeat bitwise and the propagator's per-value cache of
+eigendecompositions serves every period after the first.  The nonlinear
+solver is Strang splitting on a staggered grid with the Hartree field
+re-solved at every half step.
 """
 
 from __future__ import annotations
@@ -191,8 +194,15 @@ def synthesize_chain_transfer(
     leading DC Stark detuning), and duration pi/(a*|b_jk|) for a
     first-order pi pulse: on resonance the target population follows
     sin((a*b/2)*t)**2, which first reaches 1 there.  The cosine is sampled
-    piecewise-constantly at interval midpoints, at least
-    `samples_per_period` per period, and clamped into [0, delta].
+    piecewise-constantly at interval midpoints and clamped into [0, delta]
+    on a grid commensurate with its period: every full sample lasts exactly
+    period/samples_per_period, and full sample k repeats the value of
+    sample k mod samples_per_period bit for bit.  One remainder sample,
+    valued at its own midpoint, makes the edge exactly pi/(a*|b_jk|) long;
+    it is dropped when shorter than 1e-12 of that.  An edge therefore has
+    at most samples_per_period + 1 distinct values, which bounds the
+    eigendecompositions `propagate_bilinear` spends on it, whatever the
+    pulse length.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -234,12 +244,18 @@ def synthesize_chain_transfer(
             raise DurationCapError(
                 f"pi-pulse duration {t_pi:.3e} exceeds cap {duration_cap:.3e}"
             )
-        period = 2.0 * math.pi / omega
-        nsteps = max(int(math.ceil(t_pi / (period / samples_per_period))), 2)
-        dt = t_pi / nsteps
-        mids = dt * (np.arange(nsteps) + 0.5)
+        dt = (2.0 * math.pi / omega) / samples_per_period
+        mids = dt * (np.arange(samples_per_period) + 0.5)
         values = np.clip(u_bar + amp * np.cos(omega * mids), 0.0, delta)
-        samples.extend((dt, float(v)) for v in values)
+        one_period = [(dt, float(v)) for v in values]
+        nfull = int(t_pi // dt)
+        cycles, rest = divmod(nfull, samples_per_period)
+        samples.extend(one_period * cycles)
+        samples.extend(one_period[:rest])
+        tail = t_pi - nfull * dt
+        if tail >= 1e-12 * t_pi:
+            u_tail = u_bar + amp * math.cos(omega * (nfull * dt + 0.5 * tail))
+            samples.append((tail, min(max(u_tail, 0.0), delta)))
     return ControlSignal(samples=tuple(samples), delta=delta)
 
 

@@ -88,6 +88,16 @@ class GateSegment:
         return ia, ib
 
 
+def gate_term_cosh(m: int, L: float) -> float:
+    """cosh(m*L) of gate term m; an overflow names the term and L."""
+    try:
+        return math.cosh(m * L)
+    except OverflowError:
+        raise OverflowError(
+            f"cosh(m*L) overflows for gate term m={m} at L={L:g}"
+        ) from None
+
+
 class SpectralField:
     """Closed-form full-gate potential: sum of sin(m*x1)*cosh(m*x2)/cosh(m*L).
 
@@ -105,7 +115,8 @@ class SpectralField:
         x2 = np.asarray(x2, dtype=float)
         out = np.zeros((x1.size, x2.size))
         for m, c in self.terms:
-            out += c * np.outer(np.sin(m * x1), np.cosh(m * x2) / math.cosh(m * self.L))
+            den = gate_term_cosh(m, self.L)
+            out += c * np.outer(np.sin(m * x1), np.cosh(m * x2) / den)
         return out
 
     def __call__(self, x1, x2):
@@ -114,7 +125,8 @@ class SpectralField:
         x2 = np.asarray(x2, dtype=float)
         out = np.zeros(np.broadcast(x1, x2).shape)
         for m, c in self.terms:
-            out = out + c * np.sin(m * x1) * np.cosh(m * x2) / math.cosh(m * self.L)
+            den = gate_term_cosh(m, self.L)
+            out = out + c * np.sin(m * x1) * np.cosh(m * x2) / den
         return out
 
     def rasterize(self, nx: int, ny: int) -> "GridField":
@@ -165,7 +177,7 @@ def solve_full_gate_mode(n: int, L: float) -> SpectralField:
         raise ValueError("n must be >= 1")
     if L <= 0:
         raise ValueError("L must be positive")
-    return SpectralField([(n, math.cosh(n * L))], L)
+    return SpectralField([(n, gate_term_cosh(n, L))], L)
 
 
 def solve_full_gate_series(coefficients: Sequence[float], L: float) -> SpectralField:

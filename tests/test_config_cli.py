@@ -274,7 +274,9 @@ class TestSegmentGates:
 )
 def test_overflow_is_numerical_failure(tmp_path, capsys, command, doc):
     assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 3
-    assert "numerical failure:" in capsys.readouterr().err
+    term = {"fourier_mode": "m=800 at L=1", "sine_series": "m=1 at L=800"}
+    expected = f"numerical failure: cosh(m*L) overflows for gate term {term[doc['gate']['kind']]}"
+    assert expected in capsys.readouterr().err
 
 
 def gate_sections():

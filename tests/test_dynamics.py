@@ -17,10 +17,18 @@ from gatedqdot.dynamics import (
 )
 from gatedqdot.errors import DurationCapError
 from gatedqdot.poisson import StaggeredGrid
-from gatedqdot.spectral import eigenfunction_on_grid, enumerate_modes
+from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes
 
 L = 1.0
 DELTA = 0.3
+CHAIN_EDGES = (((1, 1), (2, 1)), ((2, 1), (3, 1)))
+
+
+def shifted_gap(spec, matrix, a, b):
+    """|lambda'_b - lambda'_a| of the delta/2-shifted spectrum."""
+    n = len(spec)
+    shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.to_dense(n))
+    return abs(shifted[spec.position(ModeIndex(*b))] - shifted[spec.position(ModeIndex(*a))])
 
 
 class TestControlSignal:
@@ -140,10 +148,14 @@ class TestSynthesis:
 
     def test_frequency_near_bare_gap(self, spec30, matrix_n2_30):
         sig = synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.5)
-        # one period spans samples_per_period samples of equal duration
+        # a full sample lasts exactly one period over samples_per_period, and
+        # the drive runs at the transition frequency of the delta/2-shifted
+        # spectrum, which stays near the bare gap 3
         dt = sig.samples[0][0]
         omega = 2 * math.pi / (40 * dt)
         assert omega == pytest.approx(3.0, abs=0.1)
+        exact = shifted_gap(spec30, matrix_n2_30, (1, 1), (2, 1))
+        assert omega == pytest.approx(exact, rel=1e-12)
 
     def test_zero_coupling_edge_rejected(self, spec30, matrix_n2_30):
         with pytest.raises(ValueError, match="zero coupling"):
@@ -164,6 +176,61 @@ class TestSynthesis:
     def test_amplitude_fraction_range(self, spec30, matrix_n2_30):
         with pytest.raises(ValueError):
             synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.6)
+
+    @pytest.mark.parametrize("edge", CHAIN_EDGES)
+    def test_full_samples_last_one_period_slice(self, spec30, matrix_n2_30, edge):
+        sig = synthesize_chain_transfer(list(edge), spec30, matrix_n2_30, DELTA, 0.5)
+        durations = np.array([d for d, _ in sig.samples])
+        dt = 2 * math.pi / (shifted_gap(spec30, matrix_n2_30, *edge) * 40)
+        # every sample but the remainder has one bitwise-equal duration
+        assert len(set(durations[:-1])) == 1
+        assert durations[0] == pytest.approx(dt, rel=1e-12)
+        assert 0.0 < durations[-1] <= durations[0]
+
+    @pytest.mark.parametrize("edge", CHAIN_EDGES)
+    def test_values_repeat_every_period(self, spec30, matrix_n2_30, edge):
+        sig = synthesize_chain_transfer(list(edge), spec30, matrix_n2_30, DELTA, 0.5)
+        durations = np.array([d for d, _ in sig.samples])
+        values = np.array([v for _, v in sig.samples])
+        nfull = int(np.sum(durations == durations[0]))
+        assert nfull > 40
+        assert np.array_equal(values[40:nfull], values[: nfull - 40])
+
+    @pytest.mark.parametrize("edge", CHAIN_EDGES)
+    def test_edge_lasts_one_pi_pulse(self, spec30, matrix_n2_30, edge):
+        sig = synthesize_chain_transfer(list(edge), spec30, matrix_n2_30, DELTA, 0.5)
+        p, q = (spec30.position(ModeIndex(*m)) for m in edge)
+        t_pi = math.pi / (0.5 * DELTA * abs(matrix_n2_30.to_dense(30)[p, q]))
+        assert sig.total_duration == pytest.approx(t_pi, rel=1e-12)
+
+    def test_chain_concatenates_edges(self, spec30, matrix_n2_30):
+        chain = synthesize_chain_transfer(
+            [(1, 1), (2, 1), (3, 1)], spec30, matrix_n2_30, DELTA, 0.5
+        )
+        edges = [
+            synthesize_chain_transfer(list(e), spec30, matrix_n2_30, DELTA, 0.5)
+            for e in CHAIN_EDGES
+        ]
+        assert chain.samples == edges[0].samples + edges[1].samples
+
+    def test_eigh_calls_bounded_per_edge(self, spec30, matrix_n2_30, monkeypatch):
+        sig = synthesize_chain_transfer(
+            [(1, 1), (2, 1), (3, 1)], spec30, matrix_n2_30, DELTA, 0.5
+        )
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)
+        # two edges of at most samples_per_period + 1 distinct values each,
+        # against about 600 samples per edge
+        assert len(sig.samples) > 1000
+        assert len(calls) <= 2 * (40 + 1)
 
     def test_two_level_transfer(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
