@@ -54,17 +54,13 @@ def build_graph(matrix: CouplingMatrix, node_count: int) -> CouplingGraph:
         raise ValueError("node_count must be >= 1")
     if node_count > len(matrix.modes):
         raise ValueError("node_count exceeds coupling matrix mode count")
-    edges = frozenset(
-        (a, b) for (a, b) in matrix.entries if a != b and a < node_count and b < node_count
-    )
-    adj = [[] for _ in range(node_count)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = matrix.values[:node_count, :node_count] != 0
+    np.fill_diagonal(adj, False)
+    a, b = np.nonzero(np.triu(adj))
     return CouplingGraph(
         modes=tuple(matrix.modes[:node_count]),
-        edges=edges,
-        adjacency=tuple(tuple(sorted(x)) for x in adj),
+        edges=frozenset(zip(a.tolist(), b.tolist())),
+        adjacency=tuple(tuple(np.flatnonzero(row).tolist()) for row in adj),
     )
 
 
@@ -176,23 +172,19 @@ def certify_nonresonant_chain(
     if tol <= 0:
         raise ValueError("tol must be positive")
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.size
-    coupled = [(a, b) for (a, b) in matrix.entries if a < n and b < n]
-    coupled_set = set(coupled)
+    coupled = matrix.values[: lam.size, : lam.size] != 0
     chain = []
     for a, b in chain_edges:
         a, b = int(a), int(b)
         key = (min(a, b), max(a, b))
-        if key[0] == key[1] or key not in coupled_set:
+        if not 0 <= key[0] < key[1] < len(coupled) or not coupled[key]:
             raise ValueError(f"chain edge {key} is not a stored off-diagonal coupling")
         chain.append(key)
 
-    t_pairs = []
-    for a, b in coupled:
-        t_pairs.append((a, b))
-        if a != b:
-            t_pairs.append((b, a))
-    t_arr = np.array(t_pairs, dtype=int).reshape(-1, 2)
+    # every coupled pair in both orientations, a diagonal pair once
+    rows, cols = np.nonzero(np.triu(coupled))
+    t_arr = np.column_stack([rows, cols, cols, rows]).reshape(-1, 2)
+    t_arr = t_arr[np.column_stack([np.ones(rows.size, dtype=bool), rows != cols]).ravel()]
     t_diff = lam[t_arr[:, 0]] - lam[t_arr[:, 1]]
     order = np.argsort(t_diff, kind="stable")
     t_diff_sorted = t_diff[order]

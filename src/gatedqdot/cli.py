@@ -177,13 +177,12 @@ def _cmd_coupling(config: RunConfig, outdir: Path):
     _, matrix = _coupling_stage(config)
     matrix.to_csv(outdir / "coupling.csv")
     matrix.to_json(outdir / "coupling.json")
-    entries = list(matrix.entries.values())
     results = {
         "truncation": config.truncation,
-        "stored": len(entries),
+        "stored": int(np.count_nonzero(np.triu(matrix.values))),
         "dropped": matrix.dropped,
         "zero_tol": matrix.zero_tol,
-        "max_entry": max((abs(v) for v in entries), default=0.0),
+        "max_entry": float(np.abs(matrix.values).max()),
     }
     return results, ["coupling.csv", "coupling.json"]
 

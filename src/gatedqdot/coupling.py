@@ -38,78 +38,79 @@ def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarra
     return pts, wts
 
 
-def coupling_x1_closed(n: int, j1: int, k1: int) -> float:
-    """Closed form of A(n, j1, k1); zero exactly when j1 + k1 + n is even."""
-    if min(n, j1, k1) < 1:
+def coupling_x1_closed(n: int, j1, k1):
+    """Closed form of A(n, j1, k1) over index arrays; zero exactly when j1 + k1 + n is even."""
+    j1, k1 = np.asarray(j1), np.asarray(k1)
+    if n < 1 or np.any(j1 < 1) or np.any(k1 < 1):
         raise ValueError("indices must be >= 1")
-    if (j1 + k1 + n) % 2 == 0:
-        return 0.0
     num = 4.0 * j1 * k1 * n
-    den = (j1 + k1 - n) * (j1 - k1 + n) * (-j1 + k1 + n) * (j1 + k1 + n)
-    return num / den
+    # Python integers keep the denominator exact before its one rounding
+    j, k = j1.astype(object), k1.astype(object)
+    den = np.asarray((j + k - n) * (j - k + n) * (-j + k + n) * (j + k + n), dtype=float)
+    odd = (j1 + k1 + n) % 2 == 1
+    return np.divide(num, den, out=np.zeros(num.shape), where=odd)[()]
 
 
-def coupling_x2_closed(n: int, j2: int, k2: int, L: float) -> float:
-    """Closed form of B(n, j2, k2) on (0, L); never zero."""
-    if min(n, j2, k2) < 1:
+def coupling_x2_closed(n: int, j2, k2, L: float):
+    """Closed form of B(n, j2, k2) on (0, L) over index arrays; never zero."""
+    j2, k2 = np.asarray(j2), np.asarray(k2)
+    if n < 1 or np.any(j2 < 1) or np.any(k2 < 1):
         raise ValueError("indices must be >= 1")
     if L <= 0:
         raise ValueError("L must be positive")
-    sign = -1.0 if (j2 + k2) % 2 else 1.0
+    sign = np.where((j2 + k2) % 2 == 1, -1.0, 1.0)
     num = 2.0 * sign * L**2 * n * math.pi**2 * j2 * k2 * math.sinh(n * L)
     den = (n**2 * L**2 + math.pi**2 * (j2 - k2) ** 2) * (n**2 * L**2 + math.pi**2 * (j2 + k2) ** 2)
-    return num / den
+    return (num / den)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric sparse coupling operator over an ordered mode list.
+    """Symmetric coupling operator over an ordered mode list, as one dense array.
 
-    Entries are keyed by ordering positions (a, b) with a <= b; magnitudes
-    at or below the effective zero tolerance are structural zeros, dropped
-    at assembly and counted in `dropped`.
+    `values[a, b]` is the entry between ordering positions a and b.
+    Magnitudes at or below the effective zero tolerance are structural
+    zeros: assembly sets them to 0 and counts those of the upper triangle
+    in `dropped`.  The stored entries are exactly the nonzero ones.
     """
 
     modes: tuple[ModeIndex, ...]
-    entries: dict[tuple[int, int], float]
+    values: np.ndarray
     zero_tol: float
     dropped: int = 0
 
     def __len__(self):
         return len(self.modes)
 
+    @property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """A new {(a, b): value} dict of the stored entries with a <= b, in row-major order."""
+        a, b = np.nonzero(np.triu(self.values))
+        return dict(zip(zip(a.tolist(), b.tolist()), self.values[a, b].tolist()))
+
     def get(self, a: int, b: int) -> float:
-        if a > b:
-            a, b = b, a
-        return self.entries.get((a, b), 0.0)
+        n = len(self.modes)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"positions ({a}, {b}) outside [0, {n})")
+        return float(self.values[a, b])
 
     def to_dense(self, truncation: int | None = None) -> np.ndarray:
         n = len(self.modes) if truncation is None else truncation
-        if n > len(self.modes):
-            raise ValueError("truncation exceeds coupling matrix size")
-        out = np.zeros((n, n))
-        for (a, b), v in self.entries.items():
-            if a < n and b < n:
-                out[a, b] = v
-                out[b, a] = v
-        return out
-
-    def stored_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
+        if not 0 <= n <= len(self.modes):
+            raise ValueError(f"truncation {n} outside [0, {len(self.modes)}]")
+        return self.values[:n, :n].copy()
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(COUPLING_CSV_HEADER + "\n")
-            for a, b in self.stored_pairs():
+            for (a, b), v in self.entries.items():
                 ma, mb = self.modes[a], self.modes[b]
-                fh.write(
-                    f"{ma.j1},{ma.j2},{mb.j1},{mb.j2},{self.entries[(a, b)]:.17g}\n"
-                )
+                fh.write(f"{ma.j1},{ma.j2},{mb.j1},{mb.j2},{v:.17g}\n")
 
     def to_json_dict(self) -> dict:
         return {
             "modes": [list(m) for m in self.modes],
-            "triplets": [[a, b, self.entries[(a, b)]] for a, b in self.stored_pairs()],
+            "triplets": [[a, b, v] for (a, b), v in self.entries.items()],
             "zero_tol": self.zero_tol,
             "dropped": self.dropped,
         }
@@ -121,17 +122,25 @@ class CouplingMatrix:
 
 
 def _raw_entries_spectral(field: SpectralField, modes, L: float) -> np.ndarray:
-    n = len(modes)
-    out = np.zeros((n, n))
-    for m, c in field.terms:
-        scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
-        for i in range(n):
-            for j in range(i, n):
-                a, b = modes[i], modes[j]
-                a1 = coupling_x1_closed(m, a.j1, b.j1)
-                if a1 == 0.0:
-                    continue
-                out[i, j] += scale * a1 * coupling_x2_closed(m, a.j2, b.j2, L)
+    """Upper triangle of the closed-form entries, summed over the gate terms.
+
+    A and B are tabulated per term over the index values and read at the
+    odd-parity pairs; overflow to inf is left to the caller's finiteness check.
+    """
+    j1 = np.array([m.j1 for m in modes])
+    j2 = np.array([m.j2 for m in modes])
+    r1 = np.arange(1, j1.max() + 1)
+    r2 = np.arange(1, j2.max() + 1)
+    rows, cols = np.triu_indices(len(modes))
+    out = np.zeros((len(modes), len(modes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, c in field.terms:
+            scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
+            odd = (j1[rows] + j1[cols] + m) % 2 == 1
+            a, b = rows[odd], cols[odd]
+            a1 = coupling_x1_closed(m, r1[:, None], r1[None, :])[j1[a] - 1, j1[b] - 1]
+            x2 = coupling_x2_closed(m, r2[:, None], r2[None, :], L)[j2[a] - 1, j2[b] - 1]
+            out[a, b] += scale * a1 * x2
     return out
 
 
@@ -204,6 +213,8 @@ def assemble_coupling_matrix(
         raise ValueError("truncation must be >= 1")
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
+    if zero_tol is not None and not zero_tol >= 0:
+        raise ValueError("zero_tol must be nonnegative")
     modes = spectrum.modes[:truncation]
     L = spectrum.L
     if isinstance(field, SpectralField):
@@ -225,15 +236,8 @@ def assemble_coupling_matrix(
         thresh = np.full_like(raw, zero_tol)
         effective = float(zero_tol)
 
-    entries: dict[tuple[int, int], float] = {}
-    dropped = 0
-    for i in range(truncation):
-        for j in range(i, truncation):
-            if abs(raw[i, j]) <= thresh[i, j]:
-                dropped += 1
-            else:
-                entries[(i, j)] = float(raw[i, j])
-    return CouplingMatrix(
-        modes=tuple(modes), entries=entries, zero_tol=effective, dropped=dropped
-    )
-
+    drop = np.abs(raw) <= thresh
+    values = np.triu(np.where(drop, 0.0, raw))
+    values += np.triu(values, 1).T
+    dropped = int(np.count_nonzero(np.triu(drop)))
+    return CouplingMatrix(modes=tuple(modes), values=values, zero_tol=effective, dropped=dropped)

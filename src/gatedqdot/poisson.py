@@ -243,31 +243,30 @@ def solve_partial_gate_fd(
     free_nodes = np.argwhere(~is_known)
     free_index[~is_known] = np.arange(len(free_nodes))
 
-    rows, cols, data = [], [], []
+    # stencil slots of each free node: centre, left, right, below, above.  A
+    # Neumann row reflects its ghost row (u[i,-1] = u[i,1] at the bottom,
+    # likewise on top off the gate): the outward slot is absent (clipped
+    # into the lattice, masked out) and the inward one doubles.
+    i, j = free_nodes.T
+    nb_i = np.column_stack([i, i - 1, i + 1, i, i])
+    nb_j = np.column_stack([j, j, j, np.maximum(j - 1, 0), np.minimum(j + 1, ny)])
+    coeff = np.empty((i.size, 5))
+    coeff[:] = [-2.0 * c1 - 2.0 * c2, c1, c1, c2, c2]
+    coeff[j == ny, 3] = coeff[j == 0, 4] = 2.0 * c2
+    present = np.ones((i.size, 5), dtype=bool)
+    present[:, 3], present[:, 4] = j > 0, j < ny
+    nb_known = present & is_known[nb_i, nb_j]
+    nb_free = present & ~is_known[nb_i, nb_j]
+
+    # known neighbours move to the right-hand side slot by slot, so each
+    # row subtracts its terms in stencil order
     rhs = np.zeros(len(free_nodes))
-
-    def couple(r, i, j, coeff):
-        if is_known[i, j]:
-            rhs[r] -= coeff * known[i, j]
-        else:
-            rows.append(r)
-            cols.append(free_index[i, j])
-            data.append(coeff)
-
-    for i, j in free_nodes:
-        r = free_index[i, j]
-        couple(r, i, j, -2.0 * c1 - 2.0 * c2)
-        couple(r, i - 1, j, c1)
-        couple(r, i + 1, j, c1)
-        if j == 0:
-            # bottom Neumann: reflected ghost row, u[i,-1] = u[i,1]
-            couple(r, i, 1, 2.0 * c2)
-        elif j == ny:
-            # top Neumann outside the gate
-            couple(r, i, ny - 1, 2.0 * c2)
-        else:
-            couple(r, i, j - 1, c2)
-            couple(r, i, j + 1, c2)
+    for slot in range(5):
+        k = nb_known[:, slot]
+        rhs[k] -= coeff[k, slot] * known[nb_i[k, slot], nb_j[k, slot]]
+    rows = np.broadcast_to(np.arange(len(free_nodes))[:, None], nb_free.shape)[nb_free]
+    cols = free_index[nb_i[nb_free], nb_j[nb_free]]
+    data = coeff[nb_free]
 
     mat = sp.csc_matrix((data, (rows, cols)), shape=(len(free_nodes), len(free_nodes)))
     sol = spla.spsolve(mat, rhs)

@@ -363,8 +363,10 @@ def test_criterion_12_small_instance_oracles():
 
     def toy(n_nodes, edges):
         modes = tuple(ModeIndex(i + 1, 1) for i in range(n_nodes))
-        entries = {(min(a, b), max(a, b)): 1.0 for a, b in edges}
-        return CouplingMatrix(modes=modes, entries=entries, zero_tol=0.0)
+        values = np.zeros((n_nodes, n_nodes))
+        for a, b in edges:
+            values[a, b] = values[b, a] = 1.0
+        return CouplingMatrix(modes=modes, values=values, zero_tol=0.0)
 
     def closure(n_nodes, edges):
         adj = np.eye(n_nodes, dtype=bool)

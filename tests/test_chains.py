@@ -22,10 +22,12 @@ from gatedqdot.spectral import ModeIndex
 def toy_matrix(n_nodes, edges, diagonal=()):
     """CouplingMatrix over placeholder modes with unit entries on given pairs."""
     modes = tuple(ModeIndex(i + 1, 1) for i in range(n_nodes))
-    entries = {(min(a, b), max(a, b)): 1.0 for a, b in edges}
+    values = np.zeros((n_nodes, n_nodes))
+    for a, b in edges:
+        values[a, b] = values[b, a] = 1.0
     for d in diagonal:
-        entries[(d, d)] = 1.0
-    return CouplingMatrix(modes=modes, entries=entries, zero_tol=0.0)
+        values[d, d] = 1.0
+    return CouplingMatrix(modes=modes, values=values, zero_tol=0.0)
 
 
 def closure_connected(n_nodes, edges):

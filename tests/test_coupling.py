@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gatedqdot.cli import run
 from gatedqdot.coupling import (
     assemble_coupling_matrix,
     coupling_x1_closed,
@@ -15,6 +16,7 @@ from gatedqdot.poisson import (
     GateSegment,
     SpectralField,
     StaggeredGrid,
+    solve_full_gate,
     solve_full_gate_mode,
     solve_hartree,
     solve_partial_gate_fd,
@@ -187,6 +189,122 @@ class TestEigenvalueSlope:
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
         for pos in range(10):
             assert fd[pos] == pytest.approx(matrix_n1_100.get(pos, pos), rel=1e-6)
+
+
+def scalar_x1(n, j1, k1):
+    """Scalar closed form of A, in Python arithmetic."""
+    if (j1 + k1 + n) % 2 == 0:
+        return 0.0
+    num = 4.0 * j1 * k1 * n
+    den = (j1 + k1 - n) * (j1 - k1 + n) * (-j1 + k1 + n) * (j1 + k1 + n)
+    return num / den
+
+
+def scalar_x2(n, j2, k2, L):
+    """Scalar closed form of B, in Python arithmetic."""
+    sign = -1.0 if (j2 + k2) % 2 else 1.0
+    num = 2.0 * sign * L**2 * n * math.pi**2 * j2 * k2 * math.sinh(n * L)
+    den = (n**2 * L**2 + math.pi**2 * (j2 - k2) ** 2) * (n**2 * L**2 + math.pi**2 * (j2 + k2) ** 2)
+    return num / den
+
+
+def loop_oracle(terms, modes, L, zero_tol):
+    """Pair-by-pair closed-form assembly and threshold rule in scalar Python.
+
+    Returns the symmetric dense matrix, the stored {(a, b): value} entries
+    in insertion order and the dropped count.
+    """
+    n = len(modes)
+    raw = np.zeros((n, n))
+    for m, c in terms:
+        scale = (4.0 / (math.pi * L)) * c / math.cosh(m * L)
+        for i in range(n):
+            for j in range(i, n):
+                a, b = modes[i], modes[j]
+                a1 = scalar_x1(m, a.j1, b.j1)
+                if a1 == 0.0:
+                    continue
+                raw[i, j] += scale * a1 * scalar_x2(m, a.j2, b.j2, L)
+    if zero_tol is None:
+        row_max = np.abs(raw).max(axis=1)
+        thresh = 1e-12 * np.maximum.outer(row_max, row_max)
+    else:
+        thresh = np.full_like(raw, zero_tol)
+    entries, dropped = {}, 0
+    for i in range(n):
+        for j in range(i, n):
+            if abs(raw[i, j]) <= thresh[i, j]:
+                dropped += 1
+            else:
+                entries[(i, j)] = float(raw[i, j])
+    dense = np.zeros((n, n))
+    for (a, b), v in entries.items():
+        dense[a, b] = dense[b, a] = v
+    return dense, entries, dropped
+
+
+class TestArrayKernel:
+    """The array assembly against the scalar loop, bit for bit."""
+
+    # n = 60000 puts the x1 denominators above 2**63
+    @pytest.mark.parametrize("n, L", [(1, 1.03), (2, 1.03), (3, 1.03), (60000, 0.01)])
+    def test_closed_forms_match_scalar(self, n, L):
+        j = np.arange(1, 41)
+        a1 = [[scalar_x1(n, p, q) for q in range(1, 41)] for p in range(1, 41)]
+        x2 = [[scalar_x2(n, p, q, L) for q in range(1, 41)] for p in range(1, 41)]
+        assert np.array_equal(coupling_x1_closed(n, j[:, None], j[None, :]), a1)
+        assert np.array_equal(coupling_x2_closed(n, j[:, None], j[None, :], L), x2)
+
+    @pytest.mark.parametrize(
+        "gate, L, zero_tol",
+        [
+            ({"kind": "fourier_mode", "n": 1}, 1.03, None),
+            ({"kind": "fourier_mode", "n": 2}, 1.03, None),
+            ({"kind": "fourier_mode", "n": 3}, 1.03, None),
+            ({"kind": "sine_series", "coefficients": [0.3, -0.7, 0.5]}, 1.03, None),
+            ({"kind": "sine_series", "coefficients": [0.3, -0.7, 0.5]}, 1.03, 1e-3),
+        ],
+        ids=["n1", "n2", "n3", "series", "series-zero-tol"],
+    )
+    def test_matches_scalar_loop(self, gate, L, zero_tol, tmp_path):
+        N = 100
+        if gate["kind"] == "fourier_mode":
+            profile = GateProfile.fourier_mode(gate["n"], L)
+        else:
+            profile = GateProfile.sine_series(gate["coefficients"], L)
+        field = solve_full_gate(profile)
+        spectrum = enumerate_modes(L, N)
+        m = assemble_coupling_matrix(field, spectrum, N, zero_tol)
+        dense, entries, dropped = loop_oracle(field.terms, spectrum.modes[:N], L, zero_tol)
+        assert np.array_equal(m.to_dense(), dense)
+        assert m.dropped == dropped
+        assert list(m.entries.items()) == list(entries.items())
+        assert np.array_equal(m.values, m.values.T)
+        assert len(m.entries) + m.dropped == N * (N + 1) // 2
+
+        doc = {"L": L, "truncation": N, "gate": gate}
+        if zero_tol is not None:
+            doc["tolerances"] = {"zero_tol": zero_tol}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run("coupling", config, tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["stored"] == len(m.entries)
+        assert report["results"]["dropped"] == m.dropped
+
+    def test_positions_outside_rejected(self, matrix_n2_30):
+        # a numpy read would wrap negative positions
+        assert matrix_n2_30.get(29, 0) == matrix_n2_30.get(0, 29)
+        for a, b in [(-1, 0), (30, 0), (0, -1), (0, 30)]:
+            with pytest.raises(ValueError, match="outside"):
+                matrix_n2_30.get(a, b)
+        for truncation in (-1, 31):
+            with pytest.raises(ValueError, match="outside"):
+                matrix_n2_30.to_dense(truncation)
+
+    def test_negative_zero_tol_rejected(self, field_n2, spec100):
+        with pytest.raises(ValueError, match="nonnegative"):
+            assemble_coupling_matrix(field_n2, spec100, 10, -1e-3)
 
 
 def segment_field(a, b, trace_mode, L, n):

@@ -161,6 +161,28 @@ class TestPartialGate:
         assert sol.values.max() <= boundary.max() + 1e-12
         assert sol.values.min() >= boundary.min() - 1e-12
 
+    @pytest.mark.parametrize("trace_mode", [1, 2, 3])
+    def test_stencil_vanishes_at_free_nodes(self, trace_mode):
+        # the 5-point stencil applied to the returned lattice, independent
+        # of the solver's matrix: reflected ghost rows at the Neumann bottom
+        # and on the top row, which is free only off the gate
+        n, height = 64, 1.03
+        seg = GateSegment(0.6, 2.2)
+        ia, ib = seg.snap(n)
+        x1 = np.linspace(0, math.pi, n + 1)
+        trace = GateProfile.fourier_mode(trace_mode, height).trace(x1[ia : ib + 1])
+        trace[0] = trace[-1] = 0.0
+        u = solve_partial_gate_fd(seg, trace, height, n, n).values
+        c1, c2 = (n / math.pi) ** 2, (n / height) ** 2
+        ext = np.concatenate([u[:, 1:2], u, u[:, -2:-1]], axis=1)
+        lap = c1 * (u[:-2] - 2 * u[1:-1] + u[2:]) + c2 * (
+            ext[1:-1, :-2] - 2 * u[1:-1] + ext[1:-1, 2:]
+        )
+        free = np.ones_like(lap, dtype=bool)
+        free[ia - 1 : ib, n] = False
+        scaled = np.abs(lap[free]) / ((c1 + c2) * np.abs(u).max())
+        assert scaled.max() <= 1e-12
+
     def test_segment_validation(self):
         with pytest.raises(ValueError):
             GateSegment(0.0, 1.0)
