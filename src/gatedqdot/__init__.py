@@ -54,7 +54,6 @@ from .poisson import (
 )
 from .spectral import (
     BoundaryDisplacement,
-    EigenPair,
     ModeIndex,
     ShiftedSpectrum,
     Spectrum,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .spectral import ModeIndex
+from .spectral import ModeIndex, window_pairs
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def certify_nonresonant_chain(
 
     For every oriented chain edge (s1, s2) and every oriented coupled pair
     (t1, t2) != (s1, s2) (diagonal pairs included), reports
-    |（lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.  Chain edges are
+    |(lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.  Chain edges are
     oriented with the larger eigenvalue first and mirror-image duplicates
     are canonicalized away.  An empty list certifies the non-resonant
     chain condition at this truncation and tolerance.
@@ -186,28 +186,31 @@ def certify_nonresonant_chain(
     t_arr = np.column_stack([rows, cols, cols, rows]).reshape(-1, 2)
     t_arr = t_arr[np.column_stack([np.ones(rows.size, dtype=bool), rows != cols]).ravel()]
     t_diff = lam[t_arr[:, 0]] - lam[t_arr[:, 1]]
-    order = np.argsort(t_diff, kind="stable")
+    # ties may sort in any order: no two hits of one edge share a canonical key
+    order = np.argsort(t_diff)
     t_diff_sorted = t_diff[order]
-    t_sorted = t_arr[order]
+
+    # each chain edge once, larger eigenvalue first, and its frequency window
+    edges = np.array(sorted(set(chain)), dtype=int).reshape(-1, 2)
+    s = np.where((lam[edges[:, 0]] >= lam[edges[:, 1]])[:, None], edges, edges[:, ::-1])
+    d = lam[s[:, 0]] - lam[s[:, 1]]
+    lo = np.searchsorted(t_diff_sorted, d - tol, side="left")
+    hi = np.searchsorted(t_diff_sorted, d + tol, side="right")
+    e, t = window_pairs(lo, hi)
+    t = order[t]  # rows of t_arr
+    hit = (t_arr[t] != s[e]).any(axis=1)
+    e, t = e[hit], t[hit]
+    gaps = np.abs(d[e] - t_diff[t])
 
     found = {}
-    for a, b in sorted(set(chain)):
-        s1, s2 = (a, b) if lam[a] >= lam[b] else (b, a)
-        d = lam[s1] - lam[s2]
-        lo = np.searchsorted(t_diff_sorted, d - tol, side="left")
-        hi = np.searchsorted(t_diff_sorted, d + tol, side="right")
-        for idx in range(lo, hi):
-            t1, t2 = int(t_sorted[idx, 0]), int(t_sorted[idx, 1])
-            if (t1, t2) == (s1, s2):
-                continue
-            # identity up to (s <-> t) and joint within-pair reflection
-            key = min(
-                tuple(sorted(((s1, s2), (t1, t2)))),
-                tuple(sorted(((s2, s1), (t2, t1)))),
-            )
-            gap = abs(d - float(t_diff_sorted[idx]))
-            if key not in found or gap < found[key][2]:
-                found[key] = ((s1, s2), (t1, t2), gap)
+    for (s1, s2), (t1, t2), gap in zip(s[e].tolist(), t_arr[t].tolist(), gaps.tolist()):
+        # identity up to (s <-> t) and joint within-pair reflection
+        key = min(
+            tuple(sorted(((s1, s2), (t1, t2)))),
+            tuple(sorted(((s2, s1), (t2, t1)))),
+        )
+        if key not in found or gap < found[key][2]:
+            found[key] = ((s1, s2), (t1, t2), gap)
     return sorted(found.values())
 
 

@@ -149,7 +149,7 @@ def _cmd_spectrum(config: RunConfig, outdir: Path):
     _write_rows_csv(
         outdir / "spectrum.csv",
         "j1,j2,lambda",
-        [(p.index.j1, p.index.j2, p.lam) for p in spectrum.pairs],
+        zip(spectrum.j1.tolist(), spectrum.j2.tolist(), spectrum.eigenvalues.tolist()),
     )
     results = {
         "truncation": config.truncation,
@@ -462,7 +462,11 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     body = _jsonable(
         {"command": command, "config": config.to_dict(), "results": results, "artifacts": artifacts}
     )
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    try:
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        print(f"numerical failure: {command} produced a non-finite result", file=sys.stderr)
+        return 3
     report = dict(body)
     report["provenance"] = {
         "package_version": __version__,

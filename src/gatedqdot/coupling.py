@@ -121,18 +121,16 @@ class CouplingMatrix:
             fh.write("\n")
 
 
-def _raw_entries_spectral(field: SpectralField, modes, L: float) -> np.ndarray:
+def _raw_entries_spectral(field: SpectralField, j1, j2, L: float) -> np.ndarray:
     """Upper triangle of the closed-form entries, summed over the gate terms.
 
     A and B are tabulated per term over the index values and read at the
     odd-parity pairs; overflow to inf is left to the caller's finiteness check.
     """
-    j1 = np.array([m.j1 for m in modes])
-    j2 = np.array([m.j2 for m in modes])
     r1 = np.arange(1, j1.max() + 1)
     r2 = np.arange(1, j2.max() + 1)
-    rows, cols = np.triu_indices(len(modes))
-    out = np.zeros((len(modes), len(modes)))
+    rows, cols = np.triu_indices(j1.size)
+    out = np.zeros((j1.size, j1.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for m, c in field.terms:
             scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
@@ -156,7 +154,7 @@ def _lattice_spacing(nodes: np.ndarray, span: float, axis: str) -> float:
     return span / cells
 
 
-def _raw_entries_lattice(field: GridField, modes, L: float) -> np.ndarray:
+def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
     """Exact integrals of the bilinear interpolant of a lattice field.
 
     On the uniform lattice x_i = i*h the hat functions h_i integrate
@@ -175,8 +173,6 @@ def _raw_entries_lattice(field: GridField, modes, L: float) -> np.ndarray:
     h2 = _lattice_spacing(field.x2, L, "x2")
     nx, ny = field.x1.size - 1, field.x2.size - 1
     table = (h1 * h2 / 4.0) * dctn(field.values, type=1)
-    j1 = np.array([m.j1 for m in modes])
-    j2 = np.array([m.j2 for m in modes])
 
     def factor(freq, n):
         # sinc^2 hat weight and folded DCT index of an integer frequency in
@@ -185,7 +181,7 @@ def _raw_entries_lattice(field: GridField, modes, L: float) -> np.ndarray:
         fold = freq % (2 * n)
         return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
 
-    out = np.zeros((len(modes), len(modes)))
+    out = np.zeros((j1.size, j1.size))
     for s in (1, -1):
         w1, f1 = factor(j1[:, None] + s * j1[None, :], nx)
         for t in (1, -1):
@@ -215,12 +211,11 @@ def assemble_coupling_matrix(
         raise ValueError("truncation exceeds spectrum size")
     if zero_tol is not None and not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
-    modes = spectrum.modes[:truncation]
-    L = spectrum.L
+    j1, j2, L = spectrum.j1[:truncation], spectrum.j2[:truncation], spectrum.L
     if isinstance(field, SpectralField):
-        raw = _raw_entries_spectral(field, modes, L)
+        raw = _raw_entries_spectral(field, j1, j2, L)
     elif isinstance(field, GridField):
-        raw = _raw_entries_lattice(field, modes, L)
+        raw = _raw_entries_lattice(field, j1, j2, L)
     else:
         raise ValueError(
             f"gate field must be a SpectralField or a GridField, not {type(field).__name__}"
@@ -240,4 +235,5 @@ def assemble_coupling_matrix(
     values = np.triu(np.where(drop, 0.0, raw))
     values += np.triu(values, 1).T
     dropped = int(np.count_nonzero(np.triu(drop)))
-    return CouplingMatrix(modes=tuple(modes), values=values, zero_tol=effective, dropped=dropped)
+    modes = tuple(spectrum.modes[:truncation])
+    return CouplingMatrix(modes=modes, values=values, zero_tol=effective, dropped=dropped)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .coupling import CouplingMatrix
 from .errors import DurationCapError, InstabilityError
 from .poisson import StaggeredGrid, hartree_field
 from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid
@@ -124,7 +125,7 @@ def _check_initial(state: WaveState):
 
 def propagate_bilinear(
     spectrum: Spectrum,
-    coupling,
+    coupling: CouplingMatrix,
     control: ControlSignal,
     initial: WaveState,
     truncation: int,
@@ -139,7 +140,7 @@ def propagate_bilinear(
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
     lam = spectrum.eigenvalues[:truncation]
-    cmat = coupling if isinstance(coupling, np.ndarray) else coupling.to_dense(truncation)
+    cmat = coupling.values[:truncation, :truncation]
     if initial.values.shape != (truncation,):
         raise ValueError("initial state size does not match truncation")
     _check_initial(initial)
@@ -178,7 +179,7 @@ def transfer_fidelity(final: WaveState, target_mode) -> float:
 def synthesize_chain_transfer(
     path: Sequence,
     spectrum: Spectrum,
-    coupling,
+    coupling: CouplingMatrix,
     delta: float,
     amplitude_fraction: float,
     *,
@@ -218,7 +219,7 @@ def synthesize_chain_transfer(
 
     n = truncation if truncation is not None else len(spectrum)
     lam = spectrum.eigenvalues[:n]
-    cmat = coupling if isinstance(coupling, np.ndarray) else coupling.to_dense(n)
+    cmat = coupling.values[:n, :n]
     u_bar = 0.5 * delta
     shifted = np.linalg.eigvalsh(np.diag(lam) + u_bar * cmat)
     positions = [spectrum.position(m) for m in modes]

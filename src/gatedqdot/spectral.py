@@ -27,41 +27,40 @@ class ModeIndex(NamedTuple):
     j2: int
 
 
-class EigenPair(NamedTuple):
-    index: ModeIndex
-    lam: float
-    norm_const: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered truncation of the rectangle spectrum.
+    """Ordered truncation of the rectangle spectrum: three read-only arrays.
 
     Eigenvalues are nondecreasing; exact ties are broken lexicographically
     in (j1, j2) so enumeration is reproducible in degenerate geometries
-    (L**2 a rational multiple of pi**2).
+    (L**2 a rational multiple of pi**2).  A dict maps modes to positions.
     """
 
     L: float
-    pairs: tuple[EigenPair, ...]
+    j1: np.ndarray
+    j2: np.ndarray
+    eigenvalues: np.ndarray
+    _positions: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for values in (self.j1, self.j2, self.eigenvalues):
+            values.flags.writeable = False
+        modes = map(ModeIndex, self.j1.tolist(), self.j2.tolist())
+        object.__setattr__(self, "_positions", {m: i for i, m in enumerate(modes)})
 
     def __len__(self):
-        return len(self.pairs)
+        return self.eigenvalues.size
 
     @property
     def modes(self) -> list[ModeIndex]:
-        return [p.index for p in self.pairs]
+        return list(self._positions)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
-
-    def position(self, mode: ModeIndex) -> int:
+    def position(self, mode) -> int:
         """Index of `mode` in the ordering; ValueError if absent."""
-        for i, p in enumerate(self.pairs):
-            if p.index == tuple(mode):
-                return i
-        raise ValueError(f"mode {tuple(mode)} not in spectrum")
+        try:
+            return self._positions[tuple(mode)]
+        except KeyError:
+            raise ValueError(f"mode {tuple(mode)} not in spectrum") from None
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,6 @@ class BoundaryDisplacement:
             raise ValueError(f"wall must be one of {WALLS}, got {self.wall!r}")
 
 
-def mode_eigenvalue(mode: ModeIndex, L: float) -> float:
-    return mode[0] ** 2 + mode[1] ** 2 * (math.pi**2 / L**2)
-
-
 def eigenfunction_on_grid(mode: ModeIndex, L: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Normalized eigenfunction evaluated on the outer product of node arrays."""
     c = 2.0 / math.sqrt(math.pi * L)
@@ -119,23 +114,42 @@ def enumerate_modes(L: float, count: int) -> Spectrum:
     vert = math.pi**2 / L**2
     box = max(2, math.ceil(math.sqrt(count) * max(1.0, L / math.pi, math.pi / L)) + 1)
     while True:
-        j1 = np.arange(1, box + 1)
-        j2 = np.arange(1, box + 1)
-        lam = (j1**2)[:, None] + vert * (j2**2)[None, :]
-        order = sorted(
-            ((lam[a, b], int(j1[a]), int(j2[b])) for a in range(box) for b in range(box))
-        )
-        if count <= len(order):
-            cutoff = order[count - 1][0]
+        j1, j2 = (g.ravel() for g in np.mgrid[1 : box + 1, 1 : box + 1])
+        lam = j1**2 + vert * j2**2
+        order = np.lexsort((j2, j1, lam))
+        if count <= order.size:
+            cutoff = lam[order[count - 1]]
             outside = min((box + 1) ** 2 + vert, 1 + vert * (box + 1) ** 2)
             if cutoff < outside:
                 break
         box *= 2
-    pairs = tuple(
-        EigenPair(ModeIndex(a, b), lv, 2.0 / math.sqrt(math.pi * L))
-        for lv, a, b in order[:count]
-    )
-    return Spectrum(L=L, pairs=pairs)
+    keep = order[:count]
+    return Spectrum(L=L, j1=j1[keep], j2=j2[keep], eigenvalues=lam[keep])
+
+
+def window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (row, index) with lo[row] <= index < hi[row], as two arrays.
+
+    Row-major, the order of a double loop over searchsorted windows.
+    """
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return rows, lo[rows] + np.arange(rows.size) - starts[rows]
+
+
+def _close_pairs(values: np.ndarray, tol: float):
+    """Pairs i < j of a sorted nonnegative array with values[j] - values[i] <= tol.
+
+    Returns i, j and |values[j] - values[i]|, row-major.  Rounding is
+    monotone, so the j of one i are a prefix of i+1, i+2, ..., which the
+    window up to the float after values[i] + tol holds; it is then filtered.
+    """
+    hi = np.searchsorted(values, np.nextafter(values + tol, np.inf), side="right")
+    i, j = window_pairs(np.arange(1, values.size + 1), hi)
+    gaps = values[j] - values[i]
+    keep = gaps <= tol
+    return i[keep], j[keep], np.abs(gaps[keep])
 
 
 def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[ModeIndex, ModeIndex, float]]:
@@ -145,16 +159,9 @@ def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[ModeIndex, Mo
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    out = []
-    pairs = spectrum.pairs
-    # sorted eigenvalues: collisions are confined to a sliding window
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            gap = abs(pairs[j].lam - pairs[i].lam)
-            if gap > tol:
-                break
-            out.append((pairs[i].index, pairs[j].index, gap))
-    return out
+    modes = spectrum.modes
+    i, j, gaps = _close_pairs(spectrum.eigenvalues, tol)
+    return [(modes[a], modes[b], g) for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())]
 
 
 def check_weak_nonresonance(
@@ -176,48 +183,36 @@ def check_weak_nonresonance(
         raise ValueError("tol must be positive")
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.size
-    if n < 2:
-        return []
     if np.any(np.diff(lam) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
     lo, hi = np.triu_indices(n, k=1)
     # orient each pair as (larger position, smaller position): differences >= 0
     diffs = lam[hi] - lam[lo]
-    order = np.argsort(diffs, kind="stable")
-    d = diffs[order]
-    s1 = hi[order]
-    s2 = lo[order]
-    out = []
-    for i in range(d.size):
-        j = i + 1
-        while j < d.size and d[j] - d[i] <= tol:
-            a = (int(s1[i]), int(s2[i]))
-            b = (int(s1[j]), int(s2[j]))
-            first, second = (a, b) if a <= b else (b, a)
-            out.append((first, second, float(abs(d[j] - d[i]))))
-            j += 1
-    out.sort()
-    return out
+    # ties may sort in any order; hi * n + lo ranks oriented pairs lexicographically
+    order = np.argsort(diffs)
+    code = (hi * n + lo)[order]
+    i, j, gaps = _close_pairs(diffs[order], tol)
+    first, second = np.minimum(code[i], code[j]), np.maximum(code[i], code[j])
+    key = np.lexsort((second, first))
+    (a1, a2), (b1, b2) = np.divmod(first[key], n), np.divmod(second[key], n)
+    first_pairs = zip(a1.tolist(), a2.tolist())
+    return list(zip(first_pairs, zip(b1.tolist(), b2.tolist()), gaps[key].tolist()))
 
 
-def shifted_spectrum(spectrum: Spectrum, coupling, rho: float, truncation: int) -> ShiftedSpectrum:
-    """Diagonalize diag(lambda) + rho * coupling on the first `truncation` modes.
+def shifted_spectrum(spectrum: Spectrum, matrix, rho: float, truncation: int) -> ShiftedSpectrum:
+    """Diagonalize diag(lambda) + rho * matrix.values on the first `truncation` modes.
 
-    `coupling` is a CouplingMatrix (or any object with a to_dense method) or
-    a symmetric ndarray. rho may be slightly negative: central differencing
-    of eigenvalue slopes at rho = 0 needs both signs even though physical
-    controls live in [0, delta].
+    `matrix` is a CouplingMatrix.  rho may be slightly negative: central
+    differencing of eigenvalue slopes at rho = 0 needs both signs even
+    though physical controls live in [0, delta].
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
-    if isinstance(coupling, np.ndarray):
-        if coupling.shape[0] < truncation:
-            raise ValueError("truncation exceeds coupling matrix size")
-        mat = coupling[:truncation, :truncation]
-    else:
-        mat = coupling.to_dense(truncation)
+    if truncation > len(matrix):
+        raise ValueError("truncation exceeds coupling matrix size")
+    mat = matrix.values[:truncation, :truncation]
     h = np.diag(spectrum.eigenvalues[:truncation]) + rho * mat
     vals, vecs = np.linalg.eigh(h)
     return ShiftedSpectrum(rho=rho, eigenvalues=vals, eigenvectors=vecs, truncation=truncation)
@@ -244,13 +239,13 @@ def eigenvalue_shape_derivative(
     """Hadamard derivative -int_wall (d(phi)/d(nu))**2 (X.nu) ds of a simple eigenvalue."""
     mode = ModeIndex(*mode)
     pos = spectrum.position(mode)
-    lam0 = spectrum.pairs[pos].lam
-    for i, p in enumerate(spectrum.pairs):
-        if i != pos and abs(p.lam - lam0) <= simplicity_tol:
-            raise DegenerateEigenvalueError(
-                f"eigenvalue of mode {tuple(mode)} collides with {tuple(p.index)}; "
-                "the Hadamard formula requires a simple eigenvalue"
-            )
+    close = np.abs(spectrum.eigenvalues - spectrum.eigenvalues[pos]) <= simplicity_tol
+    close[pos] = False
+    if close.any():
+        raise DegenerateEigenvalueError(
+            f"eigenvalue of mode {tuple(mode)} collides with {tuple(spectrum.modes[close.argmax()])}; "
+            "the Hadamard formula requires a simple eigenvalue"
+        )
     length = spectrum.L if disp.wall in ("left", "right") else math.pi
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(0.0, length, panels + 1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import scan_inputs
 
 from gatedqdot.chains import (
     breadth_first_forest,
@@ -193,7 +194,52 @@ class TestForest:
         assert parent == [-1, -1, 0, 4, 1]
 
 
+def chain_scan_oracle(lam, matrix, chain_edges, tol):
+    """Brute force: every chain edge against every coupled pair, both orientations.
+
+    A chain edge (s1, s2), larger eigenvalue first, collides with an
+    oriented coupled pair t != s when d - tol <= lam_t1 - lam_t2 <= d + tol
+    for d = lam_s1 - lam_s2.  A collision is keyed up to (s <-> t) and the
+    joint reflection; per key the smallest gap is kept, the first of equal
+    ones in edge order.
+    """
+    n = len(lam)
+    oriented = [(p, q) for p in range(n) for q in range(n) if matrix.values[p, q] != 0]
+    found = {}
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in chain_edges}):
+        s = (a, b) if lam[a] >= lam[b] else (b, a)
+        d = lam[s[0]] - lam[s[1]]
+        for t in oriented:
+            if t != s and d - tol <= lam[t[0]] - lam[t[1]] <= d + tol:
+                key = min(tuple(sorted((s, t))), tuple(sorted((s[::-1], t[::-1]))))
+                gap = abs(d - (lam[t[0]] - lam[t[1]]))
+                if key not in found or gap < found[key][2]:
+                    found[key] = (s, t, gap)
+    return sorted(found.values())
+
+
+@st.composite
+def chain_instances(draw):
+    values, tol = draw(scan_inputs())
+    n = max(len(values), 2)
+    lam = draw(st.permutations(np.resize(values, n).tolist())) if values.size else [0.0, 0.0]
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    diagonal = [i for i in range(n) if draw(st.booleans())]
+    chain = draw(st.lists(st.sampled_from(edges), max_size=2 * n)) if edges else []
+    chain = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chain]
+    return lam, toy_matrix(n, edges, diagonal), chain, tol
+
+
 class TestResonanceCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_instances())
+    def test_matches_brute_force(self, instance):
+        lam, matrix, chain, tol = instance
+        got = certify_nonresonant_chain(lam, matrix, chain, tol)
+        assert got == chain_scan_oracle(lam, matrix, chain, tol)
+        assert all(type(x) is int for s, t, _ in got for x in s + t)
+
     def test_unshifted_collision_found(self, matrix_n2_100, spec100):
         edges = [(a, b) for a, b in matrix_n2_100.entries if a != b]
         tol = 1e-9 * (spec100.eigenvalues[-1] - spec100.eigenvalues[0])

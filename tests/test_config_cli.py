@@ -279,6 +279,15 @@ def test_overflow_is_numerical_failure(tmp_path, capsys, command, doc):
     assert expected in capsys.readouterr().err
 
 
+def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
+    # the sweep's errors overflow to inf for this gate; report.json cannot hold them
+    doc = {"gate": {"kind": "fourier_mode", "n": 700}, "grid": {"nx": 64, "ny": 64}}
+    out = tmp_path / "out"
+    assert run("gate-sweep", write_config(tmp_path, doc), out) == 3
+    assert "numerical failure: gate-sweep produced a non-finite result" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def gate_sections():
     fourier = st.builds(
         lambda n: {"kind": "fourier_mode", "n": n}, st.integers(1, 1000)

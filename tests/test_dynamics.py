@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gatedqdot.coupling import CouplingMatrix
 from gatedqdot.dynamics import (
     ControlSignal,
     NonlinearConfig,
@@ -128,7 +129,11 @@ class TestBilinear:
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         ctrl = ControlSignal(samples=((0.5, 0.3), (0.5, 0.12)), delta=DELTA)
         base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
-        shifted_matrix = matrix_n2_30.to_dense(30) + 0.7 * np.eye(30)
+        shifted_matrix = CouplingMatrix(
+            modes=matrix_n2_30.modes,
+            values=matrix_n2_30.values + 0.7 * np.eye(30),
+            zero_tol=matrix_n2_30.zero_tol,
+        )
         moved = propagate_bilinear(spec30, shifted_matrix, ctrl, psi0, 30)
         for a, b in zip(base, moved):
             assert np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2).max() <= 1e-10

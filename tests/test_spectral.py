@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from strategies import scan_inputs
 
 from gatedqdot.errors import DegenerateEigenvalueError
 from gatedqdot.spectral import (
     BoundaryDisplacement,
     ModeIndex,
+    Spectrum,
     check_simplicity,
     check_weak_nonresonance,
     enumerate_modes,
@@ -26,10 +30,8 @@ def test_first_three_modes_unit_height():
 
 def test_eigenvalues_exact_formula():
     spec = enumerate_modes(1.3, 40)
-    for pair in spec.pairs:
-        j1, j2 = pair.index
-        assert pair.lam == j1**2 + j2**2 * (PI2 / 1.3**2)
-        assert pair.norm_const == 2.0 / math.sqrt(math.pi * 1.3)
+    for (j1, j2), lam in zip(spec.modes, spec.eigenvalues):
+        assert lam == j1**2 + j2**2 * (PI2 / 1.3**2)
 
 
 def test_square_degeneracy_lexicographic():
@@ -56,6 +58,24 @@ def test_enumerate_validates():
         enumerate_modes(-1.0, 5)
     with pytest.raises(ValueError):
         enumerate_modes(1.0, 0)
+
+
+@pytest.mark.parametrize("L", [1.0, math.pi, 0.37])
+def test_position_round_trips(L):
+    spec = enumerate_modes(L, 60)
+    assert all(type(j) is int for m in spec.modes for j in m)
+    assert [spec.position(m) for m in spec.modes] == list(range(60))
+    assert spec.position([1, 1]) == 0
+    for absent in [(0, 1), (1, 60), (2, 1, 1)]:
+        with pytest.raises(ValueError, match="not in spectrum"):
+            spec.position(absent)
+
+
+def test_spectrum_arrays_read_only():
+    spec = enumerate_modes(1.0, 5)
+    for values in (spec.j1, spec.j2, spec.eigenvalues):
+        with pytest.raises(ValueError):
+            values[0] = 0
 
 
 def test_fd_laplacian_oracle():
@@ -94,6 +114,47 @@ def test_simplicity_validates_tol():
     spec = enumerate_modes(1.0, 5)
     with pytest.raises(ValueError):
         check_simplicity(spec, 0.0)
+
+
+def spectrum_of(values):
+    n = len(values)
+    return Spectrum(L=1.0, j1=np.arange(1, n + 1), j2=np.ones(n, dtype=int), eigenvalues=values)
+
+
+# 1 + 2**-52 - 2**-53 rounds to 1.0 = tol, while 2**-53 + tol rounds to
+# 1.0 < 1 + 2**-52: the window has to reach past values[i] + tol
+HALF_ULP_TIE = (np.array([0.0, 2.0**-53, 1.0 + 2.0**-52]), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+@example(HALF_ULP_TIE)
+def test_simplicity_matches_all_pairs(instance):
+    values, tol = instance
+    spec = spectrum_of(values)
+    expected = [
+        (spec.modes[i], spec.modes[j], abs(values[j] - values[i]))
+        for i, j in itertools.combinations(range(len(values)), 2)
+        if abs(values[j] - values[i]) <= tol
+    ]
+    assert check_simplicity(spec, tol) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+@example(HALF_ULP_TIE)
+def test_weak_nonresonance_matches_all_pairs_of_pairs(instance):
+    values, tol = instance
+    lam = values.tolist()
+    oriented = [(a, b) for a in range(len(lam)) for b in range(a)]
+    expected = []
+    for p, q in itertools.combinations(oriented, 2):
+        gap = abs((lam[p[0]] - lam[p[1]]) - (lam[q[0]] - lam[q[1]]))
+        if gap <= tol:
+            expected.append((min(p, q), max(p, q), gap))
+    got = check_weak_nonresonance(values, tol)
+    assert got == sorted(expected)
+    assert all(type(x) is int for s, t, _ in got for x in s + t)
 
 
 def test_weak_nonresonance_distinct_differences():
@@ -179,7 +240,7 @@ def test_shape_derivative_zero_profile():
 
 def test_shape_derivative_degenerate_raises():
     spec = enumerate_modes(math.pi, 10)
-    with pytest.raises(DegenerateEigenvalueError):
+    with pytest.raises(DegenerateEigenvalueError, match=r"\(1, 2\) collides with \(2, 1\);"):
         eigenvalue_shape_derivative(spec, ModeIndex(1, 2), BoundaryDisplacement("left"))
 
 
