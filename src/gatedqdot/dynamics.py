@@ -10,8 +10,9 @@ spectrum, with mean delta/2 so the admissible range [0, delta] is never
 left.  Each drive is sampled on a grid commensurate with its period, so
 its samples repeat bitwise and the propagator's per-value cache of
 eigendecompositions serves every period after the first.  The nonlinear
-solver is Strang splitting on a staggered grid with the Hartree field
-re-solved at every half step.
+solver is Strang splitting on a staggered grid with one Hartree solve per
+step: a potential half step leaves |psi|^2 unchanged, so the field solved
+after the kinetic step also opens the next step.
 """
 
 from __future__ import annotations
@@ -322,11 +323,15 @@ def propagate_nonlinear(
 ) -> NonlinearResult:
     """Strang splitting of i d(psi)/dt = (-Delta + u(t) V0 + W_psi) psi.
 
-    Each step: half potential phase with a fresh Hartree solve, exact
-    kinetic step in the Dirichlet sine basis, second half potential phase
-    with the Hartree field re-solved (no lagging).  L2 norm, H1 seminorm
-    and the gate expectation int V0 |psi|^2 are logged every step; norm
-    drift beyond 1e-6 aborts with InstabilityError.
+    Each step: half potential phase, exact kinetic step in the Dirichlet
+    sine basis, then one Hartree solve from the post-kinetic density and
+    the second half potential phase with that field (no lagging).  A phase
+    multiply leaves |psi|^2 unchanged, so the same field and phase array
+    open the next step; each control sample rebuilds the phase from the
+    carried field, and one solve from the initial state opens the first.
+    With alpha = 0 no Hartree solve runs.  L2 norm, H1 seminorm and the
+    gate expectation int V0 |psi|^2 are logged every step; norm drift
+    beyond 1e-6 aborts with InstabilityError.
     """
     grid = initial.grid
     if grid is None:
@@ -375,6 +380,9 @@ def propagate_nonlinear(
     if config.store_states:
         boundary_states.append(WaveState(values=psi.copy(), time=t, grid=grid))
 
+    # the linear flow (alpha = 0) has the field 0 and solves nothing
+    nonlinear = config.alpha != 0.0
+    w = hartree_field(np.abs(psi) ** 2, config.alpha, grid) if nonlinear else 0.0
     kin_cache: dict[float, np.ndarray] = {}
     for dur, u in control.samples:
         if not 0.0 <= u <= control.delta:
@@ -384,12 +392,15 @@ def propagate_nonlinear(
         if step not in kin_cache:
             kin_cache[step] = np.exp(-1j * sine_eigs * step)
         kin = kin_cache[step]
+        # the carried field w belongs to the current |psi|^2
+        phase = np.exp(-0.5j * step * (u * v0 + w))
         for _ in range(nsteps):
-            w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
-            psi = psi * np.exp(-0.5j * step * (u * v0 + w))
+            psi = psi * phase
             psi = grid.sine_backward(kin * grid.sine_forward(psi))
-            w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
-            psi = psi * np.exp(-0.5j * step * (u * v0 + w))
+            if nonlinear:
+                w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
+                phase = np.exp(-0.5j * step * (u * v0 + w))
+            psi = psi * phase
             t += step
             record(u)
             # written to also trip on NaN norms (comparisons with NaN are false)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.fft import dctn, dstn, idstn
 
 from .errors import SolverFailureError
@@ -211,6 +209,10 @@ def solve_partial_gate_fd(
     zero (set require_endpoint_zero=False only for solver-verification runs
     with manufactured data).
     """
+    # imported here, its only user, so commands without a segment gate skip it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if nx < 16 or ny < 16:
         raise ValueError("grid sizes must be >= 16")
     if L <= 0:
@@ -372,7 +374,9 @@ class StaggeredGrid:
     This placement makes three transforms exactly orthogonal at once:
     DST-I in x1 (Dirichlet sides), DST-II in x2 for the full-Dirichlet sine
     basis, and DCT-IV in x2 for the quarter-wave cosine basis of the
-    Hartree problem.
+    Hartree problem.  `mixed_eigenvalues` holds the Laplacian eigenvalues
+    of the modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L), k2 = 0..ny-1, built once
+    per grid for the Hartree solve.
     """
 
     L: float
@@ -380,6 +384,7 @@ class StaggeredGrid:
     ny: int
     x1: np.ndarray = field(init=False, repr=False)
     x2: np.ndarray = field(init=False, repr=False)
+    mixed_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.L <= 0:
@@ -390,6 +395,13 @@ class StaggeredGrid:
         h2 = self.L / self.ny
         object.__setattr__(self, "x1", h1 * np.arange(1, self.nx))
         object.__setattr__(self, "x2", h2 * (np.arange(self.ny) + 0.5))
+        j1 = np.arange(1, self.nx)
+        k2 = np.arange(self.ny)
+        object.__setattr__(
+            self,
+            "mixed_eigenvalues",
+            (j1**2)[:, None] + (((k2 + 0.5) * math.pi / self.L) ** 2)[None, :],
+        )
 
     @property
     def h1(self) -> float:
@@ -413,12 +425,6 @@ class StaggeredGrid:
         j1 = np.arange(1, self.nx)
         j2 = np.arange(1, self.ny + 1)
         return (j1**2)[:, None] + ((j2 * math.pi / self.L) ** 2)[None, :]
-
-    def mixed_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues for modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L), k2 = 0..ny-1."""
-        j1 = np.arange(1, self.nx)
-        k2 = np.arange(self.ny)
-        return (j1**2)[:, None] + (((k2 + 0.5) * math.pi / self.L) ** 2)[None, :]
 
     def sine_forward(self, values: np.ndarray) -> np.ndarray:
         out = dstn(values, type=1, axes=[0], norm="ortho")
@@ -444,7 +450,7 @@ class StaggeredGrid:
 def hartree_field(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> np.ndarray:
     """Raw spectral solve of -Delta W = alpha*density on the staggered grid."""
     coeffs = grid.mixed_forward(density)
-    return grid.mixed_backward(alpha * coeffs / grid.mixed_eigenvalues())
+    return grid.mixed_backward(alpha * coeffs / grid.mixed_eigenvalues)
 
 
 def solve_hartree(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> GridField:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gatedqdot.cli import run
 from gatedqdot.config import ConfigValidationError, validate_config
+from gatedqdot.poisson import GateSegment
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -325,8 +326,14 @@ def test_every_gate_section_has_a_documented_exit(gate, L, nx, ny, truncation):
     with tempfile.TemporaryDirectory() as tmp:
         code = run("coupling", write_config(Path(tmp), doc), Path(tmp) / "out")
     assert code in (0, 2, 3)
-    if gate["kind"] == "segment" and gate["b"] - gate["a"] >= 0.5:
-        assert code == 0
+    if gate["kind"] == "segment":
+        # a segment runs exactly when it survives snapping to the grid
+        try:
+            GateSegment(gate["a"], gate["b"]).snap(nx)
+        except ValueError:
+            assert code == 2
+        else:
+            assert code == 0
 
 
 def test_cli_main_help(capsys):

@@ -17,7 +17,7 @@ from gatedqdot.dynamics import (
     transfer_fidelity,
 )
 from gatedqdot.errors import DurationCapError
-from gatedqdot.poisson import StaggeredGrid
+from gatedqdot.poisson import StaggeredGrid, hartree_field
 from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes
 
 L = 1.0
@@ -343,6 +343,89 @@ class TestNonlinear:
             NonlinearConfig(alpha=-1.0, dt=1e-3)
         with pytest.raises(ValueError):
             NonlinearConfig(alpha=0.0, dt=0.0)
+
+
+def two_solve_strang(initial, control, config, v0, pop_modes):
+    """Oracle: the Strang step with a fresh Hartree solve before each half phase.
+
+    Returns the final state and the per-record norms, H1 seminorms, gate
+    expectations and populations, computed as the integrator logs them.
+    """
+    grid = initial.grid
+    eigs = grid.sine_eigenvalues()
+    weight = grid.cell_weight
+    phis = np.stack([eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in pop_modes])
+    psi = initial.values.copy()
+    logs = []
+
+    def record():
+        dens = np.abs(psi) ** 2
+        h1 = np.sqrt(weight * np.sum(eigs * np.abs(grid.sine_forward(psi)) ** 2))
+        pops = np.abs(weight * (phis @ psi.ravel())) ** 2
+        logs.append((grid.norm(psi), h1, weight * np.sum(v0 * dens), pops))
+
+    record()
+    for dur, u in control.samples:
+        nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
+        step = dur / nsteps
+        kin = np.exp(-1j * eigs * step)
+        for _ in range(nsteps):
+            w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
+            psi = psi * np.exp(-0.5j * step * (u * v0 + w))
+            psi = grid.sine_backward(kin * grid.sine_forward(psi))
+            w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
+            psi = psi * np.exp(-0.5j * step * (u * v0 + w))
+            record()
+    norms, h1, gate, pops = (np.array(col) for col in zip(*logs))
+    return psi, norms, h1, gate, pops
+
+
+class TestOneSolvePerStep:
+    """One Hartree solve per step against the oracle that solves before each half phase."""
+
+    # distinct values, a zero control, and a repeated (step, u) sample
+    SAMPLES = ((0.05, 0.1), (0.03, 0.25), (0.04, 0.0), (0.04, 0.0))
+
+    def run(self, field_n2, alpha, samples, monkeypatch):
+        grid = StaggeredGrid(L=L, nx=16, ny=16)
+        psi0 = grid_mode_state(grid, (1, 1), L)
+        cfg = NonlinearConfig(alpha=alpha, dt=1e-2, nx=16, ny=16, log_populations=3)
+        ctrl = ControlSignal(samples=samples, delta=DELTA)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return hartree_field(*args)
+
+        monkeypatch.setattr("gatedqdot.dynamics.hartree_field", counted)
+        res = propagate_nonlinear(psi0, ctrl, cfg, field_n2)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        expected = two_solve_strang(psi0, ctrl, cfg, v0, res.population_modes)
+        steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in samples)
+        assert res.times.size == steps + 1
+        got = (res.final.values, res.norms, res.h1_seminorms, res.gate_expectations, res.populations)
+        return got, expected, len(calls), steps
+
+    def test_linear_run_solves_nothing_and_is_bitwise_equal(self, field_n2, monkeypatch):
+        got, expected, calls, _ = self.run(field_n2, 0.0, self.SAMPLES, monkeypatch)
+        assert calls == 0
+        for a, b in zip(got, expected):
+            # bytes, so even the sign of a zero must agree
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "samples",
+        [((0.1, 0.2),), SAMPLES],
+        ids=["one-sample", "sample-boundaries"],
+    )
+    def test_nonlinear_run_matches_oracle(self, field_n2, monkeypatch, samples):
+        got, expected, _, _ = self.run(field_n2, 0.1, samples, monkeypatch)
+        for a, b in zip(got, expected):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_one_solve_per_step_plus_one(self, field_n2, monkeypatch):
+        _, _, calls, steps = self.run(field_n2, 0.1, ((0.1, 0.2),), monkeypatch)
+        assert calls == steps + 1
 
 
 class TestAlphaStudy:

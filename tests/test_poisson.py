@@ -253,7 +253,7 @@ class TestHartree:
         alpha = 0.7
         W = solve_hartree(dens, alpha, g)
         coeffs = g.mixed_forward(W.values)
-        grad_sq = g.cell_weight * float(np.sum(g.mixed_eigenvalues() * coeffs**2))
+        grad_sq = g.cell_weight * float(np.sum(g.mixed_eigenvalues * coeffs**2))
         rhs = alpha * g.cell_weight * float(np.sum(W.values * dens))
         assert grad_sq == pytest.approx(rhs, rel=1e-10)
 
