@@ -10,7 +10,6 @@ the stated truncation and tolerance, never for the infinite mode family.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,20 +18,19 @@ from .coupling import CouplingMatrix
 from .spectral import ModeIndex, window_pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingGraph:
-    """Undirected graph over the first `node_count` ordering positions."""
+    """Undirected graph over the first `node_count` ordering positions.
+
+    `adj[a, b]` (read-only, boolean) is True when positions a != b couple.
+    """
 
     modes: tuple[ModeIndex, ...]
-    edges: frozenset[tuple[int, int]]  # (a, b) with a < b
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    adj: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
         return len(self.modes)
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
 
     def resolve(self, node) -> int:
         """Accept an ordering position or a ModeIndex; return the position."""
@@ -56,43 +54,51 @@ def build_graph(matrix: CouplingMatrix, node_count: int) -> CouplingGraph:
         raise ValueError("node_count exceeds coupling matrix mode count")
     adj = matrix.values[:node_count, :node_count] != 0
     np.fill_diagonal(adj, False)
-    a, b = np.nonzero(np.triu(adj))
-    return CouplingGraph(
-        modes=tuple(matrix.modes[:node_count]),
-        edges=frozenset(zip(a.tolist(), b.tolist())),
-        adjacency=tuple(tuple(np.flatnonzero(row).tolist()) for row in adj),
-    )
+    adj.flags.writeable = False
+    return CouplingGraph(modes=tuple(matrix.modes[:node_count]), adj=adj)
+
+
+def _tree(adj: np.ndarray, root: int, seen: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Breadth-first tree from `root` over the nodes not yet `seen`.
+
+    Marks the nodes it reaches in `seen`, writes their parents into
+    `parent` and returns them in visiting order.  Per level, a new node's
+    parent is the first frontier row reaching it, and the next frontier
+    is ordered by (parent rank, node): the order of a FIFO queue that
+    takes adjacent nodes in ascending order, with the same parents.
+    """
+    seen[root] = True
+    levels = [np.array([root])]
+    while levels[-1].size:
+        frontier = levels[-1]
+        unseen = np.flatnonzero(~seen)
+        reach = adj[np.ix_(frontier, unseen)]
+        hit = reach.any(axis=0)
+        new = unseen[hit]
+        first = reach[:, hit].argmax(axis=0)
+        seen[new] = True
+        parent[new] = frontier[first]
+        levels.append(new[np.lexsort((new, first))])
+    return np.concatenate(levels)
 
 
 def breadth_first_forest(graph: CouplingGraph) -> tuple[list[list[int]], list[int]]:
     """The one breadth-first search behind every chain verdict.
 
-    Each component is rooted at its least node and neighbors are visited in
-    ascending order.  Returns the components, each sorted and listed in
-    order of least member, and the parent pointers (-1 at roots).  The tree
-    edges form the spanning chain, and the tree path from a root to a node
-    is `coupling_path(graph, root, node)`: shortest, with ties broken
-    towards lexicographically smaller node sequences.
+    Each component is rooted at its least node and adjacent nodes are
+    visited in ascending order.  Returns the components, each sorted and
+    listed in order of least member, and the parent pointers (-1 at
+    roots).  The tree edges form the spanning chain, and the tree path from
+    a root to a node is `coupling_path(graph, root, node)`: shortest, with
+    ties broken towards lexicographically smaller node sequences.
     """
-    parent = [-1] * graph.node_count
-    seen = [False] * graph.node_count
+    seen = np.zeros(graph.node_count, dtype=bool)
+    parent = np.full(graph.node_count, -1)
     components = []
     for root in range(graph.node_count):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = []
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    queue.append(v)
-        components.append(sorted(comp))
-    return components, parent
+        if not seen[root]:
+            components.append(np.sort(_tree(graph.adj, root, seen, parent)).tolist())
+    return components, parent.tolist()
 
 
 def check_connected(graph: CouplingGraph) -> tuple[bool, list[list[int]]]:
@@ -129,29 +135,19 @@ def witness_paths(
 def coupling_path(graph: CouplingGraph, j, k) -> list[int] | None:
     """Shortest coupling path from j to k, or None across components.
 
-    Ties are broken towards lexicographically smaller node sequences by
-    always stepping to the smallest admissible neighbor.
+    Ties are broken towards lexicographically smaller node sequences: the
+    path is the branch of the breadth-first tree rooted at j.
     """
     src = graph.resolve(j)
     dst = graph.resolve(k)
-    if src == dst:
-        return [src]
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if src not in dist:
-        return None
-    path = [src]
-    current = src
-    while current != dst:
-        current = min(v for v in graph.neighbors(current) if dist.get(v, -1) == dist[current] - 1)
-        path.append(current)
-    return path
+    parent = np.full(graph.node_count, -1)
+    _tree(graph.adj, src, np.zeros(graph.node_count, dtype=bool), parent)
+    path = [dst]
+    while path[-1] != src:
+        if parent[path[-1]] < 0:
+            return None
+        path.append(int(parent[path[-1]]))
+    return path[::-1]
 
 
 def certify_nonresonant_chain(
@@ -214,6 +210,17 @@ def certify_nonresonant_chain(
     return sorted(found.values())
 
 
+def forest_json(components: list[list[ModeIndex]], witness: dict) -> dict:
+    """The `components` and `witness_paths` keys of a chain.json document."""
+    return {
+        "components": [[list(m) for m in comp] for comp in components],
+        "witness_paths": [
+            {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
+            for (a, b), p in sorted(witness.items())
+        ],
+    }
+
+
 @dataclass(frozen=True)
 class ChainCertificate:
     """Finite rendering of the non-resonant connectedness chain condition."""
@@ -234,11 +241,7 @@ class ChainCertificate:
         return {
             "connected": self.connected,
             "certified": self.certified,
-            "components": [[list(m) for m in comp] for comp in self.components],
-            "witness_paths": [
-                {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
-                for (a, b), p in sorted(self.witness_paths.items())
-            ],
+            **forest_json(self.components, self.witness_paths),
             "violations": [
                 {"chain_pair": [list(s) for s in s_pair], "other_pair": [list(t) for t in t_pair], "gap": gap}
                 for s_pair, t_pair, gap in self.violations

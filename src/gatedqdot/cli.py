@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chains import breadth_first_forest, build_graph, certify, witness_paths
+from .chains import breadth_first_forest, build_graph, certify, forest_json, witness_paths
 from .config import ConfigValidationError, RunConfig, load_config
 from .coupling import assemble_coupling_matrix
 from .dynamics import (
@@ -194,11 +194,9 @@ def _cmd_chain(config: RunConfig, outdir: Path):
     connected = len(components) == 1
     doc = {
         "connected": connected,
-        "components": [[list(graph.modes[i]) for i in comp] for comp in components],
-        "witness_paths": [
-            {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
-            for (a, b), p in sorted(witness_paths(graph, parent).items())
-        ],
+        **forest_json(
+            [[graph.modes[i] for i in comp] for comp in components], witness_paths(graph, parent)
+        ),
         "truncation": config.truncation,
         "zero_tol": matrix.zero_tol,
     }
@@ -209,7 +207,7 @@ def _cmd_chain(config: RunConfig, outdir: Path):
         "connected": connected,
         "component_count": len(components),
         "component_sizes": [len(c) for c in components],
-        "edges": len(graph.edges),
+        "edges": int(np.count_nonzero(np.triu(graph.adj))),
         "truncation": config.truncation,
     }
     return results, ["chain.json"]

@@ -201,9 +201,10 @@ def assemble_coupling_matrix(
     A SpectralField (full-gate sine superposition) uses the closed forms; a
     GridField must sample the uniform lattice on [0, pi] x [0, L], and its
     bilinear interpolant is integrated exactly.  With zero_tol=None the
-    structural-zero threshold is 1e-12 times the largest entry magnitude
-    in either touching row, which keeps large cosh-inflated rows from
-    misclassifying true zeros.
+    structural-zero threshold is 1e-12 times the largest raw magnitude in
+    either touching row, which keeps large cosh-inflated rows from
+    misclassifying true zeros.  The closed forms fill only the upper
+    triangle, so there a row's maximum runs over the columns >= the row.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")

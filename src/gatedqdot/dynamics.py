@@ -18,7 +18,7 @@ after the kinetic step also opens the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -274,7 +274,6 @@ class NonlinearConfig:
     nx: int = 128
     ny: int = 128
     log_populations: int = 6
-    store_states: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -289,7 +288,7 @@ class NonlinearConfig:
 
 @dataclass
 class NonlinearResult:
-    """Per-step observable log plus final (and optionally boundary) states."""
+    """Per-step observable log plus the final state."""
 
     times: np.ndarray
     norms: np.ndarray
@@ -299,7 +298,6 @@ class NonlinearResult:
     control_values: np.ndarray  # (steps+1,), value applied after each time
     final: WaveState
     population_modes: tuple[ModeIndex, ...]
-    boundary_states: list[WaveState] = field(default_factory=list)
     dt_lambda_max: float = 0.0
 
     def to_csv(self, path) -> None:
@@ -375,10 +373,7 @@ def propagate_nonlinear(
         logs["pop"].append(np.abs(weight * (phis @ psi.ravel())) ** 2)
         logs["u"].append(u_next)
 
-    boundary_states = []
     record(control.samples[0][1] if control.samples else 0.0)
-    if config.store_states:
-        boundary_states.append(WaveState(values=psi.copy(), time=t, grid=grid))
 
     # the linear flow (alpha = 0) has the field 0 and solves nothing
     nonlinear = config.alpha != 0.0
@@ -408,8 +403,6 @@ def propagate_nonlinear(
                 raise InstabilityError(
                     f"norm drift {logs['norm'][-1] - 1.0:.3e} at t={t}; reduce dt"
                 )
-        if config.store_states:
-            boundary_states.append(WaveState(values=psi.copy(), time=t, grid=grid))
 
     return NonlinearResult(
         times=np.array(logs["t"]),
@@ -420,7 +413,6 @@ def propagate_nonlinear(
         control_values=np.array(logs["u"]),
         final=WaveState(values=psi, time=t, grid=grid),
         population_modes=kmodes,
-        boundary_states=boundary_states,
         dt_lambda_max=float(config.dt * sine_eigs.max()),
     )
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -41,27 +42,72 @@ def closure_connected(n_nodes, edges):
     return bool(adj.all())
 
 
+def queue_forest(neighbors):
+    """FIFO-queue breadth-first forest, the reference for `breadth_first_forest`."""
+    parent = [-1] * len(neighbors)
+    seen = [False] * len(neighbors)
+    components = []
+    for root in range(len(neighbors)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = []
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for v in neighbors[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    queue.append(v)
+        components.append(sorted(comp))
+    return components, parent
+
+
+def queue_path(neighbors, src, dst):
+    """Reference for `coupling_path`: distances to dst, then the smallest closer step."""
+    if src == dst:
+        return [src]
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if src not in dist:
+        return None
+    path = [src]
+    current = src
+    while current != dst:
+        current = min(v for v in neighbors[current] if dist.get(v, -1) == dist[current] - 1)
+        path.append(current)
+    return path
+
+
 class TestGraph:
     def test_even_gate_edges_are_odd_sums(self, matrix_n2_100, spec100):
         g = build_graph(matrix_n2_100, 20)
-        for a, b in g.edges:
+        for a, b in zip(*np.nonzero(g.adj)):
             assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 1
         for i in range(20):
             for j in range(i + 1, 20):
                 if (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 1:
-                    assert (i, j) in g.edges
+                    assert g.adj[i, j]
 
     def test_empty_matrix_edgeless(self):
         g = build_graph(toy_matrix(4, []), 4)
-        assert g.edges == frozenset()
+        assert not g.adj.any()
 
     def test_single_node(self):
         g = build_graph(toy_matrix(3, [(0, 1)]), 1)
-        assert g.node_count == 1 and not g.edges
+        assert g.node_count == 1 and not g.adj.any()
 
     def test_diagonal_not_an_edge(self):
         g = build_graph(toy_matrix(3, [(0, 1)], diagonal=[2]), 3)
-        assert (2, 2) not in g.edges
+        assert not g.adj[2, 2]
 
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
@@ -126,7 +172,7 @@ class TestPaths:
 
     def test_direct_edge_absent_for_even_sum(self, matrix_n2_100):
         g = build_graph(matrix_n2_100, 30)
-        assert (g.resolve((1, 1)), g.resolve((3, 1))) not in g.edges
+        assert not g.adj[g.resolve((1, 1)), g.resolve((3, 1))]
 
     def test_trivial_path(self, matrix_n2_100):
         g = build_graph(matrix_n2_100, 10)
@@ -152,7 +198,7 @@ class TestPaths:
             positions = [g.resolve(m) for m in path]
             assert len(positions) <= 30
             for a, b in zip(positions[:-1], positions[1:]):
-                assert (min(a, b), max(a, b)) in g.edges
+                assert g.adj[a, b]
 
 
 @st.composite
@@ -161,6 +207,16 @@ def random_graphs(draw):
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return n, [p for p, m in zip(pairs, mask) if m]
+
+
+@st.composite
+def sparse_graphs(draw):
+    """1 to 40 nodes at density 0 to 0.3: edgeless, disconnected and connected."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = list(itertools.combinations(range(n), 2))
+    return n, [p for p, keep in zip(pairs, rng.random(len(pairs)) < density) if keep]
 
 
 class TestForest:
@@ -186,6 +242,16 @@ class TestForest:
         chain = spanning_chain(g)
         assert tree == set(chain)
         assert len(chain) == n - len(comps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_graphs())
+    def test_matches_queue_search(self, instance):
+        n, edges = instance
+        g = build_graph(toy_matrix(n, edges), n)
+        neighbors = [np.flatnonzero(row).tolist() for row in g.adj]
+        assert breadth_first_forest(g) == queue_forest(neighbors)
+        for src, dst in itertools.product(range(n), repeat=2):
+            assert coupling_path(g, src, dst) == queue_path(neighbors, src, dst)
 
     def test_forest_roots_at_least_node(self):
         g = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]), 5)
@@ -308,7 +374,7 @@ class TestResonanceCertificate:
         g = build_graph(matrix_n2_30, 30)
         edges = spanning_chain(g)
         assert len(edges) == 29
-        assert all(e in g.edges for e in edges)
+        assert all(g.adj[e] for e in edges)
 
     def test_certificate_json(self, matrix_n2_30, spec30, tmp_path):
         cert = certify(matrix_n2_30, spec30.eigenvalues, 30, 1e-9)
