@@ -40,16 +40,14 @@ from .errors import (
     SolverFailureError,
 )
 from .poisson import (
-    GateProfile,
     GateSegment,
     GridField,
     SpectralField,
     StaggeredGrid,
+    fourier_term,
     gate_convergence_sweep,
+    segment_trace,
     solve_full_gate,
-    solve_full_gate_mode,
-    solve_full_gate_series,
-    solve_hartree,
     solve_partial_gate_fd,
 )
 from .spectral import (

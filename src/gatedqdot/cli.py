@@ -38,10 +38,12 @@ from .dynamics import (
 )
 from .errors import NumericalError
 from .poisson import (
-    GateProfile,
     GateSegment,
+    SpectralField,
     StaggeredGrid,
+    fourier_term,
     gate_convergence_sweep,
+    segment_trace,
     solve_full_gate,
     solve_partial_gate_fd,
 )
@@ -98,15 +100,11 @@ def _gate_field(config: RunConfig):
     """Gate potential for the configured profile; FD solve for segment gates."""
     gate = config.gate
     if gate.kind == "fourier_mode":
-        return solve_full_gate(GateProfile.fourier_mode(gate.n, config.L))
+        return solve_full_gate([fourier_term(gate.n, config.L)], config.L)
     if gate.kind == "sine_series":
-        return solve_full_gate(GateProfile.sine_series(gate.coefficients, config.L))
+        return solve_full_gate(enumerate(gate.coefficients, start=1), config.L)
     segment = GateSegment(gate.a, gate.b)
-    ia, ib = segment.snap(config.grid.nx)
-    x1 = np.linspace(0.0, math.pi, config.grid.nx + 1)
-    trace = GateProfile.fourier_mode(gate.trace_mode, config.L).trace(x1[ia : ib + 1])
-    trace[0] = 0.0
-    trace[-1] = 0.0
+    trace = segment_trace(segment, gate.trace_mode, config.L, config.grid.nx)
     return solve_partial_gate_fd(segment, trace, config.L, config.grid.nx, config.grid.ny)
 
 
@@ -163,7 +161,7 @@ def _cmd_spectrum(config: RunConfig, outdir: Path):
 
 def _cmd_potential(config: RunConfig, outdir: Path):
     field = _gate_field(config)
-    if hasattr(field, "rasterize"):
+    if isinstance(field, SpectralField):
         grid_field = field.rasterize(config.grid.nx, config.grid.ny)
         results = {"representation": "spectral", "terms": [[m, c] for m, c in field.terms]}
     else:

@@ -88,18 +88,6 @@ class CouplingMatrix:
         a, b = np.nonzero(np.triu(self.values))
         return dict(zip(zip(a.tolist(), b.tolist()), self.values[a, b].tolist()))
 
-    def get(self, a: int, b: int) -> float:
-        n = len(self.modes)
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"positions ({a}, {b}) outside [0, {n})")
-        return float(self.values[a, b])
-
-    def to_dense(self, truncation: int | None = None) -> np.ndarray:
-        n = len(self.modes) if truncation is None else truncation
-        if not 0 <= n <= len(self.modes):
-            raise ValueError(f"truncation {n} outside [0, {len(self.modes)}]")
-        return self.values[:n, :n].copy()
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(COUPLING_CSV_HEADER + "\n")

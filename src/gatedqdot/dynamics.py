@@ -71,9 +71,6 @@ class ControlSignal:
                 break
         return ControlSignal(samples=tuple(out), delta=self.delta)
 
-    def reversed(self) -> "ControlSignal":
-        return ControlSignal(samples=tuple(reversed(self.samples)), delta=self.delta)
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("duration,value\n")

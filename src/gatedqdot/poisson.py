@@ -25,47 +25,6 @@ CSV_HEADER = "x1,x2,value"
 
 
 @dataclass(frozen=True)
-class GateProfile:
-    """Dirichlet datum chi on the full gate, vanishing at x1 in {0, pi}.
-
-    kind "fourier_mode": chi(x1) = cosh(n*L) * sin(n*x1).
-    kind "sine_series":  chi(x1) = sum_m c_m sin(m*x1), m = 1..len(c).
-    """
-
-    kind: str
-    L: float
-    n: int = 0
-    coefficients: tuple[float, ...] = ()
-
-    @staticmethod
-    def fourier_mode(n: int, L: float) -> "GateProfile":
-        if n < 1:
-            raise ValueError("fourier mode index n must be >= 1")
-        if L <= 0:
-            raise ValueError("L must be positive")
-        return GateProfile(kind="fourier_mode", L=L, n=n)
-
-    @staticmethod
-    def sine_series(coefficients: Sequence[float], L: float) -> "GateProfile":
-        if L <= 0:
-            raise ValueError("L must be positive")
-        coeffs = tuple(float(c) for c in coefficients)
-        if not coeffs:
-            raise ValueError("sine series needs at least one coefficient")
-        return GateProfile(kind="sine_series", L=L, coefficients=coeffs)
-
-    def trace(self, x1: np.ndarray) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        if self.kind == "fourier_mode":
-            return math.cosh(self.n * self.L) * np.sin(self.n * x1)
-        out = np.zeros_like(x1)
-        for m, c in enumerate(self.coefficients, start=1):
-            if c != 0.0:
-                out += c * np.sin(m * x1)
-        return out
-
-
-@dataclass(frozen=True)
 class GateSegment:
     """Partial-gate footprint (a, b) strictly inside (0, pi) on the top side."""
 
@@ -107,6 +66,14 @@ class SpectralField:
         self.terms = tuple((int(m), float(c)) for m, c in terms if c != 0.0)
         self.L = float(L)
 
+    def trace(self, x1: np.ndarray) -> np.ndarray:
+        """Dirichlet datum sum c_m sin(m*x1) on the gate."""
+        x1 = np.asarray(x1, dtype=float)
+        out = np.zeros_like(x1)
+        for m, c in self.terms:
+            out += c * np.sin(m * x1)
+        return out
+
     def values_on(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Field on the outer product of node arrays, shape (len(x1), len(x2))."""
         x1 = np.asarray(x1, dtype=float)
@@ -115,16 +82,6 @@ class SpectralField:
         for m, c in self.terms:
             den = gate_term_cosh(m, self.L)
             out += c * np.outer(np.sin(m * x1), np.cosh(m * x2) / den)
-        return out
-
-    def __call__(self, x1, x2):
-        """Pointwise evaluation with broadcasting."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros(np.broadcast(x1, x2).shape)
-        for m, c in self.terms:
-            den = gate_term_cosh(m, self.L)
-            out = out + c * np.sin(m * x1) * np.cosh(m * x2) / den
         return out
 
     def rasterize(self, nx: int, ny: int) -> "GridField":
@@ -169,26 +126,34 @@ class GridField:
                     fh.write(f"{a:.17g},{b:.17g},{self.values[i, j]:.17g}\n")
 
 
-def solve_full_gate_mode(n: int, L: float) -> SpectralField:
-    """Exact potential sin(n*x1)*cosh(n*x2) for the trace cosh(n*L)*sin(n*x1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def fourier_term(n: int, L: float) -> tuple[int, float]:
+    """Gate term of Fourier mode n: the trace cosh(n*L)*sin(n*x1), field sin(n*x1)*cosh(n*x2)."""
+    return n, gate_term_cosh(n, L)
+
+
+def solve_full_gate(terms: Sequence[tuple[int, float]], L: float) -> SpectralField:
+    """Closed-form potential of the full-gate trace sum c_m sin(m*x1) given as (m, c_m) terms."""
     if L <= 0:
         raise ValueError("L must be positive")
-    return SpectralField([(n, gate_term_cosh(n, L))], L)
+    terms = list(terms)
+    if not terms:
+        raise ValueError("the gate trace needs at least one term")
+    if any(m < 1 for m, _ in terms):
+        raise ValueError("sine-mode numbers m must be >= 1")
+    return SpectralField(terms, L)
 
 
-def solve_full_gate_series(coefficients: Sequence[float], L: float) -> SpectralField:
-    """Superposition sum c_m sin(m*x1)*cosh(m*x2)/cosh(m*L) for a sine-series trace."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    return SpectralField(list(enumerate(coefficients, start=1)), L)
+def segment_trace(segment: GateSegment, n: int, L: float, nx: int) -> np.ndarray:
+    """Mode-n trace on the snapped nodes of `segment`, both end values set to zero.
 
-
-def solve_full_gate(profile: GateProfile) -> SpectralField:
-    if profile.kind == "fourier_mode":
-        return solve_full_gate_mode(profile.n, profile.L)
-    return solve_full_gate_series(profile.coefficients, profile.L)
+    The FD solver requires the trace to vanish exactly at the segment ends.
+    """
+    ia, ib = segment.snap(nx)
+    x1 = np.linspace(0.0, math.pi, nx + 1)
+    trace = SpectralField([fourier_term(n, L)], L).trace(x1[ia : ib + 1])
+    trace[0] = 0.0
+    trace[-1] = 0.0
+    return trace
 
 
 def solve_partial_gate_fd(
@@ -330,8 +295,7 @@ def gate_convergence_sweep(
 ) -> list[dict]:
     """Partial-gate fields for centered gates of widths f*pi against the full gate.
 
-    The trace is chi_n restricted to the snapped segment with its two
-    endpoint values set to zero (the solver requires exact vanishing there).
+    Each gate poses `segment_trace`, the mode-n trace on its snapped nodes.
     Errors are discrete L2 and H1 norms against the closed-form full-gate
     field on the same lattice.
     """
@@ -340,20 +304,15 @@ def gate_convergence_sweep(
         raise ValueError("fractions must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(fracs[:-1], fracs[1:])):
         raise ValueError("fractions must be strictly increasing")
-    full = solve_full_gate_mode(n, L)
+    full = solve_full_gate([fourier_term(n, L)], L)
     x1 = np.linspace(0.0, math.pi, nx + 1)
     x2 = np.linspace(0.0, L, ny + 1)
     reference = full.values_on(x1, x2)
-    chi = GateProfile.fourier_mode(n, L)
     rows = []
     for f in fracs:
         half = 0.5 * f * math.pi
         segment = GateSegment(0.5 * math.pi - half, 0.5 * math.pi + half)
-        ia, ib = segment.snap(nx)
-        trace = chi.trace(x1[ia : ib + 1])
-        trace[0] = 0.0
-        trace[-1] = 0.0
-        sol = solve_partial_gate_fd(segment, trace, L, nx, ny)
+        sol = solve_partial_gate_fd(segment, segment_trace(segment, n, L, nx), L, nx, ny)
         with np.errstate(over="ignore"):  # an overflowing error stays inf for the caller
             rows.append(
                 {
@@ -448,24 +407,11 @@ class StaggeredGrid:
 
 
 def hartree_field(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> np.ndarray:
-    """Raw spectral solve of -Delta W = alpha*density on the staggered grid."""
+    """Spectral solve of -Delta W = alpha*density on the staggered grid.
+
+    The quarter-wave basis meets the mixed boundary conditions exactly, so a
+    single-eigenmode source is reproduced to machine precision.
+    """
     coeffs = grid.mixed_forward(density)
     return grid.mixed_backward(alpha * coeffs / grid.mixed_eigenvalues)
 
-
-def solve_hartree(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> GridField:
-    """Self-consistent field W with Dirichlet top/sides and Neumann bottom.
-
-    `density` holds |psi|^2 on the staggered grid.  The quarter-wave basis
-    solves the mixed boundary conditions exactly, so a single-eigenmode
-    source is reproduced to machine precision.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    density = np.asarray(density, dtype=float)
-    if density.shape != grid.shape:
-        raise ValueError(f"density shape {density.shape} does not match grid {grid.shape}")
-    if density.size and density.min() < 0:
-        raise ValueError("density must be nonnegative")
-    values = hartree_field(density, alpha, grid)
-    return GridField(grid.x1, grid.x2, values, meta={"method": "quarter-wave-spectral"})

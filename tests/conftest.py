@@ -1,7 +1,7 @@
 import pytest
 
 from gatedqdot.coupling import assemble_coupling_matrix
-from gatedqdot.poisson import solve_full_gate_mode
+from gatedqdot.poisson import fourier_term, solve_full_gate
 from gatedqdot.spectral import enumerate_modes
 
 
@@ -17,12 +17,12 @@ def spec30(spec100):
 
 @pytest.fixture(scope="session")
 def field_n1():
-    return solve_full_gate_mode(1, 1.0)
+    return solve_full_gate([fourier_term(1, 1.0)], 1.0)
 
 
 @pytest.fixture(scope="session")
 def field_n2():
-    return solve_full_gate_mode(2, 1.0)
+    return solve_full_gate([fourier_term(2, 1.0)], 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -34,9 +34,10 @@ from gatedqdot.dynamics import (
 )
 from gatedqdot.poisson import (
     StaggeredGrid,
+    fourier_term,
     gate_convergence_sweep,
-    solve_full_gate_mode,
-    solve_hartree,
+    hartree_field,
+    solve_full_gate,
 )
 from gatedqdot.spectral import (
     BoundaryDisplacement,
@@ -119,9 +120,9 @@ def test_criterion_02_closed_forms_vs_quadrature():
 
 def test_criterion_03_chain_connectivity():
     spec = enumerate_modes(L, 100)
-    m2 = assemble_coupling_matrix(solve_full_gate_mode(2, L), spec, 100)
+    m2 = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 100)
     connected2, comps2 = check_connected(build_graph(m2, 100))
-    m1 = assemble_coupling_matrix(solve_full_gate_mode(1, L), spec, 100)
+    m1 = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec, 100)
     connected1, comps1 = check_connected(build_graph(m1, 100))
     parities = [{spec.modes[i].j1 % 2 for i in comp} for comp in comps1]
     ok = connected2 and not connected1 and len(comps1) == 2 and parities == [{1}, {0}]
@@ -135,7 +136,7 @@ def test_criterion_03_chain_connectivity():
 
 def test_criterion_04_unshifted_resonance_failure():
     spec = enumerate_modes(L, 100)
-    matrix = assemble_coupling_matrix(solve_full_gate_mode(2, L), spec, 100)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 100)
     edges = [(a, b) for a, b in matrix.entries if a != b]
     tol = 1e-9 * (spec.eigenvalues[-1] - spec.eigenvalues[0])
     violations = certify_nonresonant_chain(spec.eigenvalues, matrix, edges, tol)
@@ -178,8 +179,8 @@ def test_criterion_05_shifted_weak_nonresonance():
     # |d rho| <= 0.05.
     truncation, tol, h, reach = 40, 1e-6, 1e-4, 0.05
     spec = enumerate_modes(L, truncation)
-    matrix = assemble_coupling_matrix(solve_full_gate_mode(1, L), spec, truncation)
-    dense = matrix.to_dense(truncation)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec, truncation)
+    dense = matrix.values
 
     def gap(lam, s, t):
         return (lam[s[0]] - lam[s[1]]) - (lam[t[0]] - lam[t[1]])
@@ -230,12 +231,12 @@ def test_criterion_06_hellmann_feynman():
     ok = True
     details = []
     for n in (1, 2):
-        field = solve_full_gate_mode(n, L)
+        field = solve_full_gate([fourier_term(n, L)], L)
         matrix = assemble_coupling_matrix(field, spec, 60)
         up = shifted_spectrum(spec, matrix, h, 60)
         dn = shifted_spectrum(spec, matrix, -h, 60)
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
-        slopes = np.array([matrix.get(i, i) for i in range(60)])
+        slopes = matrix.values.diagonal()
         if n % 2 == 0:
             worst = max(np.abs(fd[:10]).max(), np.abs(slopes[:10]).max())
             ok &= worst <= 1e-10
@@ -283,7 +284,7 @@ def test_criterion_08_partial_gate_convergence():
 
 def test_criterion_09_bilinear_propagator():
     spec = enumerate_modes(L, 30)
-    matrix = assemble_coupling_matrix(solve_full_gate_mode(2, L), spec, 30)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 30)
     psi0 = galerkin_mode_state(spec, (1, 1), 30)
     values = 0.15 + 0.15 * np.cos(np.linspace(0, 2 * np.pi, 50, endpoint=False))
     samples = tuple((0.01, float(values[k % 50])) for k in range(10_000))
@@ -307,7 +308,8 @@ def test_criterion_09_bilinear_propagator():
     fwd_ctrl = ControlSignal(samples=samples[:500], delta=0.3)
     fwd = propagate_bilinear(spec, matrix, fwd_ctrl, psi0, 30)[-1]
     conj = WaveState(values=np.conj(fwd.values), modes=fwd.modes)
-    back = propagate_bilinear(spec, matrix, fwd_ctrl.reversed(), conj, 30)[-1]
+    rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
+    back = propagate_bilinear(spec, matrix, rev_ctrl, conj, 30)[-1]
     reversal = float(np.linalg.norm(np.conj(back.values) - psi0.values))
 
     ok = norm_dev <= 1e-12 and split_dev <= 1e-12 and reversal <= 1e-10
@@ -321,7 +323,7 @@ def test_criterion_09_bilinear_propagator():
 
 def test_criterion_10_chain_transfer_fidelity():
     spec = enumerate_modes(L, 30)
-    matrix = assemble_coupling_matrix(solve_full_gate_mode(2, L), spec, 30)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 30)
     control = synthesize_chain_transfer(
         [(1, 1), (2, 1), (3, 1)], spec, matrix, delta=0.3, amplitude_fraction=0.5
     )
@@ -338,7 +340,7 @@ def test_criterion_10_chain_transfer_fidelity():
 
 
 def test_criterion_11_nonlinear_alpha_scaling():
-    field = solve_full_gate_mode(2, L)
+    field = solve_full_gate([fourier_term(2, L)], L)
     grid = StaggeredGrid(L=L, nx=128, ny=128)
     psi0 = grid_mode_state(grid, (1, 1), L)
     control = ControlSignal.constant(2.0, 0.15, 0.3)
@@ -393,8 +395,8 @@ def test_criterion_12_small_instance_oracles():
 
     g = StaggeredGrid(L=L, nx=64, ny=64)
     dens = np.outer(np.sin(g.x1), np.cos(np.pi * g.x2 / (2 * L)))
-    w = solve_hartree(dens, 1.0, g)
-    mode_err = float(np.abs(w.values - dens / (1 + math.pi**2 / 4)).max())
+    w = hartree_field(dens, 1.0, g)
+    mode_err = float(np.abs(w - dens / (1 + math.pi**2 / 4)).max())
 
     errs = []
     for ny in (32, 64, 128):
@@ -402,7 +404,7 @@ def test_criterion_12_small_instance_oracles():
         u = gg.x2[None, :] / L
         exact = np.outer(np.sin(gg.x1), 1 - (gg.x2 / L) ** 2)
         source = np.sin(gg.x1)[:, None] * ((1 - u**2) + 2 / L**2)
-        errs.append(float(np.abs(solve_hartree(source, 1.0, gg).values - exact).max()))
+        errs.append(float(np.abs(hartree_field(source, 1.0, gg) - exact).max()))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     second_order = all(3.2 <= r <= 4.8 for r in ratios)
 

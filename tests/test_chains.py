@@ -355,11 +355,11 @@ class TestResonanceCertificate:
         # full pipeline: spanning-forest chain frequencies on the 0.2-shifted
         # spectrum collide with no coupled pair at tol 1e-6 (truncation 40)
         from gatedqdot.coupling import assemble_coupling_matrix
-        from gatedqdot.poisson import solve_full_gate_mode
+        from gatedqdot.poisson import fourier_term, solve_full_gate
         from gatedqdot.spectral import enumerate_modes, shifted_spectrum
 
         spec = enumerate_modes(1.0, 40)
-        matrix = assemble_coupling_matrix(solve_full_gate_mode(1, 1.0), spec, 40)
+        matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, 1.0)], 1.0), spec, 40)
         graph = build_graph(matrix, 40)
         tree = spanning_chain(graph)
         shifted = shifted_spectrum(spec, matrix, 0.2, 40)

@@ -271,11 +271,20 @@ class TestSegmentGates:
     [
         {"gate": {"kind": "fourier_mode", "n": 800}},
         {"L": 800.0, "truncation": 1, "gate": {"kind": "sine_series", "coefficients": [1.0]}},
+        {
+            "L": 400.0,
+            "truncation": 1,
+            "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 2},
+        },
     ],
 )
 def test_overflow_is_numerical_failure(tmp_path, capsys, command, doc):
     assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 3
-    term = {"fourier_mode": "m=800 at L=1", "sine_series": "m=1 at L=800"}
+    term = {
+        "fourier_mode": "m=800 at L=1",
+        "sine_series": "m=1 at L=800",
+        "segment": "m=2 at L=400",
+    }
     expected = f"numerical failure: cosh(m*L) overflows for gate term {term[doc['gate']['kind']]}"
     assert expected in capsys.readouterr().err
 

@@ -12,13 +12,13 @@ from gatedqdot.coupling import (
     panel_rule,
 )
 from gatedqdot.poisson import (
-    GateProfile,
     GateSegment,
+    GridField,
     SpectralField,
     StaggeredGrid,
+    fourier_term,
+    segment_trace,
     solve_full_gate,
-    solve_full_gate_mode,
-    solve_hartree,
     solve_partial_gate_fd,
 )
 from gatedqdot.spectral import enumerate_modes, shifted_spectrum
@@ -104,19 +104,19 @@ class TestQuadratureEntry:
         m = assemble_coupling_matrix(field_n2, spec100, 3)
         assert spec100.modes[:2] == [(1, 1), (2, 1)]
         want = (4 / math.pi) * (16 / 15) * coupling_x2_closed(2, 1, 1, 1.0)
-        assert m.get(0, 1) == pytest.approx(want, rel=1e-12)
-        assert m.get(0, 1) == pytest.approx(1.1181387502194358, rel=1e-12)
+        assert m.values[0, 1] == pytest.approx(want, rel=1e-12)
+        assert m.values[0, 1] == pytest.approx(1.1181387502194358, rel=1e-12)
 
     def test_even_diagonal_zero(self, field_n2, spec100):
         pos = spec100.position((3, 2))
         m = assemble_coupling_matrix(field_n2, spec100, pos + 1)
-        assert m.get(pos, pos) == pytest.approx(0.0, abs=1e-12)
+        assert m.values[pos, pos] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_field(self, spec100):
         zero = SpectralField([], 1.0)
         m = assemble_coupling_matrix(zero, spec100, 10)
         assert m.entries == {}
-        assert m.to_dense().max() == 0.0
+        assert m.values.max() == 0.0
 
 
 class TestAssembly:
@@ -148,8 +148,7 @@ class TestAssembly:
         assert m.dropped == 55
 
     def test_symmetry_exact(self, matrix_n2_30):
-        dense = matrix_n2_30.to_dense()
-        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(matrix_n2_30.values, matrix_n2_30.values.T)
 
     def test_truncation_guard(self, field_n2, spec100):
         with pytest.raises(ValueError):
@@ -174,11 +173,11 @@ class TestEigenvalueSlope:
 
     def test_even_gate_slopes_vanish(self, matrix_n2_100):
         for i in range(6):
-            assert abs(matrix_n2_100.get(i, i)) <= 1e-12
+            assert abs(matrix_n2_100.values[i, i]) <= 1e-12
 
     def test_odd_gate_ground_slope(self, matrix_n1_100):
         want = 32 * math.pi * math.sinh(1.0) / (3 * (1 + 4 * math.pi**2))
-        got = matrix_n1_100.get(0, 0)
+        got = matrix_n1_100.values[0, 0]
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(0.9728979619121302, rel=1e-12)
 
@@ -188,7 +187,7 @@ class TestEigenvalueSlope:
         dn = shifted_spectrum(spec100, matrix_n1_100, -h, 60)
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
         for pos in range(10):
-            assert fd[pos] == pytest.approx(matrix_n1_100.get(pos, pos), rel=1e-6)
+            assert fd[pos] == pytest.approx(matrix_n1_100.values[pos, pos], rel=1e-6)
 
 
 def scalar_x1(n, j1, k1):
@@ -269,14 +268,14 @@ class TestArrayKernel:
     def test_matches_scalar_loop(self, gate, L, zero_tol, tmp_path):
         N = 100
         if gate["kind"] == "fourier_mode":
-            profile = GateProfile.fourier_mode(gate["n"], L)
+            terms = [fourier_term(gate["n"], L)]
         else:
-            profile = GateProfile.sine_series(gate["coefficients"], L)
-        field = solve_full_gate(profile)
+            terms = enumerate(gate["coefficients"], start=1)
+        field = solve_full_gate(terms, L)
         spectrum = enumerate_modes(L, N)
         m = assemble_coupling_matrix(field, spectrum, N, zero_tol)
         dense, entries, dropped = loop_oracle(field.terms, spectrum.modes[:N], L, zero_tol)
-        assert np.array_equal(m.to_dense(), dense)
+        assert np.array_equal(m.values, dense)
         assert m.dropped == dropped
         assert list(m.entries.items()) == list(entries.items())
         assert np.array_equal(m.values, m.values.T)
@@ -292,16 +291,6 @@ class TestArrayKernel:
         assert report["results"]["stored"] == len(m.entries)
         assert report["results"]["dropped"] == m.dropped
 
-    def test_positions_outside_rejected(self, matrix_n2_30):
-        # a numpy read would wrap negative positions
-        assert matrix_n2_30.get(29, 0) == matrix_n2_30.get(0, 29)
-        for a, b in [(-1, 0), (30, 0), (0, -1), (0, 30)]:
-            with pytest.raises(ValueError, match="outside"):
-                matrix_n2_30.get(a, b)
-        for truncation in (-1, 31):
-            with pytest.raises(ValueError, match="outside"):
-                matrix_n2_30.to_dense(truncation)
-
     def test_negative_zero_tol_rejected(self, field_n2, spec100):
         with pytest.raises(ValueError, match="nonnegative"):
             assemble_coupling_matrix(field_n2, spec100, 10, -1e-3)
@@ -310,11 +299,7 @@ class TestArrayKernel:
 def segment_field(a, b, trace_mode, L, n):
     """FD partial-gate field, with the trace the CLI poses on the snapped segment."""
     segment = GateSegment(a, b)
-    ia, ib = segment.snap(n)
-    x1 = np.linspace(0.0, math.pi, n + 1)
-    trace = GateProfile.fourier_mode(trace_mode, L).trace(x1[ia : ib + 1])
-    trace[0] = trace[-1] = 0.0
-    return solve_partial_gate_fd(segment, trace, L, n, n)
+    return solve_partial_gate_fd(segment, segment_trace(segment, trace_mode, L, n), L, n, n)
 
 
 def cellwise_oracle(field, spectrum, truncation, nodes):
@@ -349,7 +334,7 @@ class TestLatticeFields:
         field = segment_field(0.6, 2.2, trace_mode, L, n)
         spectrum = enumerate_modes(L, truncation)
         m = assemble_coupling_matrix(field, spectrum, truncation, 0.0)
-        got = m.to_dense()
+        got = m.values
         want = cellwise_oracle(field, spectrum, truncation, nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.T)
@@ -357,25 +342,25 @@ class TestLatticeFields:
     @pytest.mark.parametrize("n, L", [(2, 1.0), (1, 1.3)])
     def test_rasterized_closed_form_converges_at_second_order(self, n, L):
         spectrum = enumerate_modes(L, 30)
-        full = solve_full_gate_mode(n, L)
+        full = solve_full_gate([fourier_term(n, L)], L)
         exact = assemble_coupling_matrix(full, spectrum, 30)
         scale = max(abs(v) for v in exact.entries.values())
         errors = []
         for size in (64, 128, 256, 512):
             m = assemble_coupling_matrix(full.rasterize(size, size), spectrum, 30)
             assert set(m.entries) == set(exact.entries)
-            errors.append(np.abs(m.to_dense() - exact.to_dense()).max() / scale)
+            errors.append(np.abs(m.values - exact.values).max() / scale)
         for coarse, fine in zip(errors[:-1], errors[1:]):
             assert 3.9 <= coarse / fine <= 4.1
 
     def test_staggered_field_rejected(self):
         grid = StaggeredGrid(L=1.0, nx=16, ny=16)
-        field = solve_hartree(np.ones(grid.shape), 1.0, grid)
+        field = GridField(grid.x1, grid.x2, np.ones(grid.shape))
         with pytest.raises(ValueError, match="uniform lattice"):
             assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
 
     def test_other_height_rejected(self):
-        field = solve_full_gate_mode(1, 1.2).rasterize(32, 32)
+        field = solve_full_gate([fourier_term(1, 1.2)], 1.2).rasterize(32, 32)
         with pytest.raises(ValueError, match="uniform lattice"):
             assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
 

@@ -28,7 +28,7 @@ CHAIN_EDGES = (((1, 1), (2, 1)), ((2, 1), (3, 1)))
 def shifted_gap(spec, matrix, a, b):
     """|lambda'_b - lambda'_a| of the delta/2-shifted spectrum."""
     n = len(spec)
-    shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.to_dense(n))
+    shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.values[:n, :n])
     return abs(shifted[spec.position(ModeIndex(*b))] - shifted[spec.position(ModeIndex(*a))])
 
 
@@ -68,7 +68,7 @@ class TestBilinear:
         assert np.abs(final.values[1:]).max() == 0.0
 
     def test_frozen_hamiltonian_stationary_states(self, spec30, matrix_n2_30):
-        h = np.diag(spec30.eigenvalues[:30]) + DELTA * matrix_n2_30.to_dense(30)
+        h = np.diag(spec30.eigenvalues[:30]) + DELTA * matrix_n2_30.values
         _, vecs = np.linalg.eigh(h)
         psi0 = WaveState(values=vecs[:, 2].astype(complex), modes=tuple(spec30.modes))
         traj = propagate_bilinear(
@@ -106,7 +106,8 @@ class TestBilinear:
         fwd_ctrl = ControlSignal(samples=((0.3, 0.3), (0.2, 0.1), (0.4, 0.25)), delta=DELTA)
         fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0, 30)[-1]
         conj = WaveState(values=np.conj(fwd.values), modes=fwd.modes)
-        back = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl.reversed(), conj, 30)[-1]
+        rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
+        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, conj, 30)[-1]
         assert np.linalg.norm(np.conj(back.values) - psi0.values) <= 1e-10
 
     def test_control_range_enforced(self, spec30, matrix_n2_30):
@@ -205,7 +206,7 @@ class TestSynthesis:
     def test_edge_lasts_one_pi_pulse(self, spec30, matrix_n2_30, edge):
         sig = synthesize_chain_transfer(list(edge), spec30, matrix_n2_30, DELTA, 0.5)
         p, q = (spec30.position(ModeIndex(*m)) for m in edge)
-        t_pi = math.pi / (0.5 * DELTA * abs(matrix_n2_30.to_dense(30)[p, q]))
+        t_pi = math.pi / (0.5 * DELTA * abs(matrix_n2_30.values[p, q]))
         assert sig.total_duration == pytest.approx(t_pi, rel=1e-12)
 
     def test_chain_concatenates_edges(self, spec30, matrix_n2_30):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gatedqdot.poisson import (
-    GateProfile,
     GateSegment,
     StaggeredGrid,
+    fourier_term,
     gate_convergence_sweep,
+    hartree_field,
     lattice_l2_error,
-    solve_full_gate_mode,
-    solve_full_gate_series,
-    solve_hartree,
+    segment_trace,
+    solve_full_gate,
     solve_partial_gate_fd,
 )
 
@@ -27,36 +27,45 @@ def full_top_trace(nx, values_fn):
     return seg, values_fn(x1[ia : ib + 1])
 
 
+def series(coefficients):
+    """Full-gate field of the sine-series trace sum c_m sin(m*x1), m = 1, 2, ..."""
+    return solve_full_gate(enumerate(coefficients, start=1), L)
+
+
 class TestFullGate:
     def test_mode_point_values(self):
-        f = solve_full_gate_mode(2, L)
-        assert f(math.pi / 4, 0.0) == pytest.approx(1.0, abs=1e-15)
-        f1 = solve_full_gate_mode(1, L)
-        assert f1(math.pi / 2, 1.0) == pytest.approx(math.cosh(1.0), rel=1e-15)
+        f = solve_full_gate([fourier_term(2, L)], L)
+        assert f.values_on([math.pi / 4], [0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
+        f1 = solve_full_gate([fourier_term(1, L)], L)
+        assert f1.values_on([math.pi / 2], [1.0])[0, 0] == pytest.approx(
+            math.cosh(1.0), rel=1e-15
+        )
 
     def test_dirichlet_sides_vanish(self):
         for n in (1, 2, 5):
-            f = solve_full_gate_mode(n, L)
+            f = solve_full_gate([fourier_term(n, L)], L)
             x2 = np.linspace(0, L, 7)
             assert np.abs(f.values_on(np.array([0.0, math.pi]), x2)).max() <= 1e-12
 
     def test_top_trace_matches_profile(self):
-        f = solve_full_gate_series([1.0], L)
+        f = series([1.0])
         x1 = np.linspace(0, math.pi, 33)
         assert np.abs(f.values_on(x1, np.array([L]))[:, 0] - np.sin(x1)).max() <= 1e-14
 
     def test_single_coefficient_equals_mode(self):
         n = 3
-        series = solve_full_gate_series([0.0, 0.0, math.cosh(n * L)], L)
-        mode = solve_full_gate_mode(n, L)
+        single = series([0.0, 0.0, math.cosh(n * L)])
+        mode = solve_full_gate([fourier_term(n, L)], L)
         x1 = np.linspace(0, math.pi, 21)
         x2 = np.linspace(0, L, 17)
-        assert np.abs(series.values_on(x1, x2) - mode.values_on(x1, x2)).max() <= 1e-12
+        assert np.abs(single.values_on(x1, x2) - mode.values_on(x1, x2)).max() <= 1e-12
 
     def test_two_mode_value(self):
-        f = solve_full_gate_series([1.0, 1.0], L)
+        f = series([1.0, 1.0])
         # sin(pi/2)cosh(.5)/cosh(1) + sin(pi)(...) = cosh(.5)/cosh(1)
-        assert f(math.pi / 2, 0.5) == pytest.approx(0.7307628258463588, abs=1e-15)
+        assert f.values_on([math.pi / 2], [0.5])[0, 0] == pytest.approx(
+            0.7307628258463588, abs=1e-15
+        )
 
     def test_superposition_linearity(self):
         rng = np.random.default_rng(7)
@@ -65,28 +74,26 @@ class TestFullGate:
         c1 = rng.standard_normal(4)
         c2 = rng.standard_normal(4)
         a, b = rng.standard_normal(2)
-        lhs = solve_full_gate_series(a * c1 + b * c2, L).values_on(x1, x2)
-        rhs = a * solve_full_gate_series(c1, L).values_on(x1, x2) + b * solve_full_gate_series(
-            c2, L
-        ).values_on(x1, x2)
+        lhs = series(a * c1 + b * c2).values_on(x1, x2)
+        rhs = a * series(c1).values_on(x1, x2) + b * series(c2).values_on(x1, x2)
         assert np.abs(lhs - rhs).max() <= 1e-13
 
     def test_fd_cross_check(self):
         # closed form against the discrete solver with the exact trace imposed
         nx = ny = 128
-        f = solve_full_gate_mode(1, L)
+        f = solve_full_gate([fourier_term(1, L)], L)
         seg, trace = full_top_trace(nx, lambda x: math.cosh(L) * np.sin(x))
         sol = solve_partial_gate_fd(seg, trace, L, nx, ny, require_endpoint_zero=False)
         exact = f.values_on(sol.x1, sol.x2)
         assert np.abs(sol.values - exact).max() <= 1e-4
 
     def test_validates(self):
-        with pytest.raises(ValueError):
-            solve_full_gate_mode(0, L)
-        with pytest.raises(ValueError):
-            solve_full_gate_mode(1, -2.0)
-        with pytest.raises(ValueError):
-            GateProfile.sine_series([], L)
+        with pytest.raises(ValueError, match=">= 1"):
+            solve_full_gate([fourier_term(0, L)], L)
+        with pytest.raises(ValueError, match="positive"):
+            solve_full_gate([fourier_term(1, -2.0)], -2.0)
+        with pytest.raises(ValueError, match="at least one term"):
+            series([])
 
 
 class TestPartialGate:
@@ -150,11 +157,7 @@ class TestPartialGate:
 
     def test_maximum_principle_on_solution(self):
         seg = GateSegment(0.9, 2.3)
-        ia, ib = seg.snap(96)
-        x1 = np.linspace(0, math.pi, 97)
-        trace = GateProfile.fourier_mode(2, L).trace(x1[ia : ib + 1])
-        trace[0] = trace[-1] = 0.0
-        sol = solve_partial_gate_fd(seg, trace, L, 96, 96)
+        sol = solve_partial_gate_fd(seg, segment_trace(seg, 2, L, 96), L, 96, 96)
         boundary = np.concatenate(
             [sol.values[0, :], sol.values[-1, :], sol.values[:, 0], sol.values[:, -1]]
         )
@@ -169,10 +172,7 @@ class TestPartialGate:
         n, height = 64, 1.03
         seg = GateSegment(0.6, 2.2)
         ia, ib = seg.snap(n)
-        x1 = np.linspace(0, math.pi, n + 1)
-        trace = GateProfile.fourier_mode(trace_mode, height).trace(x1[ia : ib + 1])
-        trace[0] = trace[-1] = 0.0
-        u = solve_partial_gate_fd(seg, trace, height, n, n).values
+        u = solve_partial_gate_fd(seg, segment_trace(seg, trace_mode, height, n), height, n, n).values
         c1, c2 = (n / math.pi) ** 2, (n / height) ** 2
         ext = np.concatenate([u[:, 1:2], u, u[:, -2:-1]], axis=1)
         lap = c1 * (u[:-2] - 2 * u[1:-1] + u[2:]) + c2 * (
@@ -182,6 +182,16 @@ class TestPartialGate:
         free[ia - 1 : ib, n] = False
         scaled = np.abs(lap[free]) / ((c1 + c2) * np.abs(u).max())
         assert scaled.max() <= 1e-12
+
+    @pytest.mark.parametrize("trace_mode", [1, 2, 3])
+    def test_segment_trace_is_the_mode_trace_with_zero_ends(self, trace_mode):
+        n, height = 64, 1.03
+        seg = GateSegment(0.6, 2.2)
+        ia, ib = seg.snap(n)
+        x1 = np.linspace(0, math.pi, n + 1)
+        want = math.cosh(trace_mode * height) * np.sin(trace_mode * x1[ia : ib + 1])
+        want[0] = want[-1] = 0.0
+        assert segment_trace(seg, trace_mode, height, n).tobytes() == want.tobytes()
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
@@ -216,14 +226,14 @@ class TestHartree:
     def test_zero_alpha_zero_field(self):
         g = StaggeredGrid(L=L, nx=32, ny=32)
         dens = np.outer(np.sin(g.x1), np.cos(np.pi * g.x2 / (2 * L)))
-        W = solve_hartree(dens, 0.0, g)
-        assert np.abs(W.values).max() == 0.0
+        W = hartree_field(dens, 0.0, g)
+        assert np.abs(W).max() == 0.0
 
     def test_single_eigenmode_exact(self):
         g = StaggeredGrid(L=L, nx=48, ny=48)
         dens = np.outer(np.sin(g.x1), np.cos(np.pi * g.x2 / (2 * L)))
-        W = solve_hartree(dens, 1.0, g)
-        assert np.abs(W.values - dens / (1 + math.pi**2 / 4)).max() <= 1e-13
+        W = hartree_field(dens, 1.0, g)
+        assert np.abs(W - dens / (1 + math.pi**2 / 4)).max() <= 1e-13
 
     def test_positivity_random_sources(self):
         g = StaggeredGrid(L=L, nx=48, ny=48)
@@ -236,8 +246,8 @@ class TestHartree:
                 smooth += rng.standard_normal() * np.outer(
                     np.sin(a * g.x1), np.sin(b * np.pi * g.x2 / L)
                 )
-            W = solve_hartree(smooth**2, 0.8, g)
-            assert W.values.min() >= -1e-12 * max(W.values.max(), 1.0)
+            W = hartree_field(smooth**2, 0.8, g)
+            assert W.min() >= -1e-12 * max(W.max(), 1.0)
 
     def test_energy_identity(self):
         g = StaggeredGrid(L=L, nx=64, ny=64)
@@ -251,10 +261,10 @@ class TestHartree:
             )
         dens = smooth**2
         alpha = 0.7
-        W = solve_hartree(dens, alpha, g)
-        coeffs = g.mixed_forward(W.values)
+        W = hartree_field(dens, alpha, g)
+        coeffs = g.mixed_forward(W)
         grad_sq = g.cell_weight * float(np.sum(g.mixed_eigenvalues * coeffs**2))
-        rhs = alpha * g.cell_weight * float(np.sum(W.values * dens))
+        rhs = alpha * g.cell_weight * float(np.sum(W * dens))
         assert grad_sq == pytest.approx(rhs, rel=1e-10)
 
     def test_smooth_manufactured_second_order(self):
@@ -264,20 +274,10 @@ class TestHartree:
             u = g.x2[None, :] / L
             exact = np.outer(np.sin(g.x1), 1 - (g.x2 / L) ** 2)
             source = np.sin(g.x1)[:, None] * ((1 - u**2) + 2 / L**2)
-            W = solve_hartree(source, 1.0, g)
-            errs.append(np.abs(W.values - exact).max())
+            W = hartree_field(source, 1.0, g)
+            errs.append(np.abs(W - exact).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-    def test_validates(self):
-        g = StaggeredGrid(L=L, nx=32, ny=32)
-        dens = np.ones(g.shape)
-        with pytest.raises(ValueError):
-            solve_hartree(dens, -1.0, g)
-        with pytest.raises(ValueError):
-            solve_hartree(-dens, 1.0, g)
-        with pytest.raises(ValueError):
-            solve_hartree(np.ones((3, 3)), 1.0, g)
 
 
 class TestStaggeredGrid:
@@ -297,7 +297,7 @@ class TestStaggeredGrid:
 
 
 def test_grid_field_csv_round_trip(tmp_path):
-    f = solve_full_gate_mode(2, L).rasterize(8, 8)
+    f = solve_full_gate([fourier_term(2, L)], L).rasterize(8, 8)
     path = tmp_path / "field.csv"
     f.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -310,5 +310,5 @@ def test_grid_field_csv_round_trip(tmp_path):
 
 
 def test_spectral_field_l2_error_helper():
-    f = solve_full_gate_mode(1, L).rasterize(32, 32)
+    f = solve_full_gate([fourier_term(1, L)], L).rasterize(32, 32)
     assert lattice_l2_error(f, f.values) == 0.0

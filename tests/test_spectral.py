@@ -196,7 +196,7 @@ def test_shifted_spectrum_first_order_slope(spec100, matrix_n1_100):
     # lambda_j(rho) - lambda_j(0) ~ rho * alpha_j for small rho
     rho = 1e-4
     shifted = shifted_spectrum(spec100, matrix_n1_100, rho, 40)
-    slopes = np.array([matrix_n1_100.get(i, i) for i in range(40)])
+    slopes = matrix_n1_100.values.diagonal()[:40]
     predicted = spec100.eigenvalues[:40] + rho * slopes
     rel = np.abs(shifted.eigenvalues - predicted) / np.abs(rho * slopes)
     assert rel.max() <= 1e-3

@@ -55,6 +55,10 @@ CONFIGS = {
         }
         for m in (1, 2, 3)
     },
+    # cosh(2 * 400) overflows in the segment's trace
+    "segment-overflow": {
+        "L": 400.0, "truncation": 1, "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 2}
+    },
     "fourier-n700": {"gate": {"kind": "fourier_mode", "n": 700}},
     "fourier-n3-t400": {"gate": {"kind": "fourier_mode", "n": 3}, "truncation": 400},
     "sine-series-t400": {"gate": SERIES, "L": 1.07, "truncation": 400},
