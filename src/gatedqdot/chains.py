@@ -9,7 +9,6 @@ the stated truncation and tolerance, never for the infinite mode family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,17 +209,6 @@ def certify_nonresonant_chain(
     return sorted(found.values())
 
 
-def forest_json(components: list[list[ModeIndex]], witness: dict) -> dict:
-    """The `components` and `witness_paths` keys of a chain.json document."""
-    return {
-        "components": [[list(m) for m in comp] for comp in components],
-        "witness_paths": [
-            {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
-            for (a, b), p in sorted(witness.items())
-        ],
-    }
-
-
 @dataclass(frozen=True)
 class ChainCertificate:
     """Finite rendering of the non-resonant connectedness chain condition."""
@@ -237,42 +225,22 @@ class ChainCertificate:
     def certified(self) -> bool:
         return self.connected and not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "certified": self.certified,
-            **forest_json(self.components, self.witness_paths),
-            "violations": [
-                {"chain_pair": [list(s) for s in s_pair], "other_pair": [list(t) for t in t_pair], "gap": gap}
-                for s_pair, t_pair, gap in self.violations
-            ],
-            "truncation": self.truncation,
-            "tolerances": {"resonance": self.resonance_tol, "zero": self.zero_tol},
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def certify(
     matrix: CouplingMatrix,
     eigenvalues,
     truncation: int,
     resonance_tol: float,
-    chain_edges=None,
 ) -> ChainCertificate:
     """Full certificate: connectivity, witness paths and resonance scan.
 
-    The default chain is the breadth-first spanning forest of the coupling
-    graph; witness paths go from each component's least node to its other
-    members (paths between arbitrary pairs concatenate two witnesses).
+    The chain is the breadth-first spanning forest of the coupling graph;
+    witness paths go from each component's least node to its other members
+    (paths between arbitrary pairs concatenate two witnesses).
     """
     graph = build_graph(matrix, truncation)
     components, parent = breadth_first_forest(graph)
-    edges = _tree_edges(parent) if chain_edges is None else list(chain_edges)
-    raw = certify_nonresonant_chain(eigenvalues, matrix, edges, resonance_tol)
+    raw = certify_nonresonant_chain(eigenvalues, matrix, _tree_edges(parent), resonance_tol)
     violations = [
         (
             (graph.modes[s[0]], graph.modes[s[1]]),

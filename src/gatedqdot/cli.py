@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chains import breadth_first_forest, build_graph, certify, forest_json, witness_paths
+from .chains import breadth_first_forest, build_graph, certify, witness_paths
 from .config import ConfigValidationError, RunConfig, load_config
 from .coupling import assemble_coupling_matrix
 from .dynamics import (
@@ -127,10 +127,29 @@ def _resonance_stage(config: RunConfig, spectrum, matrix):
 
 
 def _write_rows_csv(path, header, rows):
+    """The one CSV writer: floats with 17 significant digits, other values as str."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
+def _write_json(path, doc):
+    """The one JSON writer: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _forest_json(components, witness) -> dict:
+    """The `components` and `witness_paths` keys of a chain.json document."""
+    return {
+        "components": [[list(m) for m in comp] for comp in components],
+        "witness_paths": [
+            {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
+            for (a, b), p in sorted(witness.items())
+        ],
+    }
 
 
 def _simplicity_results(spectrum, tol):
@@ -167,17 +186,26 @@ def _cmd_potential(config: RunConfig, outdir: Path):
     else:
         grid_field = field
         results = {"representation": "grid", **_jsonable(field.meta)}
-    grid_field.to_csv(outdir / "potential.csv")
+    # row-major: x1 outer, x2 inner
+    x1, x2 = np.meshgrid(grid_field.x1, grid_field.x2, indexing="ij")
+    rows = np.column_stack((x1.ravel(), x2.ravel(), grid_field.values.ravel())).tolist()
+    _write_rows_csv(outdir / "potential.csv", "x1,x2,value", rows)
     return results, ["potential.csv"]
 
 
 def _cmd_coupling(config: RunConfig, outdir: Path):
     _, matrix = _coupling_stage(config)
-    matrix.to_csv(outdir / "coupling.csv")
-    matrix.to_json(outdir / "coupling.json")
+    a, b = np.nonzero(np.triu(matrix.values))
+    triplets = [list(t) for t in zip(a.tolist(), b.tolist(), matrix.values[a, b].tolist())]
+    modes = matrix.modes
+    rows = ((*modes[i], *modes[j], v) for i, j, v in triplets)
+    _write_rows_csv(outdir / "coupling.csv", "a1,a2,b1,b2,value", rows)
+    doc = {"modes": [list(m) for m in modes], "triplets": triplets,
+           "zero_tol": matrix.zero_tol, "dropped": matrix.dropped}
+    _write_json(outdir / "coupling.json", doc)
     results = {
         "truncation": config.truncation,
-        "stored": int(np.count_nonzero(np.triu(matrix.values))),
+        "stored": len(triplets),
         "dropped": matrix.dropped,
         "zero_tol": matrix.zero_tol,
         "max_entry": float(np.abs(matrix.values).max()),
@@ -192,15 +220,13 @@ def _cmd_chain(config: RunConfig, outdir: Path):
     connected = len(components) == 1
     doc = {
         "connected": connected,
-        **forest_json(
+        **_forest_json(
             [[graph.modes[i] for i in comp] for comp in components], witness_paths(graph, parent)
         ),
         "truncation": config.truncation,
         "zero_tol": matrix.zero_tol,
     }
-    with open(outdir / "chain.json", "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "chain.json", _jsonable(doc))
     results = {
         "connected": connected,
         "component_count": len(components),
@@ -241,7 +267,10 @@ def _cmd_shape_derivative(config: RunConfig, outdir: Path):
     spectrum = enumerate_modes(config.L, config.truncation)
     mode = config.shape.mode
     wall = config.shape.wall
-    value = eigenvalue_shape_derivative(spectrum, mode, BoundaryDisplacement(wall=wall))
+    value = eigenvalue_shape_derivative(
+        spectrum, mode, BoundaryDisplacement(wall=wall),
+        simplicity_tol=config.tolerances.simplicity,
+    )
     j1, j2 = mode
     if wall in ("left", "right"):
         exact = -2.0 * j1**2 / math.pi
@@ -277,17 +306,15 @@ def _propagate_stage(config: RunConfig, spectrum, matrix, control, outdir: Path)
     traj = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
     k = min(config.dynamics.log_populations or 1, config.truncation)
     eigenvalues = spectrum.eigenvalues[: config.truncation]
+    # one state per sample boundary; the control value applied after it
     controls = [value for _, value in control.samples] + [0.0]
-    with open(outdir / "trajectory.csv", "w") as fh:
-        cols = ["time", "norm", "h1_seminorm"] + [
-            f"population_{i + 1}" for i in range(k)
-        ] + ["control_value"]
-        fh.write(",".join(cols) + "\n")
-        for idx, state in enumerate(traj):
-            h1 = math.sqrt(float(np.sum(eigenvalues * np.abs(state.values) ** 2)))
-            pops = [state.population(i) for i in range(k)]
-            row = [state.time, state.norm, h1] + pops + [controls[min(idx, len(controls) - 1)]]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    cols = ["time", "norm", "h1_seminorm", *(f"population_{i + 1}" for i in range(k)), "control_value"]
+    rows = (
+        [state.time, state.norm, math.sqrt(float(np.sum(eigenvalues * np.abs(state.values) ** 2))),
+         *(state.population(i) for i in range(k)), u]
+        for state, u in zip(traj, controls)
+    )
+    _write_rows_csv(outdir / "trajectory.csv", ",".join(cols), rows)
     return traj[-1], k
 
 
@@ -318,7 +345,7 @@ def _cmd_control(config: RunConfig, outdir: Path):
         samples_per_period=config.dynamics.samples_per_period,
         duration_cap=config.dynamics.duration_cap,
     )
-    control.to_csv(outdir / "control.csv")
+    _write_rows_csv(outdir / "control.csv", "duration,value", control.samples)
     artifacts = ["control.csv"]
     results = {
         "path": [list(p) for p in path],
@@ -342,10 +369,7 @@ def _cmd_nonlinear(config: RunConfig, outdir: Path):
         control = ControlSignal(samples=config.control, delta=config.delta)
     else:
         control = ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta)
-    base = NonlinearConfig(
-        alpha=0.0, dt=dyn.dt, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny,
-        log_populations=dyn.log_populations,
-    )
+    base = NonlinearConfig(alpha=0.0, dt=dyn.dt, log_populations=dyn.log_populations)
     study = alpha_scaling_study(dyn.alphas, control, dyn.T, base, field, initial)
     _write_rows_csv(
         outdir / "alpha_study.csv",
@@ -356,7 +380,12 @@ def _cmd_nonlinear(config: RunConfig, outdir: Path):
         ],
     )
     logged = study["runs"][-1]
-    logged.to_csv(outdir / "nonlinear_trajectory.csv")
+    pops = logged.populations
+    cols = ["time", "norm", "h1_seminorm", "gate_expectation",
+            *(f"population_{i + 1}" for i in range(pops.shape[1])), "control_value"]
+    rows = np.column_stack((logged.times, logged.norms, logged.h1_seminorms,
+                            logged.gate_expectations, pops, logged.control_values))
+    _write_rows_csv(outdir / "nonlinear_trajectory.csv", ",".join(cols), rows.tolist())
     results = {
         "alphas": list(dyn.alphas),
         "deviations": [r["deviation"] for r in study["rows"]],
@@ -393,7 +422,18 @@ def _cmd_certify(config: RunConfig, outdir: Path):
     simplicity = _simplicity_results(spectrum, config.tolerances.simplicity)
     rho, shifted, tol, weak = _resonance_stage(config, spectrum, matrix)
     cert = certify(matrix, shifted, config.truncation, tol)
-    cert.to_json(outdir / "chain.json")
+    doc = {
+        "connected": cert.connected,
+        "certified": cert.certified,
+        **_forest_json(cert.components, cert.witness_paths),
+        "violations": [
+            {"chain_pair": [list(m) for m in s], "other_pair": [list(m) for m in t], "gap": gap}
+            for s, t, gap in cert.violations
+        ],
+        "truncation": cert.truncation,
+        "tolerances": {"resonance": cert.resonance_tol, "zero": cert.zero_tol},
+    }
+    _write_json(outdir / "chain.json", doc)
     verdict = {
         "hypothesis": "non-resonant connectedness chain at finite truncation",
         "truncation": config.truncation,
@@ -473,9 +513,7 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
         "elapsed_seconds": time.perf_counter() - t0,
         "body_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "report.json", report)
     if command == "certify":
         print(json.dumps(body["results"], indent=2, sort_keys=True))
     if verbose:

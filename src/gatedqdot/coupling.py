@@ -8,12 +8,12 @@ For the single-mode gate trace the entries factor into 1-D integrals
 with closed forms below.  A vanishes exactly when j1 + k1 + n is even
 (parity law); B never vanishes.  Lattice fields (finite-difference
 solutions) are integrated exactly through their bilinear interpolant.
-`panel_rule` (composite Gauss-Legendre) is the independent quadrature oracle.
+Composite Gauss-Legendre quadrature in `tests/oracles.py` is the
+independent oracle for both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,19 +23,6 @@ from scipy.fft import dctn
 from .errors import NumericalError
 from .poisson import GridField, SpectralField, gate_term_cosh
 from .spectral import ModeIndex, Spectrum
-
-COUPLING_CSV_HEADER = "a1,a2,b1,b2,value"
-
-
-def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre points and weights on [lo, hi]."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    pts = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
-    wts = (halves[:, None] * ws[None, :]).ravel()
-    return pts, wts
 
 
 def coupling_x1_closed(n: int, j1, k1):
@@ -87,26 +74,6 @@ class CouplingMatrix:
         """A new {(a, b): value} dict of the stored entries with a <= b, in row-major order."""
         a, b = np.nonzero(np.triu(self.values))
         return dict(zip(zip(a.tolist(), b.tolist()), self.values[a, b].tolist()))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(COUPLING_CSV_HEADER + "\n")
-            for (a, b), v in self.entries.items():
-                ma, mb = self.modes[a], self.modes[b]
-                fh.write(f"{ma.j1},{ma.j2},{mb.j1},{mb.j2},{v:.17g}\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modes": [list(m) for m in self.modes],
-            "triplets": [[a, b, v] for (a, b), v in self.entries.items()],
-            "zero_tol": self.zero_tol,
-            "dropped": self.dropped,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _raw_entries_spectral(field: SpectralField, j1, j2, L: float) -> np.ndarray:

@@ -18,7 +18,7 @@ after the kinetic step also opens the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +70,6 @@ class ControlSignal:
             if left <= 1e-15:
                 break
         return ControlSignal(samples=tuple(out), delta=self.delta)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("duration,value\n")
-            for dur, val in self.samples:
-                fh.write(f"{dur:.17g},{val:.17g}\n")
 
 
 @dataclass
@@ -263,13 +257,11 @@ class NonlinearConfig:
     """Strang-splitting parameters for the Schroedinger-Poisson system.
 
     alpha is the self-consistency strength (inverse squared scaled Debye
-    length); nx, ny are cell counts of the staggered wavefunction grid.
+    length); the grid is the initial state's.
     """
 
     alpha: float
     dt: float
-    nx: int = 128
-    ny: int = 128
     log_populations: int = 6
 
     def __post_init__(self):
@@ -277,8 +269,6 @@ class NonlinearConfig:
             raise ValueError("alpha must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.nx < 4 or self.ny < 4:
-            raise ValueError("grid sizes must be >= 4")
         if self.log_populations < 0:
             raise ValueError("log_populations must be nonnegative")
 
@@ -296,18 +286,6 @@ class NonlinearResult:
     final: WaveState
     population_modes: tuple[ModeIndex, ...]
     dt_lambda_max: float = 0.0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = ["time", "norm", "h1_seminorm", "gate_expectation"] + [
-                f"population_{i + 1}" for i in range(self.populations.shape[1])
-            ] + ["control_value"]
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.times.size):
-                row = [self.times[i], self.norms[i], self.h1_seminorms[i], self.gate_expectations[i]]
-                row.extend(self.populations[i])
-                row.append(self.control_values[i])
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def propagate_nonlinear(
@@ -438,14 +416,7 @@ def alpha_scaling_study(
     clipped = control.clipped(T)
 
     def run(alpha):
-        cfg = NonlinearConfig(
-            alpha=alpha,
-            dt=config.dt,
-            nx=config.nx,
-            ny=config.ny,
-            log_populations=config.log_populations,
-        )
-        return propagate_nonlinear(initial, clipped, cfg, gate_field)
+        return propagate_nonlinear(initial, clipped, replace(config, alpha=alpha), gate_field)
 
     linear = run(0.0)
     grid = initial.grid

@@ -21,8 +21,6 @@ from scipy.fft import dctn, dstn, idstn
 
 from .errors import SolverFailureError
 
-CSV_HEADER = "x1,x2,value"
-
 
 @dataclass(frozen=True)
 class GateSegment:
@@ -116,14 +114,6 @@ class GridField:
         t = t[:, None]
         s = s[None, :]
         return (1 - t) * (1 - s) * v00 + t * (1 - s) * v10 + (1 - t) * s * v01 + t * s * v11
-
-    def to_csv(self, path) -> None:
-        """Row-major (x1 outer, x2 inner) CSV with 17 significant digits."""
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for i, a in enumerate(self.x1):
-                for j, b in enumerate(self.x2):
-                    fh.write(f"{a:.17g},{b:.17g},{self.values[i, j]:.17g}\n")
 
 
 def fourier_term(n: int, L: float) -> tuple[int, float]:

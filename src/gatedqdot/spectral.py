@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DegenerateEigenvalueError
 
 WALLS = ("left", "right", "bottom", "top")
+# composite Gauss-Legendre rule of the shape derivative's wall integral
+SHAPE_PANELS = 16
+SHAPE_NODES = 16
 
 
 class ModeIndex(NamedTuple):
@@ -233,8 +236,6 @@ def eigenvalue_shape_derivative(
     disp: BoundaryDisplacement,
     *,
     simplicity_tol: float = 1e-9,
-    panels: int = 16,
-    nodes: int = 16,
 ) -> float:
     """Hadamard derivative -int_wall (d(phi)/d(nu))**2 (X.nu) ds of a simple eigenvalue."""
     mode = ModeIndex(*mode)
@@ -247,8 +248,8 @@ def eigenvalue_shape_derivative(
             "the Hadamard formula requires a simple eigenvalue"
         )
     length = spectrum.L if disp.wall in ("left", "right") else math.pi
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, length, panels + 1)
+    xs, ws = np.polynomial.legendre.leggauss(SHAPE_NODES)
+    edges = np.linspace(0.0, length, SHAPE_PANELS + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import panel_rule
 
 from gatedqdot.chains import build_graph, certify_nonresonant_chain, check_connected
 from gatedqdot.coupling import (
     assemble_coupling_matrix,
     coupling_x1_closed,
     coupling_x2_closed,
-    panel_rule,
 )
 from gatedqdot.dynamics import (
     ControlSignal,
@@ -344,7 +344,7 @@ def test_criterion_11_nonlinear_alpha_scaling():
     grid = StaggeredGrid(L=L, nx=128, ny=128)
     psi0 = grid_mode_state(grid, (1, 1), L)
     control = ControlSignal.constant(2.0, 0.15, 0.3)
-    cfg = NonlinearConfig(alpha=0.0, dt=1e-3, nx=128, ny=128, log_populations=0)
+    cfg = NonlinearConfig(alpha=0.0, dt=1e-3, log_populations=0)
     study = alpha_scaling_study([1e-3, 1e-2, 1e-1], control, 2.0, cfg, field, psi0)
     slope = study["slope"]
     max_drift = max(r["max_norm_drift"] for r in study["rows"])

@@ -17,6 +17,7 @@ from gatedqdot.chains import (
     coupling_path,
     spanning_chain,
 )
+from gatedqdot.cli import run
 from gatedqdot.coupling import CouplingMatrix
 from gatedqdot.spectral import ModeIndex
 
@@ -376,11 +377,12 @@ class TestResonanceCertificate:
         assert len(edges) == 29
         assert all(g.adj[e] for e in edges)
 
-    def test_certificate_json(self, matrix_n2_30, spec30, tmp_path):
-        cert = certify(matrix_n2_30, spec30.eigenvalues, 30, 1e-9)
-        path = tmp_path / "chain.json"
-        cert.to_json(path)
-        doc = json.loads(path.read_text())
+    def test_certificate_json(self, tmp_path):
+        # the default config is the n = 2 gate at L = 1, truncation 30
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tolerances": {"resonance": 1e-9}}))
+        assert run("certify", config, tmp_path) == 0
+        doc = json.loads((tmp_path / "chain.json").read_text())
         assert doc["connected"] is True
         assert doc["truncation"] == 30
         assert doc["tolerances"]["resonance"] == 1e-9

@@ -212,6 +212,16 @@ class TestCli:
         assert res["value"] == pytest.approx(-8 / math.pi, abs=1e-10)
         assert res["abs_error_vs_exact"] <= 1e-10
 
+    def test_shape_derivative_uses_simplicity_tolerance(self, tmp_path, capsys):
+        # lambda(1, 1) and lambda(2, 1) differ by 3, inside the tolerance 5
+        doc = {"tolerances": {"simplicity": 5.0}, "shape": {"mode": [1, 1]}}
+        cfg = write_config(tmp_path, doc)
+        assert run("spectrum", cfg, tmp_path / "spec") == 0
+        report = json.loads((tmp_path / "spec" / "report.json").read_text())
+        assert report["results"]["simplicity"]["simple"] is False
+        assert run("shape-derivative", cfg, tmp_path / "out") == 3
+        assert "collides with (2, 1)" in capsys.readouterr().err
+
     def test_potential_segment_gate(self, tmp_path):
         doc = dict(BASE)
         doc["gate"] = {"kind": "segment", "a": 1.0, "b": 2.0, "trace_mode": 2}

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import panel_rule
 
 from gatedqdot.cli import run
 from gatedqdot.coupling import (
     assemble_coupling_matrix,
     coupling_x1_closed,
     coupling_x2_closed,
-    panel_rule,
 )
 from gatedqdot.poisson import (
     GateSegment,
@@ -155,14 +155,14 @@ class TestAssembly:
             assemble_coupling_matrix(field_n2, spec100, 101, None)
 
     def test_serialization_round_trip(self, matrix_n2_30, tmp_path):
-        csv_path = tmp_path / "coupling.csv"
-        json_path = tmp_path / "coupling.json"
-        matrix_n2_30.to_csv(csv_path)
-        matrix_n2_30.to_json(json_path)
-        lines = csv_path.read_text().strip().splitlines()
+        # the default config is the n = 2 gate at L = 1, truncation 30
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        assert run("coupling", config, tmp_path) == 0
+        lines = (tmp_path / "coupling.csv").read_text().strip().splitlines()
         assert lines[0] == "a1,a2,b1,b2,value"
         assert len(lines) == 1 + len(matrix_n2_30.entries)
-        doc = json.loads(json_path.read_text())
+        doc = json.loads((tmp_path / "coupling.json").read_text())
         assert len(doc["triplets"]) == len(matrix_n2_30.entries)
         for a, b, v in doc["triplets"]:
             assert matrix_n2_30.entries[(a, b)] == v

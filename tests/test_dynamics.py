@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gatedqdot.cli import _write_rows_csv, run
 from gatedqdot.coupling import CouplingMatrix
 from gatedqdot.dynamics import (
     ControlSignal,
@@ -53,7 +55,7 @@ class TestControlSignal:
     def test_csv(self, tmp_path):
         sig = ControlSignal(samples=((0.5, 0.25),), delta=DELTA)
         path = tmp_path / "control.csv"
-        sig.to_csv(path)
+        _write_rows_csv(path, "duration,value", sig.samples)
         assert path.read_text().splitlines() == ["duration,value", "0.5,0.25"]
 
 
@@ -267,7 +269,7 @@ class TestNonlinear:
     def test_free_eigenmode_stationary(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, nx=48, ny=48, log_populations=2)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, log_populations=2)
         res = propagate_nonlinear(psi0, ControlSignal.constant(0.3, 0.0, DELTA), cfg, field_n2)
         assert np.abs(res.populations[:, 0] - 1.0).max() <= 1e-12
         assert np.abs(res.norms - 1.0).max() <= 1e-10
@@ -275,7 +277,7 @@ class TestNonlinear:
     def test_gauge_covariance_populations(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0.2, dt=1e-3, nx=32, ny=32, log_populations=4)
+        cfg = NonlinearConfig(alpha=0.2, dt=1e-3, log_populations=4)
         ctrl = ControlSignal(samples=((0.2, 0.3), (0.2, 0.1)), delta=DELTA)
         base = propagate_nonlinear(psi0, ctrl, cfg, field_n2)
         v0_shifted = field_n2.values_on(grid.x1, grid.x2) + 0.9
@@ -287,7 +289,7 @@ class TestNonlinear:
         psi0 = grid_mode_state(grid, (1, 1), L)
 
         def final(dt):
-            cfg = NonlinearConfig(alpha=0.5, dt=dt, nx=48, ny=48, log_populations=0)
+            cfg = NonlinearConfig(alpha=0.5, dt=dt, log_populations=0)
             return propagate_nonlinear(
                 psi0, ControlSignal.constant(0.4, 0.25, DELTA), cfg, field_n2
             ).final.values
@@ -300,7 +302,7 @@ class TestNonlinear:
         grid = StaggeredGrid(L=L, nx=48, ny=48)
         psi0g = grid_mode_state(grid, (1, 1), L)
         ctrl = ControlSignal(samples=((0.4, 0.3), (0.6, 0.1)), delta=DELTA)
-        cfg = NonlinearConfig(alpha=0.0, dt=2e-4, nx=48, ny=48, log_populations=0)
+        cfg = NonlinearConfig(alpha=0.0, dt=2e-4, log_populations=0)
         res = propagate_nonlinear(psi0g, ctrl, cfg, field_n2)
         n = 40
         spec = enumerate_modes(L, n)
@@ -324,14 +326,14 @@ class TestNonlinear:
         # the strongest parameters exercised anywhere in the suite
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=1.0, dt=2e-3, nx=32, ny=32, log_populations=0)
+        cfg = NonlinearConfig(alpha=1.0, dt=2e-3, log_populations=0)
         res = propagate_nonlinear(psi0, ControlSignal.constant(5.0, 0.5, 0.5), cfg, field_n2)
         assert res.h1_seminorms.max() <= 2.0 * res.h1_seminorms[0]
         assert np.abs(res.norms - 1.0).max() <= 1e-10
 
     def test_shape_and_norm_validation(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, nx=32, ny=32)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3)
         bad_norm = WaveState(values=np.ones(grid.shape, dtype=complex), grid=grid)
         with pytest.raises(ValueError):
             propagate_nonlinear(bad_norm, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
@@ -390,7 +392,7 @@ class TestOneSolvePerStep:
     def run(self, field_n2, alpha, samples, monkeypatch):
         grid = StaggeredGrid(L=L, nx=16, ny=16)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=alpha, dt=1e-2, nx=16, ny=16, log_populations=3)
+        cfg = NonlinearConfig(alpha=alpha, dt=1e-2, log_populations=3)
         ctrl = ControlSignal(samples=samples, delta=DELTA)
         calls = []
 
@@ -433,7 +435,7 @@ class TestAlphaStudy:
     def test_single_alpha_no_slope(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3, nx=32, ny=32, log_populations=0)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3, log_populations=0)
         out = alpha_scaling_study(
             [1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
         )
@@ -443,7 +445,7 @@ class TestAlphaStudy:
     def test_deviations_increase_with_alpha(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3, nx=32, ny=32, log_populations=0)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3, log_populations=0)
         out = alpha_scaling_study(
             [1e-2, 1e-1], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
         )
@@ -453,7 +455,7 @@ class TestAlphaStudy:
     def test_alpha_ordering_enforced(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3, nx=32, ny=32)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3)
         with pytest.raises(ValueError):
             alpha_scaling_study(
                 [1e-1, 1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
@@ -463,10 +465,16 @@ class TestAlphaStudy:
 def test_trajectory_csv(tmp_path, field_n2):
     grid = StaggeredGrid(L=L, nx=32, ny=32)
     psi0 = grid_mode_state(grid, (1, 1), L)
-    cfg = NonlinearConfig(alpha=0.1, dt=1e-2, nx=32, ny=32, log_populations=3)
+    cfg = NonlinearConfig(alpha=0.1, dt=1e-2, log_populations=3)
     res = propagate_nonlinear(psi0, ControlSignal.constant(0.05, 0.2, DELTA), cfg, field_n2)
-    path = tmp_path / "traj.csv"
-    res.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    # the same run through the CLI: its only alpha is the logged one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "control": {"samples": [[0.05, 0.2]]},
+        "dynamics": {"T": 0.05, "dt": 1e-2, "alphas": [0.1],
+                     "nonlinear_nx": 32, "nonlinear_ny": 32, "log_populations": 3},
+    }))
+    assert run("nonlinear", config, tmp_path) == 0
+    lines = (tmp_path / "nonlinear_trajectory.csv").read_text().strip().splitlines()
     assert lines[0] == "time,norm,h1_seminorm,gate_expectation,population_1,population_2,population_3,control_value"
     assert len(lines) == 1 + res.times.size

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gatedqdot.cli import run
 from gatedqdot.poisson import (
     GateSegment,
     StaggeredGrid,
@@ -297,13 +299,14 @@ class TestStaggeredGrid:
 
 
 def test_grid_field_csv_round_trip(tmp_path):
-    f = solve_full_gate([fourier_term(2, L)], L).rasterize(8, 8)
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    f = solve_full_gate([fourier_term(2, L)], L).rasterize(16, 16)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"L": L, "grid": {"nx": 16, "ny": 16}}))
+    assert run("potential", config, tmp_path) == 0
+    lines = (tmp_path / "potential.csv").read_text().strip().splitlines()
     assert lines[0] == "x1,x2,value"
-    assert len(lines) == 1 + 9 * 9
-    x1, x2, v = (float(t) for t in lines[1 + 9 * 2 + 3].split(","))
+    assert len(lines) == 1 + 17 * 17
+    x1, x2, v = (float(t) for t in lines[1 + 17 * 2 + 3].split(","))
     # row-major: row index 2 -> x1 node 2, col 3 -> x2 node 3
     assert x1 == f.x1[2] and x2 == f.x2[3]
     assert v == f.values[2, 3]

@@ -71,6 +71,8 @@ CONFIGS = {
     },
     # L = pi: a square, with exact eigenvalue ties
     "square-L-pi": {"gate": {"kind": "fourier_mode", "n": 2}, "L": math.pi, "truncation": 30},
+    # mode (1, 1) lies within the simplicity tolerance 5 of (2, 1): not simple
+    "shape-simplicity-tol": {"tolerances": {"simplicity": 5.0}, "shape": {"mode": [1, 1]}},
 }
 
 
