@@ -29,6 +29,7 @@ from .coupling import assemble_coupling_matrix
 from .dynamics import (
     ControlSignal,
     NonlinearConfig,
+    WaveState,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,
@@ -300,22 +301,31 @@ def _control_from_config(config: RunConfig) -> ControlSignal:
 def _propagate_stage(config: RunConfig, spectrum, matrix, control, outdir: Path):
     """Bilinear flow from the first path mode; writes trajectory.csv.
 
-    Returns the final state and the number K of logged populations.
+    Returns the final state and the number K of logged populations.  Each
+    column is computed on the whole trajectory with the arithmetic of the
+    per-state `WaveState.norm` and `WaveState.population`, bit for bit.
     """
     initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
-    traj = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
+    times, values = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
     k = min(config.dynamics.log_populations or 1, config.truncation)
-    eigenvalues = spectrum.eigenvalues[: config.truncation]
-    # one state per sample boundary; the control value applied after it
+    re, im = values.real, values.imag
+    # np.linalg.norm of a complex vector: the real and imaginary dot products
+    norms = re[:, None, :] @ re[:, :, None]
+    norms += im[:, None, :] @ im[:, :, None]
+    np.sqrt(norms, out=norms)
+    weighted = np.abs(values)
+    weighted **= 2
+    weighted *= spectrum.eigenvalues[: config.truncation]
+    h1 = np.sqrt(np.sum(weighted, axis=1))
+    # abs(z) ** 2 on a numpy scalar is hypot and then libm pow, not a square
+    pops = np.float_power(np.hypot(re[:, :k], im[:, :k]), 2.0)
+    # one row per sample boundary; the control value applied after it
     controls = [value for _, value in control.samples] + [0.0]
     cols = ["time", "norm", "h1_seminorm", *(f"population_{i + 1}" for i in range(k)), "control_value"]
-    rows = (
-        [state.time, state.norm, math.sqrt(float(np.sum(eigenvalues * np.abs(state.values) ** 2))),
-         *(state.population(i) for i in range(k)), u]
-        for state, u in zip(traj, controls)
-    )
+    rows = np.column_stack((times, norms[:, 0, 0], h1, pops, controls)).tolist()
     _write_rows_csv(outdir / "trajectory.csv", ",".join(cols), rows)
-    return traj[-1], k
+    final = WaveState(values=values[-1].copy(), time=float(times[-1]), modes=initial.modes)
+    return final, k
 
 
 def _cmd_evolve(config: RunConfig, outdir: Path):

@@ -7,9 +7,10 @@ controls incur no time-step error at all.  Resonant population transfer
 along a coupling path is synthesized as a chain of first-order pi pulses:
 on each edge a cosine drive at the transition frequency of the DC-shifted
 spectrum, with mean delta/2 so the admissible range [0, delta] is never
-left.  Each drive is sampled on a grid commensurate with its period, so
-its samples repeat bitwise and the propagator's per-value cache of
-eigendecompositions serves every period after the first.  The nonlinear
+left.  Each drive is sampled on a grid commensurate with its period and
+mirrored about the period's midpoint, so its samples repeat bitwise and
+the propagator's per-value cache of eigendecompositions serves the second
+half of the first period and every period after it.  The nonlinear
 solver is Strang splitting on a staggered grid with one Hartree solve per
 step: a potential half step leaves |psi|^2 unchanged, so the field solved
 after the kinetic step also opens the next step.
@@ -121,13 +122,16 @@ def propagate_bilinear(
     control: ControlSignal,
     initial: WaveState,
     truncation: int,
-) -> list[WaveState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact piecewise exponential of -i(diag(lambda) + u*C).
 
-    Returns the states at sample boundaries, the initial state first.
-    Each interval is applied through the symmetric eigendecomposition of
-    the frozen Hamiltonian, so the step is unitary to rounding and
-    independent of any internal step size.
+    Returns `(times, values)`: the `(S+1,)` sample-boundary times and the
+    `(S+1, truncation)` Galerkin coefficients there, row 0 the initial
+    state.  Each interval is applied through the symmetric
+    eigendecomposition of the frozen Hamiltonian, so the step is unitary
+    to rounding and independent of any internal step size.  One `eigh`
+    serves every sample of a control value and one phase every sample of a
+    (value, duration) pair.
     """
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
@@ -136,23 +140,28 @@ def propagate_bilinear(
     if initial.values.shape != (truncation,):
         raise ValueError("initial state size does not match truncation")
     _check_initial(initial)
-    # per-call cache: constant segments and repeated pulse samples reuse
-    # the same frozen-Hamiltonian eigendecomposition
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    psi = initial.values.copy()
-    t = initial.time
-    out = [WaveState(values=psi.copy(), time=t, modes=initial.modes)]
-    for dur, u in control.samples:
+    # per-call caches: constant segments and repeated pulse samples reuse
+    # the same frozen-Hamiltonian eigendecomposition and step phase
+    eigs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    phases: dict[tuple[float, float], np.ndarray] = {}
+    times = np.empty(len(control.samples) + 1)
+    values = np.empty((len(control.samples) + 1, truncation), dtype=complex)
+    values[0] = initial.values
+    psi = values[0]
+    t = times[0] = initial.time
+    for k, (dur, u) in enumerate(control.samples, start=1):
         if not 0.0 <= u <= control.delta:
             raise ValueError(f"control value {u} outside [0, {control.delta}]")
-        if u not in cache:
-            w, v = np.linalg.eigh(np.diag(lam) + u * cmat)
-            cache[u] = (w, v)
-        w, v = cache[u]
-        psi = v @ (np.exp(-1j * w * dur) * (v.T @ psi))
+        if u not in eigs:
+            eigs[u] = np.linalg.eigh(np.diag(lam) + u * cmat)
+        w, v = eigs[u]
+        phase = phases.get((u, dur))
+        if phase is None:
+            phase = phases[u, dur] = np.exp(-1j * w * dur)
+        psi = values[k] = v @ (phase * (v.T @ psi))
         t += dur
-        out.append(WaveState(values=psi.copy(), time=t, modes=initial.modes))
-    return out
+        times[k] = t
+    return times, values
 
 
 def transfer_fidelity(final: WaveState, target_mode) -> float:
@@ -190,10 +199,13 @@ def synthesize_chain_transfer(
     piecewise-constantly at interval midpoints and clamped into [0, delta]
     on a grid commensurate with its period: every full sample lasts exactly
     period/samples_per_period, and full sample k repeats the value of
-    sample k mod samples_per_period bit for bit.  One remainder sample,
-    valued at its own midpoint, makes the edge exactly pi/(a*|b_jk|) long;
-    it is dropped when shorter than 1e-12 of that.  An edge therefore has
-    at most samples_per_period + 1 distinct values, which bounds the
+    sample k mod samples_per_period bit for bit.  The cosine is symmetric
+    about the period's midpoint, so only the first
+    ceil(samples_per_period/2) values are evaluated and sample
+    samples_per_period-1-k repeats sample k.  One remainder sample, valued
+    at its own midpoint, makes the edge exactly pi/(a*|b_jk|) long; it is
+    dropped when shorter than 1e-12 of that.  An edge therefore has at
+    most ceil(samples_per_period/2) + 1 distinct values, which bounds the
     eigendecompositions `propagate_bilinear` spends on it, whatever the
     pulse length.
     """
@@ -238,8 +250,11 @@ def synthesize_chain_transfer(
                 f"pi-pulse duration {t_pi:.3e} exceeds cap {duration_cap:.3e}"
             )
         dt = (2.0 * math.pi / omega) / samples_per_period
-        mids = dt * (np.arange(samples_per_period) + 0.5)
-        values = np.clip(u_bar + amp * np.cos(omega * mids), 0.0, delta)
+        # the period is mirror-symmetric, k <-> spp-1-k: evaluate the first
+        # half and reflect it, so mirror samples share one value bitwise
+        mids = dt * (np.arange((samples_per_period + 1) // 2) + 0.5)
+        half = np.clip(u_bar + amp * np.cos(omega * mids), 0.0, delta)
+        values = np.concatenate((half, half[: samples_per_period // 2][::-1]))
         one_period = [(dt, float(v)) for v in values]
         nfull = int(t_pi // dt)
         cycles, rest = divmod(nfull, samples_per_period)

@@ -1,5 +1,7 @@
 """Independent numerical oracles shared by the tests."""
 
+import math
+
 import numpy as np
 
 
@@ -12,3 +14,26 @@ def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarra
     pts = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
     wts = (halves[:, None] * ws[None, :]).ravel()
     return pts, wts
+
+
+def trajectory_csv(times, values, eigenvalues, controls, k: int) -> str:
+    """trajectory.csv text with every column computed one state at a time.
+
+    Per row: `np.linalg.norm(row)`, the H1 seminorm
+    `math.sqrt(float(np.sum(eigenvalues * np.abs(row) ** 2)))` and the
+    populations `abs(z) ** 2` of the first k coefficients, followed by the
+    control value applied after that time; floats with 17 significant
+    digits.
+    """
+    cols = ["time", "norm", "h1_seminorm", *(f"population_{i + 1}" for i in range(k)), "control_value"]
+    lines = [",".join(cols)]
+    for t, row, u in zip(times, values, controls):
+        fields = [
+            float(t),
+            float(np.linalg.norm(row)),
+            math.sqrt(float(np.sum(eigenvalues * np.abs(row) ** 2))),
+            *(float(abs(row[i]) ** 2) for i in range(k)),
+            float(u),
+        ]
+        lines.append(",".join(f"{x:.17g}" for x in fields))
+    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import trajectory_csv
 
 from gatedqdot.cli import _write_rows_csv, run
 from gatedqdot.coupling import CouplingMatrix
@@ -63,54 +65,55 @@ class TestBilinear:
     def test_free_evolution_exact_phase(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         t = 1.7
-        final = propagate_bilinear(
+        _, values = propagate_bilinear(
             spec30, matrix_n2_30, ControlSignal.constant(t, 0.0, DELTA), psi0, 30
-        )[-1]
-        assert final.values[0] == pytest.approx(np.exp(-1j * spec30.eigenvalues[0] * t), abs=1e-13)
-        assert np.abs(final.values[1:]).max() == 0.0
+        )
+        final = values[-1]
+        assert final[0] == pytest.approx(np.exp(-1j * spec30.eigenvalues[0] * t), abs=1e-13)
+        assert np.abs(final[1:]).max() == 0.0
 
     def test_frozen_hamiltonian_stationary_states(self, spec30, matrix_n2_30):
         h = np.diag(spec30.eigenvalues[:30]) + DELTA * matrix_n2_30.values
         _, vecs = np.linalg.eigh(h)
         psi0 = WaveState(values=vecs[:, 2].astype(complex), modes=tuple(spec30.modes))
-        traj = propagate_bilinear(
+        _, values = propagate_bilinear(
             spec30, matrix_n2_30, ControlSignal.constant(3.0, DELTA, DELTA), psi0, 30
         )
-        pops0 = np.abs(traj[0].values) ** 2
-        pops1 = np.abs(traj[-1].values) ** 2
+        pops0 = np.abs(values[0]) ** 2
+        pops1 = np.abs(values[-1]) ** 2
         assert np.abs(pops1 - pops0).max() <= 1e-12
 
     def test_norm_preserved_per_step(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         samples = tuple((0.05, 0.15 + 0.1 * math.cos(0.3 * k)) for k in range(200))
-        traj = propagate_bilinear(
+        _, values = propagate_bilinear(
             spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0, 30
         )
-        norms = np.array([s.norm for s in traj])
+        norms = np.linalg.norm(values, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_constant_control_step_splitting(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         one = propagate_bilinear(
             spec30, matrix_n2_30, ControlSignal.constant(2.0, 0.21, DELTA), psi0, 30
-        )[-1].values
+        )[1][-1]
         many = propagate_bilinear(
             spec30,
             matrix_n2_30,
             ControlSignal(samples=tuple((0.1, 0.21) for _ in range(20)), delta=DELTA),
             psi0,
             30,
-        )[-1].values
+        )[1][-1]
         assert np.linalg.norm(one - many) <= 1e-12
 
     def test_time_reversal(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         fwd_ctrl = ControlSignal(samples=((0.3, 0.3), (0.2, 0.1), (0.4, 0.25)), delta=DELTA)
-        fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0, 30)[-1]
-        conj = WaveState(values=np.conj(fwd.values), modes=fwd.modes)
+        fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0, 30)[1][-1]
+        conj = WaveState(values=np.conj(fwd), modes=psi0.modes)
         rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
-        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, conj, 30)[-1]
-        assert np.linalg.norm(np.conj(back.values) - psi0.values) <= 1e-10
+        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, conj, 30)[1][-1]
+        assert np.linalg.norm(np.conj(back) - psi0.values) <= 1e-10
 
     def test_control_range_enforced(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
@@ -127,19 +130,33 @@ class TestBilinear:
                 spec30, matrix_n2_30, ControlSignal.constant(1.0, 0.0, DELTA), bad, 30
             )
 
+    def test_memory_is_one_row_per_sample(self, spec30, matrix_n2_30):
+        # the trajectory is one complex row of 16*N bytes per sample, with
+        # no per-sample objects next to it
+        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        samples = tuple((0.05, 0.1 + 0.05 * (k % 3)) for k in range(4000))
+        ctrl = ControlSignal(samples=samples, delta=DELTA)
+        tracemalloc.start()
+        try:
+            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 30 * len(samples)
+
     def test_gauge_covariance_constant_offset(self, spec30, matrix_n2_30):
         # V0 -> V0 + c shifts B by c*Id: populations must not move
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         ctrl = ControlSignal(samples=((0.5, 0.3), (0.5, 0.12)), delta=DELTA)
-        base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+        _, base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
         shifted_matrix = CouplingMatrix(
             modes=matrix_n2_30.modes,
             values=matrix_n2_30.values + 0.7 * np.eye(30),
             zero_tol=matrix_n2_30.zero_tol,
         )
-        moved = propagate_bilinear(spec30, shifted_matrix, ctrl, psi0, 30)
+        _, moved = propagate_bilinear(spec30, shifted_matrix, ctrl, psi0, 30)
         for a, b in zip(base, moved):
-            assert np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2).max() <= 1e-10
+            assert np.abs(np.abs(a) ** 2 - np.abs(b) ** 2).max() <= 1e-10
 
 
 class TestSynthesis:
@@ -211,6 +228,21 @@ class TestSynthesis:
         t_pi = math.pi / (0.5 * DELTA * abs(matrix_n2_30.values[p, q]))
         assert sig.total_duration == pytest.approx(t_pi, rel=1e-12)
 
+    @pytest.mark.parametrize("spp", (40, 41))
+    @pytest.mark.parametrize("edge", CHAIN_EDGES)
+    def test_period_is_mirror_symmetric(self, spec30, matrix_n2_30, edge, spp):
+        sig = synthesize_chain_transfer(
+            list(edge), spec30, matrix_n2_30, DELTA, 0.5, samples_per_period=spp
+        )
+        durations = np.array([d for d, _ in sig.samples])
+        values = np.array([v for _, v in sig.samples])
+        nfull = int(np.sum(durations == durations[0]))
+        periods = values[: nfull - nfull % spp].reshape(-1, spp)
+        assert periods.shape[0] > 1
+        # sample spp-1-k repeats sample k bitwise in every full period
+        assert np.array_equal(periods, periods[:, ::-1])
+        assert len(set(values.tolist())) <= (spp + 1) // 2 + 1
+
     def test_chain_concatenates_edges(self, spec30, matrix_n2_30):
         chain = synthesize_chain_transfer(
             [(1, 1), (2, 1), (3, 1)], spec30, matrix_n2_30, DELTA, 0.5
@@ -235,16 +267,16 @@ class TestSynthesis:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)
-        # two edges of at most samples_per_period + 1 distinct values each,
-        # against about 600 samples per edge
+        # two edges of at most ceil(samples_per_period/2) + 1 distinct values
+        # each, against 360 and 834 samples
         assert len(sig.samples) > 1000
-        assert len(calls) <= 2 * (40 + 1)
+        assert len(calls) <= 2 * (20 + 1)
 
     def test_two_level_transfer(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         sig = synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.5)
-        final = propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)[-1]
-        assert transfer_fidelity(final, (2, 1)) >= 0.9
+        final = propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)[1][-1]
+        assert transfer_fidelity(WaveState(final, modes=psi0.modes), (2, 1)) >= 0.9
 
 
 class TestFidelity:
@@ -311,7 +343,7 @@ class TestNonlinear:
         matrix = assemble_coupling_matrix(field_n2, spec, n)
         galerkin = propagate_bilinear(
             spec, matrix, ctrl, galerkin_mode_state(spec, (1, 1), n), n
-        )[-1].values
+        )[1][-1]
         proj = np.array(
             [
                 grid.cell_weight
@@ -478,3 +510,20 @@ def test_trajectory_csv(tmp_path, field_n2):
     lines = (tmp_path / "nonlinear_trajectory.csv").read_text().strip().splitlines()
     assert lines[0] == "time,norm,h1_seminorm,gate_expectation,population_1,population_2,population_3,control_value"
     assert len(lines) == 1 + res.times.size
+
+
+def test_control_trajectory_csv_matches_per_state_oracle(tmp_path, spec30, matrix_n2_30):
+    path = [(1, 1), (2, 1), (3, 1)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 30,
+        "dynamics": {"path": [list(m) for m in path]},
+    }))
+    assert run("control", config, tmp_path) == 0
+    control = synthesize_chain_transfer(path, spec30, matrix_n2_30, DELTA, 0.5, truncation=30)
+    psi0 = galerkin_mode_state(spec30, path[0], 30)
+    times, values = propagate_bilinear(spec30, matrix_n2_30, control, psi0, 30)
+    controls = [u for _, u in control.samples] + [0.0]
+    expected = trajectory_csv(times, values, spec30.eigenvalues[:30], controls, 6)
+    assert (tmp_path / "trajectory.csv").read_text() == expected

@@ -49,6 +49,13 @@ CONFIGS = {
         "control": {"samples": [[0.05, 0.1], [0.05, 0.2]]},
         "dynamics": {"path": [[1, 1], [2, 1]]},
     },
+    # a two-edge pulse whose edges each end on a remainder sample, with an
+    # odd period whose middle sample is its own mirror image
+    "chain-3mode": {
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 30,
+        "dynamics": {"path": [[1, 1], [2, 1], [3, 1]], "samples_per_period": 41},
+    },
     **{
         f"segment-trace{m}": {
             **SEGMENT, "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": m}
