@@ -10,7 +10,9 @@ spectrum, with mean delta/2 so the admissible range [0, delta] is never
 left.  Each drive is sampled on a grid commensurate with its period and
 mirrored about the period's midpoint, so its samples repeat bitwise and
 the propagator's per-value cache of eigendecompositions serves the second
-half of the first period and every period after it.  The nonlinear
+half of the first period and every period after it.  The cache holds one
+complex eigenvector matrix per value, from the value's first sample to its
+last, so a pulse edge keeps at most its own distinct values.  The nonlinear
 solver is Strang splitting on a staggered grid with one Hartree solve per
 step: a potential half step leaves |psi|^2 unchanged, so the field solved
 after the kinetic step also opens the next step.
@@ -131,7 +133,10 @@ def propagate_bilinear(
     eigendecomposition of the frozen Hamiltonian, so the step is unitary
     to rounding and independent of any internal step size.  One `eigh`
     serves every sample of a control value and one phase every sample of a
-    (value, duration) pair.
+    (value, duration) pair.  The eigenvectors are kept as one complex
+    matrix per value, held from the value's first sample to its last and
+    then dropped, so no value is decomposed twice and the cache holds only
+    the values still to come.
     """
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
@@ -141,24 +146,27 @@ def propagate_bilinear(
         raise ValueError("initial state size does not match truncation")
     _check_initial(initial)
     # per-call caches: constant segments and repeated pulse samples reuse
-    # the same frozen-Hamiltonian eigendecomposition and step phase
+    # the same frozen-Hamiltonian eigendecomposition and step phase; complex
+    # eigenvectors spare both matvecs a cast
     eigs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     phases: dict[tuple[float, float], np.ndarray] = {}
+    last = {u: k for k, (_, u) in enumerate(control.samples, start=1)}
     times = np.empty(len(control.samples) + 1)
     values = np.empty((len(control.samples) + 1, truncation), dtype=complex)
     values[0] = initial.values
     psi = values[0]
     t = times[0] = initial.time
     for k, (dur, u) in enumerate(control.samples, start=1):
-        if not 0.0 <= u <= control.delta:
-            raise ValueError(f"control value {u} outside [0, {control.delta}]")
         if u not in eigs:
-            eigs[u] = np.linalg.eigh(np.diag(lam) + u * cmat)
+            w, v = np.linalg.eigh(np.diag(lam) + u * cmat)
+            eigs[u] = w, v.astype(complex)
         w, v = eigs[u]
         phase = phases.get((u, dur))
         if phase is None:
             phase = phases[u, dur] = np.exp(-1j * w * dur)
         psi = values[k] = v @ (phase * (v.T @ psi))
+        if last[u] == k:
+            del eigs[u]
         t += dur
         times[k] = t
     return times, values
@@ -346,7 +354,7 @@ def propagate_nonlinear(
         kmodes = tuple(kspec.modes)
         phis = np.stack(
             [eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in kmodes]
-        )
+        ).astype(complex)
 
     psi = initial.values.astype(complex).copy()
     t = initial.time
@@ -370,8 +378,6 @@ def propagate_nonlinear(
     w = hartree_field(np.abs(psi) ** 2, config.alpha, grid) if nonlinear else 0.0
     kin_cache: dict[float, np.ndarray] = {}
     for dur, u in control.samples:
-        if not 0.0 <= u <= control.delta:
-            raise ValueError(f"control value {u} outside [0, {control.delta}]")
         nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
         step = dur / nsteps
         if step not in kin_cache:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,3 +38,17 @@ def trajectory_csv(times, values, eigenvalues, controls, k: int) -> str:
         ]
         lines.append(",".join(f"{x:.17g}" for x in fields))
     return "\n".join(lines) + "\n"
+
+
+def bilinear_expm_rows(eigenvalues, cmat, samples, psi0) -> np.ndarray:
+    """Galerkin coefficients at every sample boundary, row 0 the initial state.
+
+    Each (duration, value) sample applies its own
+    `scipy.linalg.expm(-1j * duration * (diag(eigenvalues) + value * cmat))`,
+    computed afresh per sample with no eigendecomposition and no cache.
+    """
+    rows = [np.asarray(psi0, dtype=complex)]
+    for dur, u in samples:
+        h = np.diag(eigenvalues) + u * cmat
+        rows.append(scipy.linalg.expm(-1j * dur * h) @ rows[-1])
+    return np.array(rows)

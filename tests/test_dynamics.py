@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import trajectory_csv
+from oracles import bilinear_expm_rows, trajectory_csv
 
 from gatedqdot.cli import _write_rows_csv, run
 from gatedqdot.coupling import CouplingMatrix
@@ -143,6 +143,49 @@ class TestBilinear:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 16 * 30 * len(samples)
+
+    def test_memory_holds_only_live_values(self, spec30, matrix_n2_30):
+        # 40 blocks of 10 distinct values, each block cycled for 100 samples
+        # like one pulse edge: 400 values, of which only one block is live
+        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        samples = tuple(
+            (0.05, 0.01 + 0.0007 * (10 * block + k % 10))
+            for block in range(40)
+            for k in range(100)
+        )
+        ctrl = ControlSignal(samples=samples, delta=DELTA)
+        assert len({u for _, u in samples}) == 400
+        tracemalloc.start()
+        try:
+            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 30 * (len(samples) + 1)
+
+    def test_recurring_values_decomposed_once_and_exact(self, spec30, matrix_n2_30, monkeypatch):
+        # values come back non-adjacently, and durations recur across values:
+        # a value dropped too early would be decomposed again, and a stale
+        # eigenbasis or phase would move the trajectory off the oracle
+        a, b, c = 0.1, 0.25, 0.03
+        samples = ((0.2, a), (0.05, b), (0.13, a), (0.05, c), (0.2, b), (0.07, a))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(1)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        _, values = propagate_bilinear(
+            spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0, 30
+        )
+        assert len(calls) == 3
+        expected = bilinear_expm_rows(
+            spec30.eigenvalues[:30], matrix_n2_30.values, samples, psi0.values
+        )
+        assert np.abs(values - expected).max() <= 1e-12
 
     def test_gauge_covariance_constant_offset(self, spec30, matrix_n2_30):
         # V0 -> V0 + c shifts B by c*Id: populations must not move

@@ -49,6 +49,13 @@ CONFIGS = {
         "control": {"samples": [[0.05, 0.1], [0.05, 0.2]]},
         "dynamics": {"path": [[1, 1], [2, 1]]},
     },
+    # values that recur non-adjacently: 0.1 with its first duration, 0.2
+    # with a new one
+    "control-recur": {
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 20,
+        "control": {"samples": [[0.05, 0.1], [0.05, 0.2], [0.05, 0.1], [0.03, 0.2]]},
+    },
     # a two-edge pulse whose edges each end on a remainder sample, with an
     # odd period whose middle sample is its own mirror image
     "chain-3mode": {
