@@ -298,7 +298,7 @@ class NonlinearConfig:
 
 @dataclass
 class NonlinearResult:
-    """Per-step observable log plus the final state."""
+    """Per-step observable log plus the final state; what a run does not log is empty."""
 
     times: np.ndarray
     norms: np.ndarray
@@ -311,11 +311,16 @@ class NonlinearResult:
     dt_lambda_max: float = 0.0
 
 
+LOG_LEVELS = ("norm", "h1", "all")
+
+
 def propagate_nonlinear(
     initial: WaveState,
     control: ControlSignal,
     config: NonlinearConfig,
     gate_field,
+    *,
+    log: str = "all",
 ) -> NonlinearResult:
     """Strang splitting of i d(psi)/dt = (-Delta + u(t) V0 + W_psi) psi.
 
@@ -325,10 +330,19 @@ def propagate_nonlinear(
     multiply leaves |psi|^2 unchanged, so the same field and phase array
     open the next step; each control sample rebuilds the phase from the
     carried field, and one solve from the initial state opens the first.
-    With alpha = 0 no Hartree solve runs.  L2 norm, H1 seminorm and the
-    gate expectation int V0 |psi|^2 are logged every step; norm drift
-    beyond 1e-6 aborts with InstabilityError.
+    The phase exp(-i*step/2*(u*V0 + W)) is built from the cosine and sine
+    of its real angle, and the state is multiplied in place.  With
+    alpha = 0 no Hartree solve runs.
+
+    Every step logs its time and L2 norm; norm drift beyond 1e-6 aborts
+    with InstabilityError.  `log` says what else is logged: "norm"
+    nothing more, "h1" the H1 seminorm, and "all" (the default) the H1
+    seminorm, the gate expectation int V0 |psi|^2, the populations and
+    the control values.  What a run does not log comes back empty, so
+    `population_modes` is empty unless log="all".
     """
+    if log not in LOG_LEVELS:
+        raise ValueError(f"log must be one of {LOG_LEVELS}")
     grid = initial.grid
     if grid is None:
         raise ValueError("initial state must live on a staggered grid")
@@ -344,10 +358,12 @@ def propagate_nonlinear(
     sine_eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
     L = grid.L
+    log_h1 = log != "norm"
+    log_all = log == "all"
 
     kmodes: tuple[ModeIndex, ...] = ()
     phis = np.zeros((0, initial.values.size))
-    if config.log_populations:
+    if log_all and config.log_populations:
         from .spectral import enumerate_modes
 
         kspec = enumerate_modes(L, config.log_populations)
@@ -363,13 +379,16 @@ def propagate_nonlinear(
 
     def record(u_next):
         logs["t"].append(t)
-        logs["norm"].append(grid.norm(psi))
-        coeffs = grid.sine_forward(psi)
-        logs["h1"].append(float(np.sqrt(weight * np.sum(sine_eigs * np.abs(coeffs) ** 2))))
         dens = np.abs(psi) ** 2
-        logs["gate"].append(float(weight * np.sum(v0 * dens)))
-        logs["pop"].append(np.abs(weight * (phis @ psi.ravel())) ** 2)
-        logs["u"].append(u_next)
+        # grid.norm's formula on the density the gate expectation reuses
+        logs["norm"].append(float(np.sqrt(weight * np.sum(dens))))
+        if log_h1:
+            coeffs = grid.sine_forward(psi)
+            logs["h1"].append(float(np.sqrt(weight * np.sum(sine_eigs * np.abs(coeffs) ** 2))))
+        if log_all:
+            logs["gate"].append(float(weight * np.sum(v0 * dens)))
+            logs["pop"].append(np.abs(weight * (phis @ psi.ravel())) ** 2)
+            logs["u"].append(u_next)
 
     record(control.samples[0][1] if control.samples else 0.0)
 
@@ -377,6 +396,17 @@ def propagate_nonlinear(
     nonlinear = config.alpha != 0.0
     w = hartree_field(np.abs(psi) ** 2, config.alpha, grid) if nonlinear else 0.0
     kin_cache: dict[float, np.ndarray] = {}
+    phase = np.empty(grid.shape, dtype=complex)
+
+    def set_phase(step, u, w):
+        # exp(-0.5j*step*(u*v0 + w)) bit for bit: that argument's real part
+        # is exactly +-0, so the exponential is cos + i*sin of its imaginary
+        # part; += 0.0 turns -0.0 into +0.0, as the complex product does
+        theta = (-0.5 * step) * (u * v0 + w)
+        theta += 0.0
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+
     for dur, u in control.samples:
         nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
         step = dur / nsteps
@@ -384,14 +414,17 @@ def propagate_nonlinear(
             kin_cache[step] = np.exp(-1j * sine_eigs * step)
         kin = kin_cache[step]
         # the carried field w belongs to the current |psi|^2
-        phase = np.exp(-0.5j * step * (u * v0 + w))
+        set_phase(step, u, w)
         for _ in range(nsteps):
-            psi = psi * phase
-            psi = grid.sine_backward(kin * grid.sine_forward(psi))
+            psi *= phase
+            # kin first: the complex product is not bitwise symmetric
+            coeffs = grid.sine_forward(psi)
+            np.multiply(kin, coeffs, out=coeffs)
+            psi = grid.sine_backward(coeffs)
             if nonlinear:
                 w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
-                phase = np.exp(-0.5j * step * (u * v0 + w))
-            psi = psi * phase
+                set_phase(step, u, w)
+            psi *= phase
             t += step
             record(u)
             # written to also trip on NaN norms (comparisons with NaN are false)
@@ -405,7 +438,7 @@ def propagate_nonlinear(
         norms=np.array(logs["norm"]),
         h1_seminorms=np.array(logs["h1"]),
         gate_expectations=np.array(logs["gate"]),
-        populations=np.array(logs["pop"]) if config.log_populations else np.zeros((len(logs["t"]), 0)),
+        populations=np.array(logs["pop"]) if kmodes else np.zeros((len(logs["pop"]), 0)),
         control_values=np.array(logs["u"]),
         final=WaveState(values=psi, time=t, grid=grid),
         population_modes=kmodes,
@@ -428,6 +461,11 @@ def alpha_scaling_study(
     least-squares slope of log(deviation) against log(alpha) (None when
     fewer than two points are available).  `runs` holds the per-alpha
     results, `linear_reference` the alpha = 0 one.
+
+    Each run logs only what is read from it (see `propagate_nonlinear`'s
+    `log`): the reference its norms, which the norm guard checks; every
+    alpha run but the last its norms and H1 seminorms, for the rows'
+    maxima; the last run everything, for the trajectory it reports.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
@@ -436,12 +474,15 @@ def alpha_scaling_study(
         raise ValueError("alphas must be strictly increasing")
     clipped = control.clipped(T)
 
-    def run(alpha):
-        return propagate_nonlinear(initial, clipped, replace(config, alpha=alpha), gate_field)
+    def run(alpha, log):
+        return propagate_nonlinear(
+            initial, clipped, replace(config, alpha=alpha), gate_field, log=log
+        )
 
-    linear = run(0.0)
+    linear = run(0.0, "norm")
     grid = initial.grid
-    runs = [run(a) for a in alphas]
+    last = len(alphas) - 1
+    runs = [run(a, "all" if i == last else "h1") for i, a in enumerate(alphas)]
     rows = []
     for a, res in zip(alphas, runs):
         rows.append(

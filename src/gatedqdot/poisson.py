@@ -375,21 +375,23 @@ class StaggeredGrid:
         j2 = np.arange(1, self.ny + 1)
         return (j1**2)[:, None] + ((j2 * math.pi / self.L) ** 2)[None, :]
 
+    # each pair of transforms leaves its input alone: only the second one,
+    # which reads the first one's fresh output, may overwrite what it reads
     def sine_forward(self, values: np.ndarray) -> np.ndarray:
         out = dstn(values, type=1, axes=[0], norm="ortho")
-        return dstn(out, type=2, axes=[1], norm="ortho")
+        return dstn(out, type=2, axes=[1], norm="ortho", overwrite_x=True)
 
     def sine_backward(self, coeffs: np.ndarray) -> np.ndarray:
         out = idstn(coeffs, type=2, axes=[1], norm="ortho")
-        return dstn(out, type=1, axes=[0], norm="ortho")
+        return dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
 
     def mixed_forward(self, values: np.ndarray) -> np.ndarray:
         out = dstn(values, type=1, axes=[0], norm="ortho")
-        return dctn(out, type=4, axes=[1], norm="ortho")
+        return dctn(out, type=4, axes=[1], norm="ortho", overwrite_x=True)
 
     def mixed_backward(self, coeffs: np.ndarray) -> np.ndarray:
         out = dctn(coeffs, type=4, axes=[1], norm="ortho")
-        return dstn(out, type=1, axes=[0], norm="ortho")
+        return dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
 
     def norm(self, values: np.ndarray) -> float:
         """Discrete L2(Omega) norm."""
@@ -400,8 +402,11 @@ def hartree_field(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> np.
     """Spectral solve of -Delta W = alpha*density on the staggered grid.
 
     The quarter-wave basis meets the mixed boundary conditions exactly, so a
-    single-eigenmode source is reproduced to machine precision.
+    single-eigenmode source is reproduced to machine precision.  The
+    density is left unchanged.
     """
     coeffs = grid.mixed_forward(density)
-    return grid.mixed_backward(alpha * coeffs / grid.mixed_eigenvalues)
+    coeffs *= alpha
+    coeffs /= grid.mixed_eigenvalues
+    return grid.mixed_backward(coeffs)
 

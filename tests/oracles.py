@@ -52,3 +52,57 @@ def bilinear_expm_rows(eigenvalues, cmat, samples, psi0) -> np.ndarray:
         h = np.diag(eigenvalues) + u * cmat
         rows.append(scipy.linalg.expm(-1j * dur * h) @ rows[-1])
     return np.array(rows)
+
+
+def strang_full_log(initial, control, config, v0, phis):
+    """The Strang loop as first written: `np.exp` phases, out-of-place products, full log.
+
+    One Hartree solve per step, computed inline as
+    `mixed_backward(alpha * mixed_forward(|psi|^2) / mixed_eigenvalues)`;
+    no norm guard.  Returns the final grid values and the per-record
+    times, norms, H1 seminorms, gate expectations, populations against the
+    rows of `phis` and control values.
+    """
+    grid = initial.grid
+    sine_eigs = grid.sine_eigenvalues()
+    weight = grid.cell_weight
+
+    def hartree(psi):
+        coeffs = grid.mixed_forward(np.abs(psi) ** 2)
+        return grid.mixed_backward(config.alpha * coeffs / grid.mixed_eigenvalues)
+
+    psi = initial.values.astype(complex).copy()
+    t = initial.time
+    logs = {k: [] for k in ("t", "norm", "h1", "gate", "pop", "u")}
+
+    def record(u_next):
+        logs["t"].append(t)
+        logs["norm"].append(grid.norm(psi))
+        coeffs = grid.sine_forward(psi)
+        logs["h1"].append(float(np.sqrt(weight * np.sum(sine_eigs * np.abs(coeffs) ** 2))))
+        dens = np.abs(psi) ** 2
+        logs["gate"].append(float(weight * np.sum(v0 * dens)))
+        logs["pop"].append(np.abs(weight * (phis @ psi.ravel())) ** 2)
+        logs["u"].append(u_next)
+
+    record(control.samples[0][1] if control.samples else 0.0)
+    nonlinear = config.alpha != 0.0
+    w = hartree(psi) if nonlinear else 0.0
+    kin_cache = {}
+    for dur, u in control.samples:
+        nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
+        step = dur / nsteps
+        if step not in kin_cache:
+            kin_cache[step] = np.exp(-1j * sine_eigs * step)
+        kin = kin_cache[step]
+        phase = np.exp(-0.5j * step * (u * v0 + w))
+        for _ in range(nsteps):
+            psi = psi * phase
+            psi = grid.sine_backward(kin * grid.sine_forward(psi))
+            if nonlinear:
+                w = hartree(psi)
+                phase = np.exp(-0.5j * step * (u * v0 + w))
+            psi = psi * phase
+            t += step
+            record(u)
+    return (psi, *(np.array(logs[k]) for k in ("t", "norm", "h1", "gate", "pop", "u")))

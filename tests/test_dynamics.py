@@ -1,10 +1,11 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import bilinear_expm_rows, trajectory_csv
+from oracles import bilinear_expm_rows, strang_full_log, trajectory_csv
 
 from gatedqdot.cli import _write_rows_csv, run
 from gatedqdot.coupling import CouplingMatrix
@@ -20,7 +21,7 @@ from gatedqdot.dynamics import (
     synthesize_chain_transfer,
     transfer_fidelity,
 )
-from gatedqdot.errors import DurationCapError
+from gatedqdot.errors import DurationCapError, InstabilityError
 from gatedqdot.poisson import StaggeredGrid, hartree_field
 from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes
 
@@ -535,6 +536,116 @@ class TestAlphaStudy:
             alpha_scaling_study(
                 [1e-1, 1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
             )
+
+
+def assert_same_bytes(a, b):
+    # bytes, so even the sign of a zero must agree
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLoggedQuantities:
+    """Runs log only what is read, and what they log is the first-written loop's, byte for byte."""
+
+    def setup_run(self):
+        grid = StaggeredGrid(L=L, nx=16, ny=16)
+        psi0 = grid_mode_state(grid, (1, 1), L)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-2, log_populations=3)
+        ctrl = ControlSignal(samples=TestOneSolvePerStep.SAMPLES, delta=DELTA)
+        return psi0, ctrl, cfg
+
+    def oracle(self, field_n2, psi0, ctrl, cfg, alpha):
+        grid = psi0.grid
+        modes = enumerate_modes(L, cfg.log_populations).modes
+        phis = np.stack(
+            [eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in modes]
+        ).astype(complex)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        return strang_full_log(psi0, ctrl, replace(cfg, alpha=alpha), v0, phis)
+
+    @staticmethod
+    def logs(res):
+        return (res.times, res.norms, res.h1_seminorms, res.gate_expectations,
+                res.populations, res.control_values)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_full_log_matches_first_loop(self, field_n2, alpha):
+        psi0, ctrl, cfg = self.setup_run()
+        res = propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), field_n2)
+        final, *logs = self.oracle(field_n2, psi0, ctrl, cfg, alpha)
+        assert_same_bytes(res.final.values, final)
+        for got, expected in zip(self.logs(res), logs):
+            assert_same_bytes(got, expected)
+
+    def test_alpha_study_matches_first_loop(self, field_n2):
+        psi0, ctrl, cfg = self.setup_run()
+        alphas = [0.05, 0.1]
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        linear = self.oracle(field_n2, psi0, ctrl, cfg, 0.0)
+        runs = [self.oracle(field_n2, psi0, ctrl, cfg, a) for a in alphas]
+        rows = [
+            {
+                "alpha": a,
+                "deviation": psi0.grid.norm(run[0] - linear[0]),
+                "max_norm_drift": float(np.abs(run[2] - 1.0).max()),
+                "max_h1": float(run[3].max()),
+            }
+            for a, run in zip(alphas, runs)
+        ]
+        assert study["rows"] == rows
+        slope = np.polyfit(np.log(alphas), np.log([r["deviation"] for r in rows]), 1)[0]
+        assert study["slope"] == float(slope)
+        reference = study["linear_reference"]
+        assert_same_bytes(reference.final.values, linear[0])
+        assert_same_bytes(reference.norms, linear[2])
+        assert reference.h1_seminorms.size == 0 and reference.population_modes == ()
+        middle, last = study["runs"]
+        assert_same_bytes(middle.final.values, runs[0][0])
+        assert_same_bytes(middle.norms, runs[0][2])
+        assert_same_bytes(middle.h1_seminorms, runs[0][3])
+        assert middle.gate_expectations.size == 0 and middle.populations.size == 0
+        assert_same_bytes(last.final.values, runs[1][0])
+        for got, expected in zip(self.logs(last), runs[1][1:]):
+            assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("alpha, log", [(0.0, "norm"), (0.1, "h1")])
+    def test_trimmed_log_still_guards_norm(self, field_n2, monkeypatch, alpha, log):
+        psi0, ctrl, cfg = self.setup_run()
+        backward = StaggeredGrid.sine_backward
+        monkeypatch.setattr(
+            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
+        )
+        with pytest.raises(InstabilityError):
+            propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), field_n2, log=log)
+
+    def test_unknown_log_rejected(self, field_n2):
+        psi0, ctrl, cfg = self.setup_run()
+        with pytest.raises(ValueError):
+            propagate_nonlinear(psi0, ctrl, cfg, field_n2, log="gate")
+
+    def test_sine_transforms_per_run(self, field_n2, monkeypatch):
+        psi0, ctrl, cfg = self.setup_run()
+        forward = StaggeredGrid.sine_forward
+        calls = []
+
+        def counted_forward(grid, values):
+            calls.append(1)
+            return forward(grid, values)
+
+        per_run = []
+
+        def counted_run(*args, **kwargs):
+            before = len(calls)
+            res = propagate_nonlinear(*args, **kwargs)
+            per_run.append(len(calls) - before)
+            return res
+
+        monkeypatch.setattr(StaggeredGrid, "sine_forward", counted_forward)
+        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", counted_run)
+        alpha_scaling_study([0.05, 0.1, 0.2], ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in ctrl.samples)
+        # the reference transforms once per kinetic step and logs no H1;
+        # every alpha run adds the H1 transform of each record
+        assert per_run == [steps] + [2 * steps + 1] * 3
 
 
 def test_trajectory_csv(tmp_path, field_n2):

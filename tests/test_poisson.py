@@ -290,6 +290,24 @@ class TestStaggeredGrid:
         assert np.abs(g.sine_backward(g.sine_forward(v)) - v).max() <= 1e-13
         assert np.abs(g.mixed_backward(g.mixed_forward(v)) - v).max() <= 1e-13
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_transforms_leave_input_unchanged(self, dtype):
+        g = StaggeredGrid(L=1.3, nx=24, ny=20)
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal(g.shape).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(g.shape)
+        for transform in (
+            g.sine_forward,
+            g.sine_backward,
+            g.mixed_forward,
+            g.mixed_backward,
+            lambda values: hartree_field(values, 0.7, g),
+        ):
+            before = v.copy()
+            transform(v)
+            assert v.tobytes() == before.tobytes()
+
     def test_sampled_eigenmode_norm_is_one(self):
         g = StaggeredGrid(L=L, nx=32, ny=32)
         phi = (2 / math.sqrt(math.pi * L)) * np.outer(

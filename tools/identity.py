@@ -56,6 +56,14 @@ CONFIGS = {
         "truncation": 20,
         "control": {"samples": [[0.05, 0.1], [0.05, 0.2], [0.05, 0.1], [0.03, 0.2]]},
     },
+    # four alphas, so the alpha study runs all three logging modes, on a
+    # control with a zero value and a repeated (duration, value) sample
+    "nonlinear-logs": {
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 20,
+        "control": {"samples": [[0.05, 0.0], [0.03, 0.2], [0.05, 0.0]]},
+        "dynamics": {"T": 0.13, "alphas": [1e-3, 4e-3, 2e-2, 1e-1]},
+    },
     # a two-edge pulse whose edges each end on a remainder sample, with an
     # odd period whose middle sample is its own mirror image
     "chain-3mode": {
