@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn
+import scipy  # scipy.fft.<fn>: SciPy loads scipy.fft on the first transform
 
 from .errors import NumericalError
 from .poisson import GridField, SpectralField, gate_term_cosh
@@ -127,7 +127,7 @@ def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
     h1 = _lattice_spacing(field.x1, math.pi, "x1")
     h2 = _lattice_spacing(field.x2, L, "x2")
     nx, ny = field.x1.size - 1, field.x2.size - 1
-    table = (h1 * h2 / 4.0) * dctn(field.values, type=1)
+    table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
 
     def factor(freq, n):
         # sinc^2 hat weight and folded DCT index of an integer frequency in

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import dctn, dstn, idstn
+import scipy  # scipy.fft.<fn>: SciPy loads scipy.fft on the first transform
 
 from .errors import SolverFailureError
 
@@ -378,20 +378,20 @@ class StaggeredGrid:
     # each pair of transforms leaves its input alone: only the second one,
     # which reads the first one's fresh output, may overwrite what it reads
     def sine_forward(self, values: np.ndarray) -> np.ndarray:
-        out = dstn(values, type=1, axes=[0], norm="ortho")
-        return dstn(out, type=2, axes=[1], norm="ortho", overwrite_x=True)
+        out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
+        return scipy.fft.dstn(out, type=2, axes=[1], norm="ortho", overwrite_x=True)
 
     def sine_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = idstn(coeffs, type=2, axes=[1], norm="ortho")
-        return dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
+        out = scipy.fft.idstn(coeffs, type=2, axes=[1], norm="ortho")
+        return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
 
     def mixed_forward(self, values: np.ndarray) -> np.ndarray:
-        out = dstn(values, type=1, axes=[0], norm="ortho")
-        return dctn(out, type=4, axes=[1], norm="ortho", overwrite_x=True)
+        out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
+        return scipy.fft.dctn(out, type=4, axes=[1], norm="ortho", overwrite_x=True)
 
     def mixed_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = dctn(coeffs, type=4, axes=[1], norm="ortho")
-        return dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
+        out = scipy.fft.dctn(coeffs, type=4, axes=[1], norm="ortho")
+        return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
 
     def norm(self, values: np.ndarray) -> float:
         """Discrete L2(Omega) norm."""

@@ -106,26 +106,32 @@ def eigenfunction_on_grid(mode: ModeIndex, L: float, x1: np.ndarray, x2: np.ndar
 def enumerate_modes(L: float, count: int) -> Spectrum:
     """Return the `count` smallest eigenpairs of the rectangle, sorted.
 
-    The candidate box is grown until the smallest eigenvalue outside it
-    strictly exceeds the last included one, so no mode below the cutoff
-    can be missed.
+    The candidate box j1 <= b1, j2 <= b2 starts as the bounding box of
+    lambda <= 4*count/L, which by Weyl's law holds about `count` modes, cut
+    to `count` per side (the `count` modes (k, 1), or (1, k), come before
+    any mode further out along that axis); either way it holds at least
+    `count` candidates.  Each side is doubled until the smallest eigenvalue
+    beyond it strictly exceeds the last included one, so no mode below the
+    cutoff can be missed.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
     vert = math.pi**2 / L**2
-    box = max(2, math.ceil(math.sqrt(count) * max(1.0, L / math.pi, math.pi / L)) + 1)
+    b1 = min(count, math.ceil(math.sqrt(4 * count / L)) + 1)
+    b2 = min(count, math.ceil(math.sqrt(4 * count * L) / math.pi) + 1)
     while True:
-        j1, j2 = (g.ravel() for g in np.mgrid[1 : box + 1, 1 : box + 1])
+        j1, j2 = (g.ravel() for g in np.mgrid[1 : b1 + 1, 1 : b2 + 1])
         lam = j1**2 + vert * j2**2
         order = np.lexsort((j2, j1, lam))
-        if count <= order.size:
-            cutoff = lam[order[count - 1]]
-            outside = min((box + 1) ** 2 + vert, 1 + vert * (box + 1) ** 2)
-            if cutoff < outside:
-                break
-        box *= 2
+        cutoff = lam[order[count - 1]]
+        short1 = cutoff >= (b1 + 1) ** 2 + vert
+        short2 = cutoff >= 1 + vert * (b2 + 1) ** 2
+        if not (short1 or short2):
+            break
+        b1 *= 2 if short1 else 1
+        b2 *= 2 if short2 else 1
     keep = order[:count]
     return Spectrum(L=L, j1=j1[keep], j2=j2[keep], eigenvalues=lam[keep])
 

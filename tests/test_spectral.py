@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,40 @@ def test_prefix_stability():
     small = enumerate_modes(1.0, 30)
     large = enumerate_modes(1.0, 100)
     assert small.modes == large.modes[:30]
+
+
+def brute_force_modes(L, count):
+    # the box j1, j2 <= count is complete: the count modes (k, 1) lie below
+    # every mode with j1 > count, and the count modes (1, k) below every
+    # mode with j2 > count
+    vert = math.pi**2 / L**2
+    j1, j2 = (g.ravel() for g in np.mgrid[1 : count + 1, 1 : count + 1])
+    lam = j1**2 + vert * j2**2
+    keep = np.lexsort((j2, j1, lam))[:count]
+    return j1[keep], j2[keep], lam[keep]
+
+
+@pytest.mark.parametrize("count", [1, 30, 400])
+@pytest.mark.parametrize("L", [1e-3, 0.05, 1.0, math.pi, 20.0, 1e3])
+def test_enumerate_matches_brute_force_box(L, count):
+    spec = enumerate_modes(L, count)
+    j1, j2, lam = brute_force_modes(L, count)
+    for got, want in ((spec.j1, j1), (spec.j2, j2), (spec.eigenvalues, lam)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_enumerate_box_sized_per_axis():
+    # at L = 0.05 the 30 lowest modes all have j2 = 1; one square box side
+    # long enough for j1 would hold 346**2 candidates (a 4.9 MB peak)
+    tracemalloc.start()
+    try:
+        spec = enumerate_modes(0.05, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(spec.j2.tolist()) == {1}
+    assert peak <= 256 * 1024
 
 
 def test_enumerate_validates():

@@ -7,7 +7,8 @@ thread, in a fresh temporary directory, for each of the 11 commands on
 each config below (64^2 grid, T = 0.1, 32^2 for `nonlinear`).  For every
 run it records the exit code, the last stderr line, the `body_sha256` of
 report.json and the sha256 of every other file written to the output
-directory.  The manifest is sorted JSON, so two source trees compare with
+directory.  The tool's own last stderr line gives the run count and the
+total wall time.  The manifest is sorted JSON, so two source trees compare with
 
     python tools/identity.py parent/src parent.json
     python tools/identity.py src change.json
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 COMMANDS = (
@@ -138,6 +140,7 @@ def main(argv: list[str]) -> int:
         print(f"error: no gatedqdot package under {src}", file=sys.stderr)
         return 2
     manifest = {}
+    start = time.perf_counter()
     for name in CONFIGS:
         for command in COMMANDS:
             key = f"{name}/{command}"
@@ -147,6 +150,7 @@ def main(argv: list[str]) -> int:
     with open(argv[1], "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print(f"{len(manifest)} runs in {time.perf_counter() - start:.1f} s wall", file=sys.stderr)
     return 0
 
 
