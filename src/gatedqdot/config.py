@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 class ConfigValidationError(ValueError):
@@ -26,8 +26,8 @@ class GateConfig:
     kind: str = "fourier_mode"
     n: int = 2
     coefficients: tuple[float, ...] = ()
-    a: float = 0.0
-    b: float = 0.0
+    a: float = 0.5
+    b: float = math.pi - 0.5
     trace_mode: int = 2
 
 
@@ -107,233 +107,170 @@ class RunConfig:
         return doc
 
 
-def _expect_keys(section: dict, allowed: set, where: str, errors: list):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
+def _finite(value) -> bool:
+    """The one number test: a JSON number, not a bool, finite as a float.
+
+    An integer beyond the float range counts as non-finite.
+    """
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _number(section, key, where, errors, *, default, positive=False, nonnegative=False,
-            integer=False, minimum=None, optional=False):
-    if key not in section:
-        return default
-    value = section[key]
-    if value is None and optional:
-        return None
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if ok and integer and not float(value).is_integer():
-        ok = False
-    if not ok:
-        errors.append(f"{where}.{key}: expected a finite {'integer' if integer else 'number'}")
-        return default
-    value = int(value) if integer else float(value)
-    if positive and value <= 0:
-        errors.append(f"{where}.{key} must be positive")
-    if nonnegative and value < 0:
-        errors.append(f"{where}.{key} must be nonnegative")
-    if minimum is not None and value < minimum:
-        errors.append(f"{where}.{key} must be >= {minimum}")
-    return value
-
-
-def _parse_gate(section, errors) -> GateConfig:
-    if not isinstance(section, dict):
-        errors.append("gate: expected an object")
-        return GateConfig()
-    kind = section.get("kind", "fourier_mode")
-    if kind == "fourier_mode":
-        _expect_keys(section, {"kind", "n"}, "gate", errors)
-        n = _number(section, "n", "gate", errors, default=2, integer=True, minimum=1)
-        return GateConfig(kind="fourier_mode", n=n)
-    if kind == "sine_series":
-        _expect_keys(section, {"kind", "coefficients"}, "gate", errors)
-        coeffs = section.get("coefficients", [])
-        if (
-            not isinstance(coeffs, list)
-            or not coeffs
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
-        ):
-            errors.append("gate.coefficients must be a nonempty number list")
-            coeffs = [1.0]
-        return GateConfig(kind="sine_series", coefficients=tuple(float(c) for c in coeffs))
-    if kind == "segment":
-        _expect_keys(section, {"kind", "a", "b", "trace_mode"}, "gate", errors)
-        a = _number(section, "a", "gate", errors, default=0.5)
-        b = _number(section, "b", "gate", errors, default=math.pi - 0.5)
-        trace_mode = _number(section, "trace_mode", "gate", errors, default=2, integer=True, minimum=1)
-        if not 0.0 < a < b < math.pi:
-            errors.append("gate segment must satisfy 0 < a < b < pi")
-        return GateConfig(kind="segment", a=a, b=b, trace_mode=trace_mode)
-    errors.append(f"gate.kind: unknown kind {kind!r}")
-    return GateConfig()
-
-
-def _parse_pairs(raw, where, errors, default):
-    if raw is None:
-        return default
-    good = (
-        isinstance(raw, list)
-        and all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p)
-            for p in raw
-        )
+def _entries(value, width=0) -> bool:
+    """Whether value is a nonempty list of finite numbers, or of `width`-long lists of them."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(e, list) and len(e) == width and all(map(_finite, e)) if width else _finite(e)
+        for e in value
     )
-    if not good:
-        errors.append(f"{where}: expected a list of [int, int] pairs")
-        return default
-    pairs = []
-    for p in raw:
-        if not (float(p[0]).is_integer() and float(p[1]).is_integer() and p[0] >= 1 and p[1] >= 1):
-            errors.append(f"{where}: mode indices must be integers >= 1")
+
+
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)
+
+
+def _at_least(m):
+    return (f"must be >= {m}", lambda v: v >= m)
+
+
+# One row per settable key, in the order validate_config reports its
+# messages: (section, key, kind, *rule).  Defaults are the dataclass fields.
+#   number, integer, optional (a number or null): rule = range checks, each
+#     (message, test); a type error keeps the default, a range error the value
+#   list: rule = (width, message); required, a nonempty list of finite
+#     numbers (of width-long lists if width)
+#   increasing: rule = (message, entry test); a strictly increasing list
+#   pairs: a list of [int, int] mode indices >= 1 (null keeps the default);
+#     pair: one such [int, int]
+#   choice: rule = the allowed values
+_ROWS = (
+    ("top level", "L", "number", _POSITIVE),
+    ("top level", "delta", "number", _POSITIVE),
+    ("top level", "truncation", "integer", _at_least(1)),
+    ("top level", "rho", "optional", _NONNEGATIVE),
+    ("gate", "n", "integer", _at_least(1)),
+    ("gate", "coefficients", "list", 0, "must be a nonempty number list"),
+    ("gate", "a", "number"),
+    ("gate", "b", "number"),
+    ("gate", "trace_mode", "integer", _at_least(1)),
+    ("grid", "nx", "integer", _at_least(16)),
+    ("grid", "ny", "integer", _at_least(16)),
+    ("tolerances", "simplicity", "number", _POSITIVE),
+    ("tolerances", "resonance", "optional", _POSITIVE),
+    ("tolerances", "zero_tol", "optional", _NONNEGATIVE),
+    ("dynamics", "alphas", "increasing", "must be a strictly increasing positive list", lambda a: a > 0),
+    ("dynamics", "amplitude_fraction", "number", _POSITIVE, ("must be <= 0.5", lambda v: v <= 0.5)),
+    ("dynamics", "dt", "number", _POSITIVE),
+    ("dynamics", "T", "number", _POSITIVE),
+    ("dynamics", "path", "pairs"),
+    ("dynamics", "samples_per_period", "integer", _at_least(2)),
+    ("dynamics", "duration_cap", "number", _POSITIVE),
+    ("dynamics", "nonlinear_nx", "integer", _at_least(4)),
+    ("dynamics", "nonlinear_ny", "integer", _at_least(4)),
+    ("dynamics", "log_populations", "integer", _at_least(0)),
+    ("shape", "mode", "pair"),
+    ("shape", "wall", "choice", "left", "right", "bottom", "top"),
+    ("gate_sweep", "fractions", "increasing", "must be strictly increasing within (0, 1)",
+     lambda f: 0 < f < 1),
+    ("control", "samples", "list", 2, "must be a nonempty list of [duration, value] pairs"),
+)
+# The sections in order, each with the dataclass that holds its values.
+_SECTIONS = {
+    "top level": RunConfig, "gate": GateConfig, "grid": GridConfig, "tolerances": ToleranceConfig,
+    "dynamics": DynamicsConfig, "shape": ShapeConfig, "gate_sweep": RunConfig, "control": RunConfig,
+}
+_FIELDS = {"fractions": "gate_sweep_fractions", "samples": "control"}
+# The gate keys of each gate kind, besides `kind`.
+_GATE_KEYS = {"fourier_mode": ("n",), "sine_series": ("coefficients",), "segment": ("a", "b", "trace_mode")}
+
+
+def _parse(value, name, kind, rule, default, errors):
+    """One row's value: the default after a type error, the value itself after a range error."""
+    if kind in ("number", "integer", "optional"):
+        if value is None and kind == "optional":
+            return None
+        integer = kind == "integer"
+        if not _finite(value) or (integer and not float(value).is_integer()):
+            errors.append(f"{name}: expected a finite {'integer' if integer else 'number'}")
             return default
-        pairs.append((int(p[0]), int(p[1])))
-    return tuple(pairs)
+        value = int(value) if integer else float(value)
+        errors.extend(f"{name} {message}" for message, test in rule if not test(value))
+        return value
+    if kind == "choice":
+        if value in rule:
+            return value
+        errors.append(f"{name} must be one of {'/'.join(rule)}")
+        return default
+    if kind == "pair":
+        return _parse([value], name, "pairs", rule, (default,), errors)[0]
+    if kind == "pairs":
+        if value is None:
+            return default
+        if not _entries(value, 2):
+            errors.append(f"{name}: expected a list of [int, int] pairs")
+        elif not all(float(j).is_integer() and j >= 1 for pair in value for j in pair):
+            errors.append(f"{name}: mode indices must be integers >= 1")
+        else:
+            return tuple((int(j1), int(j2)) for j1, j2 in value)
+        return default
+    if kind == "increasing":
+        (message, test), width = rule, 0
+        ok = _entries(value) and all(map(test, value)) and all(a < b for a, b in zip(value, value[1:]))
+    else:
+        width, message = rule
+        ok = _entries(value, width)
+    if not ok:
+        errors.append(f"{name} {message}")
+        return default
+    return tuple(tuple(map(float, e)) if width else float(e) for e in value)
 
 
 def validate_config(raw: dict) -> RunConfig:
     """Validate a raw JSON document, raising ConfigValidationError with all defects."""
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
-    allowed = {
-        "L", "delta", "truncation", "rho", "gate", "grid", "tolerances",
-        "dynamics", "shape", "gate_sweep", "control",
-    }
-    _expect_keys(raw, allowed, "top level", errors)
+    errors: list[str] = []
+    values = {cls: {f.name: f.default for f in fields(cls)} for cls in _SECTIONS.values()}
+    for where, cls in _SECTIONS.items():
+        if where == "control" and raw.get(where) is None:
+            continue
+        doc = raw if where == "top level" else raw.get(where, {})
+        if not isinstance(doc, dict):
+            errors.append(f"{where}: expected an object{' with samples' if where == 'control' else ''}")
+            continue
+        found = values[cls]
+        keys = [row[1] for row in _ROWS if row[0] == where]
+        if where == "top level":
+            keys += [name for name in _SECTIONS if name != where]
+        elif where == "gate":
+            gate_kind = doc.get("kind", found["kind"])
+            if not (isinstance(gate_kind, str) and gate_kind in _GATE_KEYS):
+                errors.append(f"gate.kind: unknown kind {gate_kind!r}")
+                continue
+            keys = ["kind", *_GATE_KEYS[gate_kind]]
+            found["kind"] = gate_kind
+        errors.extend(f"{where}: unknown key {key!r}" for key in doc if key not in keys)
+        for section, key, kind, *rule in _ROWS:
+            if section == where and key in keys and (key in doc or kind == "list"):
+                name = _FIELDS.get(key, key)
+                found[name] = _parse(doc.get(key), f"{where}.{key}", kind, rule, found[name], errors)
+        if where == "gate" and found["kind"] == "segment" and not 0.0 < found["a"] < found["b"] < math.pi:
+            errors.append("gate segment must satisfy 0 < a < b < pi")
 
-    L = _number(raw, "L", "top level", errors, default=1.0, positive=True)
-    delta = _number(raw, "delta", "top level", errors, default=0.3, positive=True)
-    truncation = _number(raw, "truncation", "top level", errors, default=30, integer=True, minimum=1)
-    rho = _number(raw, "rho", "top level", errors, default=None, optional=True, nonnegative=True)
-
-    gate = _parse_gate(raw.get("gate", {}), errors)
-
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        errors.append("grid: expected an object")
-        grid_raw = {}
-    _expect_keys(grid_raw, {"nx", "ny"}, "grid", errors)
-    grid = GridConfig(
-        nx=_number(grid_raw, "nx", "grid", errors, default=256, integer=True, minimum=16),
-        ny=_number(grid_raw, "ny", "grid", errors, default=256, integer=True, minimum=16),
-    )
-
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        errors.append("tolerances: expected an object")
-        tol_raw = {}
-    _expect_keys(tol_raw, {"simplicity", "resonance", "zero_tol"}, "tolerances", errors)
-    tolerances = ToleranceConfig(
-        simplicity=_number(tol_raw, "simplicity", "tolerances", errors, default=1e-9, positive=True),
-        resonance=_number(tol_raw, "resonance", "tolerances", errors, default=None, optional=True, positive=True),
-        zero_tol=_number(tol_raw, "zero_tol", "tolerances", errors, default=None, optional=True, nonnegative=True),
-    )
-
-    dyn_raw = raw.get("dynamics", {})
-    if not isinstance(dyn_raw, dict):
-        errors.append("dynamics: expected an object")
-        dyn_raw = {}
-    _expect_keys(
-        dyn_raw,
-        {"dt", "T", "alphas", "path", "amplitude_fraction", "samples_per_period",
-         "duration_cap", "nonlinear_nx", "nonlinear_ny", "log_populations"},
-        "dynamics", errors,
-    )
-    alphas_raw = dyn_raw.get("alphas", [1e-3, 1e-2, 1e-1])
-    if (
-        not isinstance(alphas_raw, list)
-        or not alphas_raw
-        or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) and a > 0 for a in alphas_raw
-        )
-        or any(b <= a for a, b in zip(alphas_raw[:-1], alphas_raw[1:]))
-    ):
-        errors.append("dynamics.alphas must be a strictly increasing positive list")
-        alphas_raw = [1e-3, 1e-2, 1e-1]
-    amplitude_fraction = _number(
-        dyn_raw, "amplitude_fraction", "dynamics", errors, default=0.5, positive=True
-    )
-    if amplitude_fraction is not None and amplitude_fraction > 0.5:
-        errors.append("dynamics.amplitude_fraction must be <= 0.5")
-    dynamics = DynamicsConfig(
-        dt=_number(dyn_raw, "dt", "dynamics", errors, default=1e-3, positive=True),
-        T=_number(dyn_raw, "T", "dynamics", errors, default=2.0, positive=True),
-        alphas=tuple(float(a) for a in alphas_raw),
-        path=_parse_pairs(dyn_raw.get("path"), "dynamics.path", errors, ((1, 1), (2, 1), (3, 1))),
-        amplitude_fraction=amplitude_fraction,
-        samples_per_period=_number(
-            dyn_raw, "samples_per_period", "dynamics", errors, default=40, integer=True, minimum=2
-        ),
-        duration_cap=_number(dyn_raw, "duration_cap", "dynamics", errors, default=1e6, positive=True),
-        nonlinear_nx=_number(dyn_raw, "nonlinear_nx", "dynamics", errors, default=128, integer=True, minimum=4),
-        nonlinear_ny=_number(dyn_raw, "nonlinear_ny", "dynamics", errors, default=128, integer=True, minimum=4),
-        log_populations=_number(dyn_raw, "log_populations", "dynamics", errors, default=6, integer=True, minimum=0),
-    )
-
-    shape_raw = raw.get("shape", {})
-    if not isinstance(shape_raw, dict):
-        errors.append("shape: expected an object")
-        shape_raw = {}
-    _expect_keys(shape_raw, {"mode", "wall"}, "shape", errors)
-    shape_mode = _parse_pairs(
-        [shape_raw["mode"]] if "mode" in shape_raw else None, "shape.mode", errors, ((1, 1),)
-    )[0]
-    wall = shape_raw.get("wall", "left")
-    if wall not in ("left", "right", "bottom", "top"):
-        errors.append("shape.wall must be one of left/right/bottom/top")
-        wall = "left"
-    shape = ShapeConfig(mode=shape_mode, wall=wall)
-
-    sweep_raw = raw.get("gate_sweep", {})
-    if not isinstance(sweep_raw, dict):
-        errors.append("gate_sweep: expected an object")
-        sweep_raw = {}
-    _expect_keys(sweep_raw, {"fractions"}, "gate_sweep", errors)
-    fracs = sweep_raw.get("fractions", [0.5, 0.75, 0.9, 0.99])
-    if (
-        not isinstance(fracs, list)
-        or not fracs
-        or not all(
-            isinstance(f, (int, float)) and not isinstance(f, bool) and 0 < f < 1 for f in fracs
-        )
-        or any(b <= a for a, b in zip(fracs[:-1], fracs[1:]))
-    ):
-        errors.append("gate_sweep.fractions must be strictly increasing within (0, 1)")
-        fracs = [0.5, 0.75, 0.9, 0.99]
-
-    control_raw = raw.get("control")
-    control = None
-    if control_raw is not None:
-        if not isinstance(control_raw, dict):
-            errors.append("control: expected an object with samples")
-        else:
-            _expect_keys(control_raw, {"samples"}, "control", errors)
-            samples = control_raw.get("samples")
-            good = isinstance(samples, list) and samples and all(
-                isinstance(s, list) and len(s) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in s)
-                for s in samples
-            )
-            if not good:
-                errors.append("control.samples must be a nonempty list of [duration, value] pairs")
-            else:
-                for dur, val in samples:
-                    if dur <= 0:
-                        errors.append("control sample durations must be positive")
-                    if delta is not None and not 0 <= val <= delta:
-                        errors.append(f"control value {val} outside [0, delta]")
-                control = tuple((float(d), float(v)) for d, v in samples)
-
-    if rho is not None and delta is not None and rho >= delta:
+    top = values[RunConfig]
+    # the messages quote each control value as the document wrote it
+    for duration, value in raw["control"]["samples"] if top["control"] is not None else ():
+        if duration <= 0:
+            errors.append("control sample durations must be positive")
+        if not 0 <= value <= top["delta"]:
+            errors.append(f"control value {value} outside [0, delta]")
+    if top["rho"] is not None and top["rho"] >= top["delta"]:
         errors.append("rho must be smaller than delta")
     if errors:
         raise ConfigValidationError(errors)
-    return RunConfig(
-        L=L, delta=delta, truncation=truncation, rho=rho, gate=gate, grid=grid,
-        tolerances=tolerances, dynamics=dynamics, shape=shape,
-        gate_sweep_fractions=tuple(float(f) for f in fracs), control=control,
-    )
+    sections = {name: cls(**values[cls]) for name, cls in _SECTIONS.items() if cls is not RunConfig}
+    return RunConfig(**{**top, **sections})
 
 
 def load_config(path) -> RunConfig:
@@ -342,6 +279,6 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigValidationError([f"config file not found: {path}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, an undecodable byte or an over-long integer
         raise ConfigValidationError([f"config is not valid JSON: {exc}"])
     return validate_config(raw)

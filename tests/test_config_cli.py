@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedqdot.cli import run
-from gatedqdot.config import ConfigValidationError, validate_config
+from gatedqdot.config import (
+    _GATE_KEYS,
+    _ROWS,
+    ConfigValidationError,
+    GateConfig,
+    RunConfig,
+    validate_config,
+)
 from gatedqdot.poisson import GateSegment
 
 
@@ -85,6 +92,372 @@ class TestValidateConfig:
         assert cfg.gate.kind == "segment"
         with pytest.raises(ConfigValidationError, match="segment"):
             validate_config({"gate": {"kind": "segment", "a": 2.0, "b": 1.0}})
+
+    def test_each_default_has_one_source(self):
+        assert validate_config({}) == RunConfig()
+        assert validate_config({"gate": {"kind": "segment"}}).gate == GateConfig(kind="segment")
+
+
+NAN, INF, HUGE = math.nan, math.inf, 10**400
+COEFFICIENTS = "gate.coefficients must be a nonempty number list"
+ALPHAS = "dynamics.alphas must be a strictly increasing positive list"
+SAMPLES = "control.samples must be a nonempty list of [duration, value] pairs"
+
+# Invalid documents, each pinned to its exact `errors` list: at least one per
+# rule, the fallback cascades (a type error falls back to the default, a range
+# error keeps the value for the cross-field checks) and the order of sections.
+# Every list is the one the hand-written validator reported before the table,
+# except the three marked fixes.
+CORPUS = [
+    ([], ["top level: expected a JSON object"]),
+    ("x", ["top level: expected a JSON object"]),
+    ({"bogus": 1, "L": 1.0}, ["top level: unknown key 'bogus'"]),
+    ({"L": "x"}, ["top level.L: expected a finite number"]),
+    ({"L": 0}, ["top level.L must be positive"]),
+    ({"L": True}, ["top level.L: expected a finite number"]),
+    ({"L": INF}, ["top level.L: expected a finite number"]),
+    ({"delta": -1}, ["top level.delta must be positive"]),
+    ({"delta": None}, ["top level.delta: expected a finite number"]),
+    ({"truncation": 1.5}, ["top level.truncation: expected a finite integer"]),
+    ({"truncation": 0}, ["top level.truncation must be >= 1"]),
+    ({"rho": -0.1}, ["top level.rho must be nonnegative"]),
+    ({"rho": "x"}, ["top level.rho: expected a finite number"]),
+    ({"rho": 0.5, "delta": 0.3}, ["rho must be smaller than delta"]),
+    ({"rho": 0.3}, ["rho must be smaller than delta"]),
+    (
+        {"delta": "x", "rho": 0.5},
+        ["top level.delta: expected a finite number", "rho must be smaller than delta"],
+    ),
+    (
+        {"delta": -1, "control": {"samples": [[1.0, 0.1]]}},
+        ["top level.delta must be positive", "control value 0.1 outside [0, delta]"],
+    ),
+    (
+        {"delta": -1, "truncation": 0, "junk": 3},
+        [
+            "top level: unknown key 'junk'",
+            "top level.delta must be positive",
+            "top level.truncation must be >= 1",
+        ],
+    ),
+    ({"gate": 3}, ["gate: expected an object"]),
+    ({"gate": None}, ["gate: expected an object"]),
+    ({"gate": {"kind": "bogus", "zzz": 1}}, ["gate.kind: unknown kind 'bogus'"]),
+    ({"gate": {"kind": []}}, ["gate.kind: unknown kind []"]),
+    ({"gate": {"kind": None}}, ["gate.kind: unknown kind None"]),
+    ({"gate": {"n": 0}}, ["gate.n must be >= 1"]),
+    ({"gate": {"n": 2.5}}, ["gate.n: expected a finite integer"]),
+    ({"gate": {"n": "2"}}, ["gate.n: expected a finite integer"]),
+    (
+        {"gate": {"kind": "fourier_mode", "coefficients": [1.0], "n": 0}},
+        ["gate: unknown key 'coefficients'", "gate.n must be >= 1"],
+    ),
+    ({"gate": {"kind": "sine_series"}}, ["gate.coefficients must be a nonempty number list"]),
+    (
+        {"gate": {"kind": "sine_series", "coefficients": []}},
+        ["gate.coefficients must be a nonempty number list"],
+    ),
+    (
+        {"gate": {"kind": "sine_series", "coefficients": [True]}},
+        ["gate.coefficients must be a nonempty number list"],
+    ),
+    (
+        {"gate": {"kind": "sine_series", "coefficients": "x", "n": 1}},
+        ["gate: unknown key 'n'", "gate.coefficients must be a nonempty number list"],
+    ),
+    (
+        {"gate": {"kind": "segment", "a": 2.0, "b": 1.0}},
+        ["gate segment must satisfy 0 < a < b < pi"],
+    ),
+    (
+        {"gate": {"kind": "segment", "a": "x", "b": 0.4}},
+        ["gate.a: expected a finite number", "gate segment must satisfy 0 < a < b < pi"],
+    ),
+    ({"gate": {"kind": "segment", "a": "x"}}, ["gate.a: expected a finite number"]),
+    ({"gate": {"kind": "segment", "a": -1}}, ["gate segment must satisfy 0 < a < b < pi"]),
+    ({"gate": {"kind": "segment", "b": 4}}, ["gate segment must satisfy 0 < a < b < pi"]),
+    (
+        {"gate": {"kind": "segment", "trace_mode": 0, "n": 2}},
+        ["gate: unknown key 'n'", "gate.trace_mode must be >= 1"],
+    ),
+    (
+        {"gate": {"kind": "segment", "trace_mode": 1.5}},
+        ["gate.trace_mode: expected a finite integer"],
+    ),
+    (
+        {"gate": {"kind": "segment", "a": 1.0, "b": 2.0}, "grid": {"nx": 8}},
+        ["grid.nx must be >= 16"],
+    ),
+    (
+        {"gate": {"kind": "segment", "a": 2.0, "b": 1.0}, "grid": {"nx": 8}},
+        ["gate segment must satisfy 0 < a < b < pi", "grid.nx must be >= 16"],
+    ),
+    ({"grid": []}, ["grid: expected an object"]),
+    (
+        {"grid": {"nx": 8, "ny": "x", "nz": 1}},
+        ["grid: unknown key 'nz'", "grid.nx must be >= 16", "grid.ny: expected a finite integer"],
+    ),
+    ({"tolerances": "x"}, ["tolerances: expected an object"]),
+    (
+        {"tolerances": {"simplicity": 0, "resonance": -1, "zero_tol": -1, "q": 1}},
+        [
+            "tolerances: unknown key 'q'",
+            "tolerances.simplicity must be positive",
+            "tolerances.resonance must be positive",
+            "tolerances.zero_tol must be nonnegative",
+        ],
+    ),
+    ({"tolerances": {"simplicity": None}}, ["tolerances.simplicity: expected a finite number"]),
+    (
+        {"tolerances": {"resonance": "x", "zero_tol": True}},
+        [
+            "tolerances.resonance: expected a finite number",
+            "tolerances.zero_tol: expected a finite number",
+        ],
+    ),
+    ({"dynamics": 1}, ["dynamics: expected an object"]),
+    (
+        {"dynamics": {"alphas": [0.1, 0.1]}},
+        ["dynamics.alphas must be a strictly increasing positive list"],
+    ),
+    ({"dynamics": {"alphas": []}}, ["dynamics.alphas must be a strictly increasing positive list"]),
+    (
+        {"dynamics": {"alphas": [-1]}},
+        ["dynamics.alphas must be a strictly increasing positive list"],
+    ),
+    (
+        {"dynamics": {"alphas": "x"}},
+        ["dynamics.alphas must be a strictly increasing positive list"],
+    ),
+    (
+        {"dynamics": {"alphas": None}},
+        ["dynamics.alphas must be a strictly increasing positive list"],
+    ),
+    (
+        {"dynamics": {"alphas": [NAN]}},
+        ["dynamics.alphas must be a strictly increasing positive list"],
+    ),
+    ({"dynamics": {"amplitude_fraction": 0.7}}, ["dynamics.amplitude_fraction must be <= 0.5"]),
+    ({"dynamics": {"amplitude_fraction": -1}}, ["dynamics.amplitude_fraction must be positive"]),
+    (
+        {"dynamics": {"amplitude_fraction": "x"}},
+        ["dynamics.amplitude_fraction: expected a finite number"],
+    ),
+    (
+        {"dynamics": {"dt": -1, "T": 0, "amplitude_fraction": 0.7, "alphas": [0.2, 0.1], "zz": 0}},
+        [
+            "dynamics: unknown key 'zz'",
+            "dynamics.alphas must be a strictly increasing positive list",
+            "dynamics.amplitude_fraction must be <= 0.5",
+            "dynamics.dt must be positive",
+            "dynamics.T must be positive",
+        ],
+    ),
+    ({"dynamics": {"path": "x"}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"dynamics": {"path": [[1]]}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"dynamics": {"path": [[0, 1]]}}, ["dynamics.path: mode indices must be integers >= 1"]),
+    (
+        {"dynamics": {"path": [[1, 1], [1.5, 1], [0, 1]]}},
+        ["dynamics.path: mode indices must be integers >= 1"],
+    ),
+    ({"dynamics": {"path": [[True, 1]]}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"dynamics": {"path": [[1, 1], "x"]}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"dynamics": {"samples_per_period": 1}}, ["dynamics.samples_per_period must be >= 2"]),
+    ({"dynamics": {"duration_cap": 0}}, ["dynamics.duration_cap must be positive"]),
+    (
+        {"dynamics": {"nonlinear_nx": 2, "nonlinear_ny": 3.0}},
+        ["dynamics.nonlinear_nx must be >= 4", "dynamics.nonlinear_ny must be >= 4"],
+    ),
+    (
+        {"dynamics": {"log_populations": -1, "T": "x", "dt": None}},
+        [
+            "dynamics.dt: expected a finite number",
+            "dynamics.T: expected a finite number",
+            "dynamics.log_populations must be >= 0",
+        ],
+    ),
+    ({"shape": 0}, ["shape: expected an object"]),
+    (
+        {"shape": {"mode": [0, 1], "wall": "middle", "x": 1}},
+        [
+            "shape: unknown key 'x'",
+            "shape.mode: mode indices must be integers >= 1",
+            "shape.wall must be one of left/right/bottom/top",
+        ],
+    ),
+    ({"shape": {"mode": None}}, ["shape.mode: expected a list of [int, int] pairs"]),
+    ({"shape": {"mode": [1]}}, ["shape.mode: expected a list of [int, int] pairs"]),
+    ({"shape": {"mode": [1.5, 2]}}, ["shape.mode: mode indices must be integers >= 1"]),
+    ({"shape": {"wall": []}}, ["shape.wall must be one of left/right/bottom/top"]),
+    ({"gate_sweep": []}, ["gate_sweep: expected an object"]),
+    (
+        {"gate_sweep": {"fractions": [0.5, 1.0]}},
+        ["gate_sweep.fractions must be strictly increasing within (0, 1)"],
+    ),
+    (
+        {"gate_sweep": {"fractions": [0.9, 0.5]}},
+        ["gate_sweep.fractions must be strictly increasing within (0, 1)"],
+    ),
+    (
+        {"gate_sweep": {"fractions": [], "y": 1}},
+        [
+            "gate_sweep: unknown key 'y'",
+            "gate_sweep.fractions must be strictly increasing within (0, 1)",
+        ],
+    ),
+    (
+        {"gate_sweep": {"fractions": [NAN]}},
+        ["gate_sweep.fractions must be strictly increasing within (0, 1)"],
+    ),
+    ({"control": 5}, ["control: expected an object with samples"]),
+    ({"control": {}}, ["control.samples must be a nonempty list of [duration, value] pairs"]),
+    (
+        {"control": {"samples": None}},
+        ["control.samples must be a nonempty list of [duration, value] pairs"],
+    ),
+    (
+        {"control": {"samples": []}},
+        ["control.samples must be a nonempty list of [duration, value] pairs"],
+    ),
+    (
+        {"control": {"samples": [[0, 0.5], [-1, 0.1]], "extra": 1}},
+        [
+            "control: unknown key 'extra'",
+            "control sample durations must be positive",
+            "control value 0.5 outside [0, delta]",
+            "control sample durations must be positive",
+        ],
+    ),
+    ({"control": {"samples": [[1, 1]]}}, ["control value 1 outside [0, delta]"]),
+    (
+        {"control": {"samples": [[1, "x"]]}},
+        ["control.samples must be a nonempty list of [duration, value] pairs"],
+    ),
+    (
+        {"control": {"samples": [1, 2]}},
+        ["control.samples must be a nonempty list of [duration, value] pairs"],
+    ),
+    (
+        {"control": {"samples": [[1, 2, 3]]}},
+        ["control.samples must be a nonempty list of [duration, value] pairs"],
+    ),
+    (
+        {"rho": 0.4, "control": {"samples": [[1, 0.35]]}, "gate_sweep": {"fractions": [2]}},
+        [
+            "gate_sweep.fractions must be strictly increasing within (0, 1)",
+            "control value 0.35 outside [0, delta]",
+            "rho must be smaller than delta",
+        ],
+    ),
+    (
+        {
+            "L": -1,
+            "rho": 2,
+            "gate": {"kind": "segment", "a": 3.5},
+            "grid": {"ny": 4},
+            "tolerances": {"simplicity": -1},
+            "dynamics": {"path": [[0, 0]], "amplitude_fraction": 0.6},
+            "shape": {"wall": "up"},
+            "gate_sweep": {"fractions": [0.5, 0.5]},
+            "control": {"samples": [[-1, 1]]},
+        },
+        [
+            "top level.L must be positive",
+            "gate segment must satisfy 0 < a < b < pi",
+            "grid.ny must be >= 16",
+            "tolerances.simplicity must be positive",
+            "dynamics.amplitude_fraction must be <= 0.5",
+            "dynamics.path: mode indices must be integers >= 1",
+            "shape.wall must be one of left/right/bottom/top",
+            "gate_sweep.fractions must be strictly increasing within (0, 1)",
+            "control sample durations must be positive",
+            "control value 1 outside [0, delta]",
+            "rho must be smaller than delta",
+        ],
+    ),
+    # fix 1: integers beyond the float range used to raise OverflowError
+    ({"truncation": HUGE}, ["top level.truncation: expected a finite integer"]),
+    ({"L": -HUGE}, ["top level.L: expected a finite number"]),
+    ({"gate": {"kind": "sine_series", "coefficients": [HUGE]}}, [COEFFICIENTS]),
+    ({"dynamics": {"path": [[HUGE, 1]]}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"dynamics": {"alphas": [0.1, HUGE]}}, [ALPHAS]),
+    ({"control": {"samples": [[HUGE, 0.1]]}}, [SAMPLES]),
+    ({"control": {"samples": [[1, HUGE]]}}, [SAMPLES]),
+    ({"shape": {"mode": [1, HUGE]}}, ["shape.mode: expected a list of [int, int] pairs"]),
+    # fix 2: an empty path used to pass and crash `evolve` and `nonlinear`
+    ({"dynamics": {"path": []}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    # fix 3: non-finite list entries used to pass ...
+    ({"gate": {"kind": "sine_series", "coefficients": [NAN]}}, [COEFFICIENTS]),
+    ({"dynamics": {"alphas": [0.1, INF]}}, [ALPHAS]),
+    ({"control": {"samples": [[INF, 0.1]]}}, [SAMPLES]),
+    ({"control": {"samples": [[NAN, 0.1]]}}, [SAMPLES]),
+    # ... or were reported by a later check; now the list's own message
+    ({"control": {"samples": [[-INF, 0.1]]}}, [SAMPLES]),  # was: durations must be positive
+    ({"control": {"samples": [[1, NAN]]}}, [SAMPLES]),  # was: control value nan outside
+    # was: mode indices must be integers >= 1
+    ({"dynamics": {"path": [[NAN, 1]]}}, ["dynamics.path: expected a list of [int, int] pairs"]),
+    ({"shape": {"mode": [1, INF]}}, ["shape.mode: expected a list of [int, int] pairs"]),
+]
+
+
+@pytest.mark.parametrize("doc, errors", CORPUS)
+def test_invalid_document_corpus(doc, errors):
+    with pytest.raises(ConfigValidationError) as exc:
+        validate_config(doc)
+    assert exc.value.errors == errors
+
+
+PLAIN = {
+    "number": st.floats(0.01, 0.5),
+    "integer": st.integers(16, 40),
+    "optional": st.none() | st.floats(0.0, 0.2),
+    "increasing": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True).map(sorted),
+    "pair": st.lists(st.integers(1, 4), min_size=2, max_size=2),
+}
+PLAIN["pairs"] = st.lists(PLAIN["pair"], min_size=1, max_size=3)
+ODD = st.sampled_from(
+    [None, True, "x", {}, [], 0, -1, 1.5, NAN, INF, -INF, HUGE, -HUGE, [NAN], [HUGE], [[1, INF]]]
+)
+
+
+def plain(kind, rule):
+    if kind == "choice":
+        return st.sampled_from(rule)
+    if kind == "list":
+        entry = st.floats(-2.0, 2.0)
+        if rule[0] == 2:  # control samples: a duration and a value within delta
+            entry = st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 0.3)).map(list)
+        return st.lists(entry, min_size=1, max_size=3)
+    return PLAIN[kind]
+
+
+@st.composite
+def documents(draw):
+    """A document drawn row by row from the config table, then one value spoiled."""
+    doc = {"gate": {"kind": draw(st.sampled_from(list(_GATE_KEYS)))}}
+    for section, key, kind, *rule in _ROWS:
+        if section == "gate" and key not in _GATE_KEYS[doc["gate"]["kind"]]:
+            continue
+        if draw(st.booleans()):
+            target = doc if section == "top level" else doc.setdefault(section, {})
+            target[key] = draw(plain(kind, rule))
+    if draw(st.booleans()):
+        section, key, *_ = draw(st.sampled_from(_ROWS))
+        target = doc if section == "top level" else doc.setdefault(section, {})
+        target[key] = draw(ODD | st.lists(ODD, max_size=2) | st.integers())
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=documents())
+@example(doc={"truncation": HUGE})
+@example(doc={"control": {"samples": [[1, HUGE]]}})
+def test_validate_config_accepts_or_reports(doc):
+    try:
+        cfg = validate_config(doc)
+    except ConfigValidationError:
+        return
+    assert validate_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 BASE = {"L": 1.0, "delta": 0.3, "truncation": 20, "gate": {"kind": "fourier_mode", "n": 2}}
@@ -297,6 +670,40 @@ def test_overflow_is_numerical_failure(tmp_path, capsys, command, doc):
     }
     expected = f"numerical failure: cosh(m*L) overflows for gate term {term[doc['gate']['kind']]}"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "nonlinear", "control"])
+def test_empty_path_is_a_config_error(tmp_path, capsys, command):
+    doc = {**BASE, "dynamics": {"path": []}, "control": {"samples": [[0.5, 0.1]]}}
+    assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: dynamics.path: expected a list of [int, int] pairs\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"truncation": 1%s}' % ("0" * 400), "top level.truncation: expected a finite integer"),
+        ('{"gate": {"kind": "sine_series", "coefficients": [NaN]}}', COEFFICIENTS),
+        ('{"dynamics": {"alphas": [0.1, Infinity]}}', ALPHAS),
+        ('{"control": {"samples": [[Infinity, 0.1]]}}', SAMPLES),
+        # past the interpreter's limit on integer digits json cannot read the number
+        ('{"L": 1%s}' % ("0" * 5000), "config is not valid JSON: "),
+    ],
+    ids=["huge-int", "nan-coefficient", "inf-alpha", "inf-duration", "over-long-int"],
+)
+def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run("certify", path, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run("spectrum", path, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
 
 
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
