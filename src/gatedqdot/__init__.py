@@ -53,6 +53,7 @@ from .poisson import (
 from .spectral import (
     BoundaryDisplacement,
     ModeIndex,
+    NonresonanceScan,
     ShiftedSpectrum,
     Spectrum,
     check_simplicity,

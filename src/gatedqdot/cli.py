@@ -120,7 +120,7 @@ def _coupling_stage(config: RunConfig):
 
 
 def _resonance_stage(config: RunConfig, spectrum, matrix):
-    """rho, shifted eigenvalues, resonance tolerance and weak non-resonance violations."""
+    """rho, shifted eigenvalues, resonance tolerance and the weak non-resonance scan."""
     rho = config.effective_rho()
     shifted = shifted_spectrum(spectrum, matrix, rho, config.truncation).eigenvalues
     tol = config.resonance_tol(shifted)
@@ -138,8 +138,7 @@ def _write_rows_csv(path, header, rows):
 def _write_json(path, doc):
     """The one JSON writer: indent 2, sorted keys, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _forest_json(components, witness) -> dict:
@@ -250,16 +249,16 @@ def _cmd_resonance(config: RunConfig, outdir: Path):
         "rho": rho,
         "tol": tol,
         "truncation": config.truncation,
-        "violation_count": len(violations),
+        "violation_count": violations.count,
         "violations": [
             {
                 "pair_s": [list(spectrum.modes[s[0]]), list(spectrum.modes[s[1]])],
                 "pair_t": [list(spectrum.modes[t[0]]), list(spectrum.modes[t[1]])],
                 "gap": gap,
             }
-            for s, t, gap in violations[:200]
+            for s, t, gap in violations.rows
         ],
-        "weakly_nonresonant": not violations,
+        "weakly_nonresonant": violations.count == 0,
     }
     return results, ["shifted_spectrum.csv"]
 
@@ -457,7 +456,7 @@ def _cmd_certify(config: RunConfig, outdir: Path):
             "chain_edges": config.truncation - len(cert.components),
         },
         "resonance_violations": len(cert.violations),
-        "weak_nonresonance_violations": len(weak),
+        "weak_nonresonance_violations": weak.count,
         "certified": bool(simplicity["simple"] and cert.certified),
     }
     return verdict, ["chain.json"]

@@ -279,6 +279,8 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigValidationError([f"config file not found: {path}"])
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigValidationError([f"cannot read config file {path}: {exc.strerror}"])
     except ValueError as exc:  # a JSONDecodeError, an undecodable byte or an over-long integer
         raise ConfigValidationError([f"config is not valid JSON: {exc}"])
     return validate_config(raw)

@@ -23,6 +23,10 @@ WALLS = ("left", "right", "bottom", "top")
 # composite Gauss-Legendre rule of the shape derivative's wall integral
 SHAPE_PANELS = 16
 SHAPE_NODES = 16
+# candidate pairs per chunk of the tolerance-window scans
+SCAN_CHUNK = 1 << 20
+# violations check_weak_nonresonance lists; `resonance` writes them all
+LISTED_VIOLATIONS = 200
 
 
 class ModeIndex(NamedTuple):
@@ -147,18 +151,29 @@ def window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, lo[rows] + np.arange(rows.size) - starts[rows]
 
 
-def _close_pairs(values: np.ndarray, tol: float):
+def _close_pair_chunks(values: np.ndarray, tol: float):
     """Pairs i < j of a sorted nonnegative array with values[j] - values[i] <= tol.
 
-    Returns i, j and |values[j] - values[i]|, row-major.  Rounding is
-    monotone, so the j of one i are a prefix of i+1, i+2, ..., which the
-    window up to the float after values[i] + tol holds; it is then filtered.
+    Yields i, j and |values[j] - values[i]| row-major, in chunks of whole
+    rows holding about SCAN_CHUNK candidate pairs each (a single row may hold
+    more).  Rounding is monotone, so the j of one i are a prefix of i+1,
+    i+2, ..., which the window up to the float after values[i] + tol holds;
+    it is then filtered.
     """
     hi = np.searchsorted(values, np.nextafter(values + tol, np.inf), side="right")
-    i, j = window_pairs(np.arange(1, values.size + 1), hi)
-    gaps = values[j] - values[i]
-    keep = gaps <= tol
-    return i[keep], j[keep], np.abs(gaps[keep])
+    ends = np.cumsum(hi - np.arange(1, values.size + 1))
+    start = 0
+    while start < values.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + SCAN_CHUNK, side="right")))
+        i, j = window_pairs(np.arange(start + 1, stop + 1), hi[start:stop])
+        i += start
+        gaps = values[j] - values[i]
+        keep = gaps <= tol
+        # rebound so the suspended generator holds only the hits
+        i, j, gaps = i[keep], j[keep], np.abs(gaps[keep])
+        yield i, j, gaps
+        start = stop
 
 
 def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[ModeIndex, ModeIndex, float]]:
@@ -169,24 +184,46 @@ def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[ModeIndex, Mo
     if tol <= 0:
         raise ValueError("tol must be positive")
     modes = spectrum.modes
-    i, j, gaps = _close_pairs(spectrum.eigenvalues, tol)
-    return [(modes[a], modes[b], g) for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())]
+    return [
+        (modes[a], modes[b], g)
+        for i, j, gaps in _close_pair_chunks(spectrum.eigenvalues, tol)
+        for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())
+    ]
 
 
-def check_weak_nonresonance(
-    eigenvalues: Sequence[float], tol: float
-) -> list[tuple[tuple[int, int], tuple[int, int], float]]:
-    """Scan for coinciding eigenvalue differences.
+@dataclass(frozen=True)
+class NonresonanceScan:
+    """Weak non-resonance violations: their count and the first LISTED_VIOLATIONS.
 
-    Returns quadruples ((s1, s2), (t1, t2), gap) of 0-based positions with
-    s1 != s2, (s1, s2) != (t1, t2) and |(lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.
-    Each violation is oriented so both differences are nonnegative; only
-    the (s <-> t) swap and the joint swap are deduplicated.  A four-level
-    relation lam_a - lam_b = lam_c - lam_d (a > b, c > d, a > c) is
-    therefore reported in both of its pairings, ((a, b), (c, d)) and
-    ((a, c), (b, d)), since it also reads lam_a - lam_c = lam_b - lam_d
-    (the two coincide, and it is reported once, when b == c).
-    An empty list certifies weak non-resonance at this truncation/tolerance.
+    `rows` holds ((s1, s2), (t1, t2), gap) quadruples in lexicographic
+    order.  `len()` is the count, and there is deliberately no iteration
+    or indexing: the rows are a prefix, not the violations.
+    """
+
+    count: int
+    rows: tuple[tuple[tuple[int, int], tuple[int, int], float], ...]
+
+    def __len__(self):
+        return self.count
+
+
+def check_weak_nonresonance(eigenvalues: Sequence[float], tol: float) -> NonresonanceScan:
+    """Count coinciding eigenvalue differences and list the first LISTED_VIOLATIONS.
+
+    A violation is a quadruple ((s1, s2), (t1, t2), gap) of 0-based
+    positions with s1 != s2, (s1, s2) != (t1, t2) and
+    |(lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.  Each is oriented so
+    both differences are nonnegative; only the (s <-> t) swap and the joint
+    swap are deduplicated.  A four-level relation lam_a - lam_b = lam_c - lam_d
+    (a > b, c > d, a > c) is therefore counted in both of its pairings,
+    ((a, b), (c, d)) and ((a, c), (b, d)), since it also reads
+    lam_a - lam_c = lam_b - lam_d (the two coincide, and it is counted
+    once, when b == c).  Each row has (s1, s2) < (t1, t2), and the listed
+    rows come first in lexicographic ((s1, s2), (t1, t2)) order.  A count
+    of 0 certifies weak non-resonance at this truncation/tolerance.
+
+    Candidate pairs are walked in chunks, keeping only the smallest keys
+    seen, so memory does not grow with the number of violations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -199,13 +236,28 @@ def check_weak_nonresonance(
     diffs = lam[hi] - lam[lo]
     # ties may sort in any order; hi * n + lo ranks oriented pairs lexicographically
     order = np.argsort(diffs)
-    code = (hi * n + lo)[order]
-    i, j, gaps = _close_pairs(diffs[order], tol)
-    first, second = np.minimum(code[i], code[j]), np.maximum(code[i], code[j])
-    key = np.lexsort((second, first))
-    (a1, a2), (b1, b2) = np.divmod(first[key], n), np.divmod(second[key], n)
+    diffs, code = diffs[order], (hi * n + lo)[order]
+    del lo, hi, order  # three n(n-1)/2 arrays the chunked walk no longer needs
+    count = 0
+    keys = np.empty(0, dtype=np.int64)
+    gaps = np.empty(0)
+    for i, j, chunk_gaps in _close_pair_chunks(diffs, tol):
+        count += i.size
+        # codes are < n**2, so first * n**2 + second orders (first, second)
+        # lexicographically; it fits int64 for n below 55,000
+        keys = np.concatenate(
+            (keys, np.minimum(code[i], code[j]) * n**2 + np.maximum(code[i], code[j]))
+        )
+        gaps = np.concatenate((gaps, chunk_gaps))
+        if keys.size > LISTED_VIOLATIONS:
+            smallest = np.argpartition(keys, LISTED_VIOLATIONS - 1)[:LISTED_VIOLATIONS]
+            keys, gaps = keys[smallest], gaps[smallest]
+    order = np.argsort(keys)
+    first, second = np.divmod(keys[order], n**2)
+    (a1, a2), (b1, b2) = np.divmod(first, n), np.divmod(second, n)
     first_pairs = zip(a1.tolist(), a2.tolist())
-    return list(zip(first_pairs, zip(b1.tolist(), b2.tolist()), gaps[key].tolist()))
+    rows = tuple(zip(first_pairs, zip(b1.tolist(), b2.tolist()), gaps[order].tolist()))
+    return NonresonanceScan(count=count, rows=rows)
 
 
 def shifted_spectrum(spectrum: Spectrum, matrix, rho: float, truncation: int) -> ShiftedSpectrum:

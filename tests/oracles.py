@@ -106,3 +106,27 @@ def strang_full_log(initial, control, config, v0, phis):
             t += step
             record(u)
     return (psi, *(np.array(logs[k]) for k in ("t", "norm", "h1", "gate", "pop", "u")))
+
+
+def weak_resonances(values, tol: float) -> list:
+    """Every ((s1, s2), (t1, t2), gap) with |(lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.
+
+    Brute force over all pairs of oriented pairs: the oriented pairs (a, b),
+    a > b, in lexicographic order, and every two of them p < q in that
+    order, with gap = |d_p - d_q| of their differences.  Row-major, so the
+    list comes out sorted.
+    """
+    lam = np.asarray(values, dtype=float)
+    a, b = np.tril_indices(lam.size, k=-1)
+    d = lam[a] - lam[b]
+    p, q = np.triu_indices(d.size, k=1)
+    gap = np.abs(d[p] - d[q])
+    hit = np.flatnonzero(gap <= tol)
+    p, q = p[hit], q[hit]
+    return list(
+        zip(
+            zip(a[p].tolist(), b[p].tolist()),
+            zip(a[q].tolist(), b[q].tolist()),
+            gap[hit].tolist(),
+        )
+    )

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import panel_rule
+from oracles import panel_rule, weak_resonances
 
 from gatedqdot.chains import build_graph, certify_nonresonant_chain, check_connected
 from gatedqdot.coupling import (
@@ -185,9 +185,13 @@ def test_criterion_05_shifted_weak_nonresonance():
     def gap(lam, s, t):
         return (lam[s[0]] - lam[s[1]]) - (lam[t[0]] - lam[t[1]])
 
+    # the scan counts every collision and lists the first 200; the
+    # brute-force oracle gives all of them, for the gap bound
     base = check_weak_nonresonance(spec.eigenvalues[:truncation], tol)
-    base_gap = max((g for _, _, g in base), default=math.inf)
-    ok = len(base) > 0 and base_gap <= 1e-12
+    collisions = weak_resonances(spec.eigenvalues[:truncation], tol)
+    base_gap = max((g for _, _, g in collisions), default=math.inf)
+    ok = base.count == len(collisions) == 539 and base.rows == tuple(collisions[:200])
+    ok &= base_gap <= 1e-12
     counts = {}
     relations = set()
     min_slope = math.inf
@@ -200,8 +204,9 @@ def test_criterion_05_shifted_weak_nonresonance():
         vecs = shifted.eigenvectors
         hf = np.einsum("ik,ij,jk->k", vecs, dense, vecs)  # <v, M v> per level
         violations = check_weak_nonresonance(shifted.eigenvalues, tol)
-        counts[rho] = len(violations)
-        for s, t, _ in violations:
+        counts[rho] = violations.count
+        ok &= violations.count == len(violations.rows)
+        for s, t, _ in violations.rows:
             # lam_a - lam_b = lam_c - lam_d  <=>  lam_a + lam_d = lam_b + lam_c
             relations.add(frozenset((frozenset((s[0], t[1])), frozenset((s[1], t[0])))))
             slope = gap(hf, s, t)
@@ -218,7 +223,7 @@ def test_criterion_05_shifted_weak_nonresonance():
         "rho=0 resonances exact; every violation at rho in {0.19, 0.2, 0.21} "
         "(tol 1e-6, truncation 40) a transversal crossing",
         bool(ok),
-        f"rho=0: {len(base)} collisions, max gap {base_gap:.1e}; "
+        f"rho=0: {base.count} collisions, max gap {base_gap:.1e}; "
         f"violation counts {counts}, {len(relations)} distinct relations; "
         f"min |g'| {min_slope:.1e} (bound {tol / reach:.0e}), worst HF-vs-FD rel {worst_rel:.1e}; "
         f"nearest crossing {near}",

@@ -706,6 +706,14 @@ def test_undecodable_config_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
 
 
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("spectrum", tmp_path, out) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+    assert not out.exists()
+
+
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
     # the sweep's errors overflow to inf for this gate; report.json cannot hold them
     doc = {"gate": {"kind": "fourier_mode", "n": 700}, "grid": {"nx": 64, "ny": 64}}

@@ -5,12 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from oracles import weak_resonances
 from strategies import scan_inputs
 
+from gatedqdot import spectral
 from gatedqdot.errors import DegenerateEigenvalueError
 from gatedqdot.spectral import (
+    LISTED_VIOLATIONS,
+    SCAN_CHUNK,
     BoundaryDisplacement,
     ModeIndex,
+    NonresonanceScan,
     Spectrum,
     check_simplicity,
     check_weak_nonresonance,
@@ -175,6 +180,15 @@ def test_simplicity_matches_all_pairs(instance):
     assert check_simplicity(spec, tol) == expected
 
 
+def assert_scan_matches(values, tol):
+    expected = weak_resonances(values, tol)
+    got = check_weak_nonresonance(values, tol)
+    assert got.count == len(got) == len(expected)
+    assert got.rows == tuple(expected[:LISTED_VIOLATIONS])
+    assert all(type(x) is int for s, t, _ in got.rows for x in s + t)
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(scan_inputs())
 @example(HALF_ULP_TIE)
@@ -187,18 +201,17 @@ def test_weak_nonresonance_matches_all_pairs_of_pairs(instance):
         gap = abs((lam[p[0]] - lam[p[1]]) - (lam[q[0]] - lam[q[1]]))
         if gap <= tol:
             expected.append((min(p, q), max(p, q), gap))
-    got = check_weak_nonresonance(values, tol)
-    assert got == sorted(expected)
-    assert all(type(x) is int for s, t, _ in got for x in s + t)
+    assert weak_resonances(values, tol) == sorted(expected)
+    assert_scan_matches(values, tol)
 
 
 def test_weak_nonresonance_distinct_differences():
-    assert check_weak_nonresonance([1.0, 2.0, 4.0], 1e-12) == []
+    assert assert_scan_matches([1.0, 2.0, 4.0], 1e-12) == NonresonanceScan(count=0, rows=())
 
 
 def test_weak_nonresonance_equal_spacings():
-    out = check_weak_nonresonance([1.0, 2.0, 3.0], 1e-12)
-    assert out == [((1, 0), (2, 1), 0.0)]
+    out = assert_scan_matches([1.0, 2.0, 3.0], 1e-12)
+    assert out == NonresonanceScan(count=1, rows=(((1, 0), (2, 1), 0.0),))
 
 
 def test_weak_nonresonance_integer_collision():
@@ -206,8 +219,42 @@ def test_weak_nonresonance_integer_collision():
     # and the same relation also reads 64-16 = 49-1 = 48; both pairings
     # are reported (the values are exact in binary, so the gaps are 0.0)
     lam = sorted(v + 7.25 for v in (1.0, 16.0, 49.0, 64.0))
-    out = check_weak_nonresonance(lam, 1e-12)
-    assert out == [((1, 0), (3, 2), 0.0), ((2, 0), (3, 1), 0.0)]
+    out = assert_scan_matches(lam, 1e-12)
+    assert out == NonresonanceScan(count=2, rows=(((1, 0), (3, 2), 0.0), ((2, 0), (3, 1), 0.0)))
+
+
+def test_weak_nonresonance_lists_first_rows():
+    # every equal spacing of 0..39 collides: 9,880 violations, 200 listed
+    out = assert_scan_matches(np.arange(40.0), 1e-9)
+    assert out.count == 9880
+    assert len(out.rows) == LISTED_VIOLATIONS
+    with pytest.raises(TypeError):  # the rows are a prefix, not the violations
+        iter(out)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_weak_nonresonance_chunks(monkeypatch, chunk):
+    # small chunks spread the hits and the listed rows over many chunks;
+    # a row whose window alone exceeds the chunk is a chunk of its own
+    monkeypatch.setattr(spectral, "SCAN_CHUNK", chunk)
+    values = np.sort(np.random.default_rng(5).integers(0, 40, 50).astype(float))
+    assert assert_scan_matches(values, 0.5).count > LISTED_VIOLATIONS
+    assert_scan_matches(enumerate_modes(math.pi, 40).eigenvalues, 1e-6)
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_weak_nonresonance_memory_is_set_by_the_chunk(n):
+    # the square at rho = 0: 1,136,417 violations at 200 levels and
+    # 3,906,283 at 300; one tuple per violation peaked at 357 MB at 200
+    lam = enumerate_modes(math.pi, n).eigenvalues
+    tracemalloc.start()
+    try:
+        out = check_weak_nonresonance(lam, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.count > SCAN_CHUNK
+    assert peak <= 128 * SCAN_CHUNK
 
 
 def test_weak_nonresonance_requires_sorted():

@@ -93,6 +93,15 @@ CONFIGS = {
         "rho": 0.0,
         "tolerances": {"resonance": 1e-6},
     },
+    # the square at rho = 0: over 10**6 weak non-resonance violations,
+    # more than one chunk of the scan
+    "resonant-square-t200": {
+        "gate": {"kind": "fourier_mode", "n": 1},
+        "L": math.pi,
+        "truncation": 200,
+        "rho": 0.0,
+        "tolerances": {"resonance": 1e-6},
+    },
     # L = pi: a square, with exact eigenvalue ties
     "square-L-pi": {"gate": {"kind": "fourier_mode", "n": 2}, "L": math.pi, "truncation": 30},
     # mode (1, 1) lies within the simplicity tolerance 5 of (2, 1): not simple
