@@ -15,12 +15,16 @@ complex eigenvector matrix per value, from the value's first sample to its
 last, so a pulse edge keeps at most its own distinct values.  The nonlinear
 solver is Strang splitting on a staggered grid with one Hartree solve per
 step: a potential half step leaves |psi|^2 unchanged, so the field solved
-after the kinetic step also opens the next step.
+after the kinetic step also opens the next step.  The alpha study's flows
+share no state, so they run on a thread pool; the transforms and ufuncs
+that take their time release the GIL, and each flow is the same call, so
+every result is the serial one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -446,6 +450,14 @@ def propagate_nonlinear(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def alpha_scaling_study(
     alphas: Sequence[float],
     control: ControlSignal,
@@ -466,6 +478,14 @@ def alpha_scaling_study(
     `log`): the reference its norms, which the norm guard checks; every
     alpha run but the last its norms and H1 seminorms, for the rows'
     maxima; the last run everything, for the trajectory it reports.
+
+    The runs share no state and run on a thread pool with one worker per
+    run, at most one per CPU the process may use; the longest runs start
+    first.  Each is the same `propagate_nonlinear` call as in a serial
+    loop, so every result is bitwise the serial one.  Results are read in
+    the serial order (the reference, then the alphas ascending), so the
+    first failure in that order is the one raised; runs not yet started
+    are then cancelled, and no worker outlives the call.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
@@ -473,16 +493,25 @@ def alpha_scaling_study(
     if any(b <= a for a, b in zip(alphas[:-1], alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
     clipped = control.clipped(T)
+    # imported here, its only user, so commands without a study skip it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(alpha, log):
-        return propagate_nonlinear(
-            initial, clipped, replace(config, alpha=alpha), gate_field, log=log
-        )
-
-    linear = run(0.0, "norm")
-    grid = initial.grid
     last = len(alphas) - 1
-    runs = [run(a, "all" if i == last else "h1") for i, a in enumerate(alphas)]
+    jobs = [(0.0, "norm")] + [(a, "all" if i == last else "h1") for i, a in enumerate(alphas)]
+    pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
+    try:
+        # longest first: the fully logged run, the H1 runs, then the reference
+        futures = [
+            pool.submit(
+                propagate_nonlinear, initial, clipped, replace(config, alpha=a), gate_field, log=log
+            )
+            for a, log in reversed(jobs)
+        ][::-1]
+        # read in serial order, so the first failure in that order is raised
+        linear, *runs = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    grid = initial.grid
     rows = []
     for a, res in zip(alphas, runs):
         rows.append(

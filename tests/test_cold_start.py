@@ -1,10 +1,12 @@
-"""Closed-form commands never load scipy.fft, scipy.special or scipy.sparse.
+"""Closed-form commands never load scipy.fft, scipy.special, scipy.sparse
+or concurrent.futures.
 
 scipy.fft (which pulls in scipy.special) is reached as `scipy.fft.<fn>`, so
-SciPy's lazy submodule loading imports it on the first transform, and
-scipy.sparse is imported inside the finite-difference solve.  Each check
-runs in a fresh interpreter, because this test process has long imported
-all three.
+SciPy's lazy submodule loading imports it on the first transform;
+scipy.sparse is imported inside the finite-difference solve, and
+concurrent.futures (which pulls in logging) inside the alpha study, for its
+thread pool.  Each check runs in a fresh interpreter, because this test
+process has long imported all four.
 """
 
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.fft", "scipy.special", "scipy.sparse")
+HEAVY = ("scipy.fft", "scipy.special", "scipy.sparse", "concurrent.futures")
 
 # runs each (command, config) through cli.run, then reports the exit codes
 # and which of HEAVY are in sys.modules

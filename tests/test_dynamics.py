@@ -1,5 +1,8 @@
+import collections
+import itertools
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -580,6 +583,10 @@ class TestLoggedQuantities:
         psi0, ctrl, cfg = self.setup_run()
         alphas = [0.05, 0.1]
         study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        self.check_study(field_n2, study, alphas)
+
+    def check_study(self, field_n2, study, alphas):
+        psi0, ctrl, cfg = self.setup_run()
         linear = self.oracle(field_n2, psi0, ctrl, cfg, 0.0)
         runs = [self.oracle(field_n2, psi0, ctrl, cfg, a) for a in alphas]
         rows = [
@@ -625,18 +632,19 @@ class TestLoggedQuantities:
     def test_sine_transforms_per_run(self, field_n2, monkeypatch):
         psi0, ctrl, cfg = self.setup_run()
         forward = StaggeredGrid.sine_forward
-        calls = []
+        # the flows run concurrently, so each thread counts its own transforms
+        calls = collections.Counter()
 
         def counted_forward(grid, values):
-            calls.append(1)
+            calls[threading.get_ident()] += 1
             return forward(grid, values)
 
-        per_run = []
+        per_run = {}
 
-        def counted_run(*args, **kwargs):
-            before = len(calls)
-            res = propagate_nonlinear(*args, **kwargs)
-            per_run.append(len(calls) - before)
+        def counted_run(initial, control, config, *args, **kwargs):
+            before = calls[threading.get_ident()]
+            res = propagate_nonlinear(initial, control, config, *args, **kwargs)
+            per_run[config.alpha] = calls[threading.get_ident()] - before
             return res
 
         monkeypatch.setattr(StaggeredGrid, "sine_forward", counted_forward)
@@ -645,7 +653,93 @@ class TestLoggedQuantities:
         steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in ctrl.samples)
         # the reference transforms once per kinetic step and logs no H1;
         # every alpha run adds the H1 transform of each record
-        assert per_run == [steps] + [2 * steps + 1] * 3
+        assert [per_run[a] for a in (0.0, 0.05, 0.1, 0.2)] == [steps] + [2 * steps + 1] * 3
+
+
+class TestConcurrentAlphaStudy:
+    """The study's flows run on a thread pool and still give the serial loop's bytes."""
+
+    setup_run = TestLoggedQuantities.setup_run
+    oracle = TestLoggedQuantities.oracle
+    logs = staticmethod(TestLoggedQuantities.logs)
+    check_study = TestLoggedQuantities.check_study
+
+    def test_two_flows_run_at_once(self, field_n2, monkeypatch):
+        psi0, ctrl, cfg = self.setup_run()
+        # neither of the first two flows passes the barrier until the other
+        # has reached it, so the study finishes only if they run at once
+        barrier = threading.Barrier(2, timeout=30)
+        entered = itertools.count()
+
+        def paired_run(*args, **kwargs):
+            if next(entered) < 2:
+                barrier.wait()
+            return propagate_nonlinear(*args, **kwargs)
+
+        monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 2)
+        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", paired_run)
+        alphas = [0.05, 0.1]
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        assert next(entered) == 3
+        self.check_study(field_n2, study, alphas)
+
+    def test_one_cpu_runs_longest_flow_first(self, field_n2, monkeypatch):
+        psi0, ctrl, cfg = self.setup_run()
+        started = []
+
+        def recorded_run(initial, control, config, *args, log, **kwargs):
+            started.append((config.alpha, log, threading.get_ident()))
+            return propagate_nonlinear(initial, control, config, *args, log=log, **kwargs)
+
+        monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 1)
+        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", recorded_run)
+        alphas = [0.05, 0.1]
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        assert [(a, log) for a, log, _ in started] == [(0.1, "all"), (0.05, "h1"), (0.0, "norm")]
+        # one worker, which is not the caller's thread
+        assert len({ident for _, _, ident in started} - {threading.get_ident()}) == 1
+        self.check_study(field_n2, study, alphas)
+
+    def test_failure_raises_the_serial_loops_first_error(self, field_n2, monkeypatch):
+        psi0, ctrl, cfg = self.setup_run()
+        backward = StaggeredGrid.sine_backward
+        # every flow trips the norm guard
+        monkeypatch.setattr(
+            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
+        )
+        raised = {}
+
+        def recorded_run(initial, control, config, *args, **kwargs):
+            try:
+                return propagate_nonlinear(initial, control, config, *args, **kwargs)
+            except InstabilityError as exc:
+                raised[config.alpha] = exc
+                raise
+
+        monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 2)
+        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", recorded_run)
+        threads = threading.active_count()
+        with pytest.raises(InstabilityError) as excinfo:
+            alpha_scaling_study([0.05, 0.1], ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        # the reference comes first in the serial loop
+        assert excinfo.value is raised[0.0]
+        assert str(excinfo.value) == "norm drift 1.000e-03 at t=0.01; reduce dt"
+        assert threading.active_count() == threads
+
+    def test_failure_exits_3_through_the_cli(self, tmp_path, monkeypatch, capsys):
+        backward = StaggeredGrid.sine_backward
+        monkeypatch.setattr(
+            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dynamics": {"T": 0.05, "dt": 1e-2, "alphas": [0.05, 0.1],
+                         "nonlinear_nx": 16, "nonlinear_ny": 16},
+        }))
+        threads = threading.active_count()
+        assert run("nonlinear", config, tmp_path) == 3
+        assert capsys.readouterr().err == "numerical failure: norm drift 1.000e-03 at t=0.01; reduce dt\n"
+        assert threading.active_count() == threads
 
 
 def test_trajectory_csv(tmp_path, field_n2):
