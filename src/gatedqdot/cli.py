@@ -1,10 +1,14 @@
-"""Command-line entry point: single-stage commands plus the certify pipeline.
+"""Command-line entry point: one staged run behind every command.
 
-Every command reads one JSON config (see config.py), writes machine-readable
-artifacts and a report.json into the output directory, and exits 0 on
-success, 2 on validation errors, 3 on numerical failures.  Reports carry a
-sha256 over their deterministic body; timestamps and timings live only in
-the provenance section, so identical configs give bit-identical bodies.
+Every command reads one JSON config (see config.py) and takes the stages it
+needs from one `_Run`, which computes each stage of the chain at most once:
+spectrum -> gate field -> coupling matrix -> shifted spectrum and weak scan,
+plus the configured pulse.  A command returns its results and artifacts;
+`run` writes the artifacts and a report.json into the output directory, and
+exits 0 on success, 2 on validation errors, 3 on numerical failures.
+Reports carry a sha256 over their deterministic body; timestamps and timings
+live only in the provenance section, so identical configs give
+bit-identical bodies.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +62,6 @@ from .spectral import (
     shifted_spectrum,
 )
 
-COMMANDS = (
-    "spectrum", "potential", "coupling", "chain", "resonance",
-    "shape-derivative", "evolve", "control", "nonlinear", "gate-sweep", "certify",
-)
-
 CSV_DOC = """\
 artifact CSV columns per command:
   spectrum          spectrum.csv: j1,j2,lambda
@@ -97,34 +97,58 @@ def _jsonable(obj):
     return obj
 
 
-def _gate_field(config: RunConfig):
-    """Gate potential for the configured profile; FD solve for segment gates."""
-    gate = config.gate
-    if gate.kind == "fourier_mode":
-        return solve_full_gate([fourier_term(gate.n, config.L)], config.L)
-    if gate.kind == "sine_series":
-        return solve_full_gate(enumerate(gate.coefficients, start=1), config.L)
-    segment = GateSegment(gate.a, gate.b)
-    trace = segment_trace(segment, gate.trace_mode, config.L, config.grid.nx)
-    return solve_partial_gate_fd(segment, trace, config.L, config.grid.nx, config.grid.ny)
+class _Run:
+    """The stages of one config, each computed on first read and then kept.
 
+    Each stage calls its library function through this module's name for
+    it, so a wrapper set on `gatedqdot.cli.<name>` sees every call.  A stage
+    reads the stages it needs in the chain's order, which decides the error
+    a failing run reports.
+    """
 
-def _coupling_stage(config: RunConfig):
-    """Spectrum and coupling matrix of the configured gate at the truncation."""
-    spectrum = enumerate_modes(config.L, config.truncation)
-    field = _gate_field(config)
-    matrix = assemble_coupling_matrix(
-        field, spectrum, config.truncation, config.tolerances.zero_tol
-    )
-    return spectrum, matrix
+    def __init__(self, config: RunConfig):
+        self.config = config
 
+    @cached_property
+    def spectrum(self):
+        return enumerate_modes(self.config.L, self.config.truncation)
 
-def _resonance_stage(config: RunConfig, spectrum, matrix):
-    """rho, shifted eigenvalues, resonance tolerance and the weak non-resonance scan."""
-    rho = config.effective_rho()
-    shifted = shifted_spectrum(spectrum, matrix, rho, config.truncation).eigenvalues
-    tol = config.resonance_tol(shifted)
-    return rho, shifted, tol, check_weak_nonresonance(shifted, tol)
+    @cached_property
+    def field(self):
+        """Gate potential for the configured profile; FD solve for segment gates."""
+        config, gate = self.config, self.config.gate
+        if gate.kind == "fourier_mode":
+            return solve_full_gate([fourier_term(gate.n, config.L)], config.L)
+        if gate.kind == "sine_series":
+            return solve_full_gate(enumerate(gate.coefficients, start=1), config.L)
+        segment = GateSegment(gate.a, gate.b)
+        trace = segment_trace(segment, gate.trace_mode, config.L, config.grid.nx)
+        return solve_partial_gate_fd(segment, trace, config.L, config.grid.nx, config.grid.ny)
+
+    @cached_property
+    def matrix(self):
+        """Coupling matrix of the gate field at the truncation."""
+        spectrum, config = self.spectrum, self.config
+        return assemble_coupling_matrix(
+            self.field, spectrum, config.truncation, config.tolerances.zero_tol
+        )
+
+    @cached_property
+    def resonance(self):
+        """Shifted eigenvalues at `effective_rho()`, their tolerance and the weak scan."""
+        config = self.config
+        shifted = shifted_spectrum(
+            self.spectrum, self.matrix, config.effective_rho(), config.truncation
+        ).eigenvalues
+        tol = config.resonance_tol(shifted)
+        return shifted, tol, check_weak_nonresonance(shifted, tol)
+
+    @cached_property
+    def control(self) -> ControlSignal:
+        """The pulse of the config's control section."""
+        if self.config.control is None:
+            raise ValueError("this command needs a control section in the config")
+        return ControlSignal(samples=self.config.control, delta=self.config.delta)
 
 
 def _write_rows_csv(path, header, rows):
@@ -161,13 +185,8 @@ def _simplicity_results(spectrum, tol):
     }
 
 
-def _cmd_spectrum(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
-    _write_rows_csv(
-        outdir / "spectrum.csv",
-        "j1,j2,lambda",
-        zip(spectrum.j1.tolist(), spectrum.j2.tolist(), spectrum.eigenvalues.tolist()),
-    )
+def _cmd_spectrum(run: _Run):
+    config, spectrum = run.config, run.spectrum
     results = {
         "truncation": config.truncation,
         "L": config.L,
@@ -175,46 +194,44 @@ def _cmd_spectrum(config: RunConfig, outdir: Path):
         "lambda_max": float(spectrum.eigenvalues[-1]),
         "simplicity": _simplicity_results(spectrum, config.tolerances.simplicity),
     }
-    return results, ["spectrum.csv"]
+    rows = zip(spectrum.j1.tolist(), spectrum.j2.tolist(), spectrum.eigenvalues.tolist())
+    return results, {"spectrum.csv": ("j1,j2,lambda", rows)}
 
 
-def _cmd_potential(config: RunConfig, outdir: Path):
-    field = _gate_field(config)
+def _cmd_potential(run: _Run):
+    field = run.field
     if isinstance(field, SpectralField):
-        grid_field = field.rasterize(config.grid.nx, config.grid.ny)
+        grid_field = field.rasterize(run.config.grid.nx, run.config.grid.ny)
         results = {"representation": "spectral", "terms": [[m, c] for m, c in field.terms]}
     else:
         grid_field = field
-        results = {"representation": "grid", **_jsonable(field.meta)}
+        results = {"representation": "grid", **field.meta}
     # row-major: x1 outer, x2 inner
     x1, x2 = np.meshgrid(grid_field.x1, grid_field.x2, indexing="ij")
     rows = np.column_stack((x1.ravel(), x2.ravel(), grid_field.values.ravel())).tolist()
-    _write_rows_csv(outdir / "potential.csv", "x1,x2,value", rows)
-    return results, ["potential.csv"]
+    return results, {"potential.csv": ("x1,x2,value", rows)}
 
 
-def _cmd_coupling(config: RunConfig, outdir: Path):
-    _, matrix = _coupling_stage(config)
+def _cmd_coupling(run: _Run):
+    matrix = run.matrix
     a, b = np.nonzero(np.triu(matrix.values))
     triplets = [list(t) for t in zip(a.tolist(), b.tolist(), matrix.values[a, b].tolist())]
     modes = matrix.modes
     rows = ((*modes[i], *modes[j], v) for i, j, v in triplets)
-    _write_rows_csv(outdir / "coupling.csv", "a1,a2,b1,b2,value", rows)
     doc = {"modes": [list(m) for m in modes], "triplets": triplets,
            "zero_tol": matrix.zero_tol, "dropped": matrix.dropped}
-    _write_json(outdir / "coupling.json", doc)
     results = {
-        "truncation": config.truncation,
+        "truncation": run.config.truncation,
         "stored": len(triplets),
         "dropped": matrix.dropped,
         "zero_tol": matrix.zero_tol,
         "max_entry": float(np.abs(matrix.values).max()),
     }
-    return results, ["coupling.csv", "coupling.json"]
+    return results, {"coupling.csv": ("a1,a2,b1,b2,value", rows), "coupling.json": doc}
 
 
-def _cmd_chain(config: RunConfig, outdir: Path):
-    _, matrix = _coupling_stage(config)
+def _cmd_chain(run: _Run):
+    config, matrix = run.config, run.matrix
     graph = build_graph(matrix, config.truncation)
     components, parent = breadth_first_forest(graph)
     connected = len(components) == 1
@@ -226,7 +243,6 @@ def _cmd_chain(config: RunConfig, outdir: Path):
         "truncation": config.truncation,
         "zero_tol": matrix.zero_tol,
     }
-    _write_json(outdir / "chain.json", _jsonable(doc))
     results = {
         "connected": connected,
         "component_count": len(components),
@@ -234,41 +250,37 @@ def _cmd_chain(config: RunConfig, outdir: Path):
         "edges": int(np.count_nonzero(np.triu(graph.adj))),
         "truncation": config.truncation,
     }
-    return results, ["chain.json"]
+    return results, {"chain.json": doc}
 
 
-def _cmd_resonance(config: RunConfig, outdir: Path):
-    spectrum, matrix = _coupling_stage(config)
-    rho, shifted, tol, violations = _resonance_stage(config, spectrum, matrix)
-    _write_rows_csv(
-        outdir / "shifted_spectrum.csv",
-        "position,lambda",
-        [(i, float(v)) for i, v in enumerate(shifted)],
-    )
+def _cmd_resonance(run: _Run):
+    modes = run.spectrum.modes
+    shifted, tol, violations = run.resonance
     results = {
-        "rho": rho,
+        "rho": run.config.effective_rho(),
         "tol": tol,
-        "truncation": config.truncation,
+        "truncation": run.config.truncation,
         "violation_count": violations.count,
         "violations": [
             {
-                "pair_s": [list(spectrum.modes[s[0]]), list(spectrum.modes[s[1]])],
-                "pair_t": [list(spectrum.modes[t[0]]), list(spectrum.modes[t[1]])],
+                "pair_s": [list(modes[s[0]]), list(modes[s[1]])],
+                "pair_t": [list(modes[t[0]]), list(modes[t[1]])],
                 "gap": gap,
             }
             for s, t, gap in violations.rows
         ],
         "weakly_nonresonant": violations.count == 0,
     }
-    return results, ["shifted_spectrum.csv"]
+    rows = [(i, float(v)) for i, v in enumerate(shifted)]
+    return results, {"shifted_spectrum.csv": ("position,lambda", rows)}
 
 
-def _cmd_shape_derivative(config: RunConfig, outdir: Path):
-    spectrum = enumerate_modes(config.L, config.truncation)
+def _cmd_shape_derivative(run: _Run):
+    config = run.config
     mode = config.shape.mode
     wall = config.shape.wall
     value = eigenvalue_shape_derivative(
-        spectrum, mode, BoundaryDisplacement(wall=wall),
+        run.spectrum, mode, BoundaryDisplacement(wall=wall),
         simplicity_tol=config.tolerances.simplicity,
     )
     j1, j2 = mode
@@ -288,24 +300,20 @@ def _cmd_shape_derivative(config: RunConfig, outdir: Path):
         "exact": exact,
         "abs_error_vs_exact": abs(value - exact),
     }
-    return results, []
+    return results, {}
 
 
-def _control_from_config(config: RunConfig) -> ControlSignal:
-    if config.control is None:
-        raise ValueError("this command needs a control section in the config")
-    return ControlSignal(samples=config.control, delta=config.delta)
+def _propagate_stage(run: _Run, control):
+    """Bilinear flow from the first path mode.
 
-
-def _propagate_stage(config: RunConfig, spectrum, matrix, control, outdir: Path):
-    """Bilinear flow from the first path mode; writes trajectory.csv.
-
-    Returns the final state and the number K of logged populations.  Each
-    column is computed on the whole trajectory with the arithmetic of the
-    per-state `WaveState.norm` and `WaveState.population`, bit for bit.
+    Returns the final state, the number K of logged populations and the
+    (header, rows) of trajectory.csv.  Each column is computed on the whole
+    trajectory with the arithmetic of the per-state `WaveState.norm` and
+    `WaveState.population`, bit for bit.
     """
+    config, spectrum = run.config, run.spectrum
     initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
-    times, values = propagate_bilinear(spectrum, matrix, control, initial, config.truncation)
+    times, values = propagate_bilinear(spectrum, run.matrix, control, initial, config.truncation)
     k = min(config.dynamics.log_populations or 1, config.truncation)
     re, im = values.real, values.imag
     # np.linalg.norm of a complex vector: the real and imaginary dot products
@@ -322,79 +330,65 @@ def _propagate_stage(config: RunConfig, spectrum, matrix, control, outdir: Path)
     controls = [value for _, value in control.samples] + [0.0]
     cols = ["time", "norm", "h1_seminorm", *(f"population_{i + 1}" for i in range(k)), "control_value"]
     rows = np.column_stack((times, norms[:, 0, 0], h1, pops, controls)).tolist()
-    _write_rows_csv(outdir / "trajectory.csv", ",".join(cols), rows)
     final = WaveState(values=values[-1].copy(), time=float(times[-1]), modes=initial.modes)
-    return final, k
+    return final, k, (",".join(cols), rows)
 
 
-def _cmd_evolve(config: RunConfig, outdir: Path):
-    spectrum, matrix = _coupling_stage(config)
-    control = _control_from_config(config)
-    final, k = _propagate_stage(config, spectrum, matrix, control, outdir)
+def _cmd_evolve(run: _Run):
+    run.matrix  # first, so a failing gate is reported before a missing control
+    control = run.control
+    final, k, trajectory = _propagate_stage(run, control)
+    modes = run.spectrum.modes
     results = {
         "total_duration": control.total_duration,
         "final_norm": final.norm,
-        "final_populations": {
-            str(tuple(spectrum.modes[i])): final.population(i) for i in range(k)
-        },
+        "final_populations": {str(tuple(modes[i])): final.population(i) for i in range(k)},
     }
-    return results, ["trajectory.csv"]
+    return results, {"trajectory.csv": trajectory}
 
 
-def _cmd_control(config: RunConfig, outdir: Path):
-    spectrum, matrix = _coupling_stage(config)
+def _cmd_control(run: _Run):
+    config = run.config
     path = config.dynamics.path
     control = synthesize_chain_transfer(
         path,
-        spectrum,
-        matrix,
+        run.spectrum,
+        run.matrix,
         config.delta,
         config.dynamics.amplitude_fraction,
         truncation=config.truncation,
         samples_per_period=config.dynamics.samples_per_period,
         duration_cap=config.dynamics.duration_cap,
     )
-    _write_rows_csv(outdir / "control.csv", "duration,value", control.samples)
-    artifacts = ["control.csv"]
+    artifacts = {"control.csv": ("duration,value", control.samples)}
     results = {
         "path": [list(p) for p in path],
         "samples": len(control.samples),
         "total_duration": control.total_duration,
     }
     if control.samples:
-        final, _ = _propagate_stage(config, spectrum, matrix, control, outdir)
-        artifacts.append("trajectory.csv")
+        final, _, artifacts["trajectory.csv"] = _propagate_stage(run, control)
         results["fidelity"] = transfer_fidelity(final, path[-1])
         results["final_norm"] = final.norm
     return results, artifacts
 
 
-def _cmd_nonlinear(config: RunConfig, outdir: Path):
-    field = _gate_field(config)
-    dyn = config.dynamics
+def _cmd_nonlinear(run: _Run):
+    config, dyn, field = run.config, run.config.dynamics, run.field
     grid = StaggeredGrid(L=config.L, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny)
     initial = grid_mode_state(grid, dyn.path[0], config.L)
-    if config.control is not None:
-        control = ControlSignal(samples=config.control, delta=config.delta)
-    else:
-        control = ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta)
+    control = (run.control if config.control is not None
+               else ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta))
     base = NonlinearConfig(alpha=0.0, dt=dyn.dt, log_populations=dyn.log_populations)
     study = alpha_scaling_study(dyn.alphas, control, dyn.T, base, field, initial)
-    _write_rows_csv(
-        outdir / "alpha_study.csv",
-        "alpha,deviation,max_norm_drift,max_h1",
-        [
-            (r["alpha"], r["deviation"], r["max_norm_drift"], r["max_h1"])
-            for r in study["rows"]
-        ],
-    )
+    study_header = "alpha,deviation,max_norm_drift,max_h1"
+    study_rows = [[r[k] for k in study_header.split(",")] for r in study["rows"]]
     logged = study["runs"][-1]
     pops = logged.populations
     cols = ["time", "norm", "h1_seminorm", "gate_expectation",
             *(f"population_{i + 1}" for i in range(pops.shape[1])), "control_value"]
     rows = np.column_stack((logged.times, logged.norms, logged.h1_seminorms,
                             logged.gate_expectations, pops, logged.control_values))
-    _write_rows_csv(outdir / "nonlinear_trajectory.csv", ",".join(cols), rows.tolist())
     results = {
         "alphas": list(dyn.alphas),
         "deviations": [r["deviation"] for r in study["rows"]],
@@ -404,32 +398,32 @@ def _cmd_nonlinear(config: RunConfig, outdir: Path):
         "dt_lambda_max": logged.dt_lambda_max,
         "T": dyn.T,
     }
-    return results, ["alpha_study.csv", "nonlinear_trajectory.csv"]
+    return results, {
+        "alpha_study.csv": (study_header, study_rows),
+        "nonlinear_trajectory.csv": (",".join(cols), rows.tolist()),
+    }
 
 
-def _cmd_gate_sweep(config: RunConfig, outdir: Path):
+def _cmd_gate_sweep(run: _Run):
+    config = run.config
     if config.gate.kind != "fourier_mode":
         raise ValueError("gate-sweep requires a fourier_mode gate profile")
     rows = gate_convergence_sweep(
         config.gate_sweep_fractions, config.gate.n, config.L, config.grid.nx, config.grid.ny
-    )
-    _write_rows_csv(
-        outdir / "gate_sweep.csv",
-        "fraction,a_snapped,b_snapped,l2_error,h1_error",
-        [(r["fraction"], r["a_snapped"], r["b_snapped"], r["l2_error"], r["h1_error"]) for r in rows],
     )
     errors = [r["l2_error"] for r in rows]
     results = {
         "rows": rows,
         "strictly_decreasing_l2": all(b < a for a, b in zip(errors[:-1], errors[1:])),
     }
-    return results, ["gate_sweep.csv"]
+    header = "fraction,a_snapped,b_snapped,l2_error,h1_error"
+    return results, {"gate_sweep.csv": (header, [[r[k] for k in header.split(",")] for r in rows])}
 
 
-def _cmd_certify(config: RunConfig, outdir: Path):
-    spectrum, matrix = _coupling_stage(config)
-    simplicity = _simplicity_results(spectrum, config.tolerances.simplicity)
-    rho, shifted, tol, weak = _resonance_stage(config, spectrum, matrix)
+def _cmd_certify(run: _Run):
+    config, matrix = run.config, run.matrix
+    simplicity = _simplicity_results(run.spectrum, config.tolerances.simplicity)
+    shifted, tol, weak = run.resonance
     cert = certify(matrix, shifted, config.truncation, tol)
     doc = {
         "connected": cert.connected,
@@ -442,11 +436,10 @@ def _cmd_certify(config: RunConfig, outdir: Path):
         "truncation": cert.truncation,
         "tolerances": {"resonance": cert.resonance_tol, "zero": cert.zero_tol},
     }
-    _write_json(outdir / "chain.json", doc)
     verdict = {
         "hypothesis": "non-resonant connectedness chain at finite truncation",
         "truncation": config.truncation,
-        "rho": rho,
+        "rho": config.effective_rho(),
         "tolerances": {"resonance": tol, "simplicity": config.tolerances.simplicity,
                        "zero": matrix.zero_tol},
         "simplicity": simplicity,
@@ -459,7 +452,7 @@ def _cmd_certify(config: RunConfig, outdir: Path):
         "weak_nonresonance_violations": weak.count,
         "certified": bool(simplicity["simple"] and cert.certified),
     }
-    return verdict, ["chain.json"]
+    return verdict, {"chain.json": doc}
 
 
 _DISPATCH = {
@@ -475,6 +468,7 @@ _DISPATCH = {
     "gate-sweep": _cmd_gate_sweep,
     "certify": _cmd_certify,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
@@ -496,7 +490,13 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         if verbose:
             print(f"[gatedqdot] {command} -> {outdir}", file=sys.stderr)
-        results, artifacts = _DISPATCH[command](config, outdir)
+        results, artifacts = _DISPATCH[command](_Run(config))
+        # written before the body is checked: a non-finite result keeps them
+        for name, content in artifacts.items():
+            if name.endswith(".csv"):
+                _write_rows_csv(outdir / name, *content)
+            else:
+                _write_json(outdir / name, content)
     except (ConfigValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -504,9 +504,8 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    body = _jsonable(
-        {"command": command, "config": config.to_dict(), "results": results, "artifacts": artifacts}
-    )
+    body = _jsonable({"command": command, "config": config.to_dict(), "results": results,
+                      "artifacts": list(artifacts)})
     try:
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError:

@@ -1,12 +1,14 @@
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gatedqdot import cli
 from gatedqdot.cli import run
 from gatedqdot.config import (
     _GATE_KEYS,
@@ -648,7 +650,8 @@ class TestSegmentGates:
         assert verdict["chain"]["connected"] is True
 
 
-@pytest.mark.parametrize("command", ["coupling", "potential", "certify"])
+# no doc has a control section: `evolve` reports the gate, the earlier stage
+@pytest.mark.parametrize("command", ["coupling", "potential", "certify", "evolve"])
 @pytest.mark.parametrize(
     "doc",
     [
@@ -720,7 +723,8 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("gate-sweep", write_config(tmp_path, doc), out) == 3
     assert "numerical failure: gate-sweep produced a non-finite result" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    # the artifacts are written before the check
+    assert [p.name for p in out.iterdir()] == ["gate_sweep.csv"]
 
 
 def gate_sections():
@@ -778,3 +782,79 @@ def test_cli_main_help(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "certify" in out and "CSV columns" in out
+
+
+# every library function a command's stages call through `gatedqdot.cli`
+STAGE_FUNCTIONS = (
+    "enumerate_modes", "solve_full_gate", "solve_partial_gate_fd", "assemble_coupling_matrix",
+    "shifted_spectrum", "check_weak_nonresonance", "check_simplicity", "propagate_bilinear",
+    "synthesize_chain_transfer", "alpha_scaling_study", "gate_convergence_sweep",
+)
+COUPLED = ("enumerate_modes", "assemble_coupling_matrix")
+# the stage functions each command calls once, the gate field aside; every other is not called
+COMMAND_STAGES = {
+    "spectrum": ("enumerate_modes", "check_simplicity"),
+    "potential": (),
+    "coupling": COUPLED,
+    "chain": COUPLED,
+    "resonance": (*COUPLED, "shifted_spectrum", "check_weak_nonresonance"),
+    "shape-derivative": ("enumerate_modes",),
+    "evolve": (*COUPLED, "propagate_bilinear"),
+    "control": (*COUPLED, "synthesize_chain_transfer", "propagate_bilinear"),
+    "nonlinear": ("alpha_scaling_study",),
+    "gate-sweep": ("gate_convergence_sweep",),
+    "certify": (*COUPLED, "check_simplicity", "shifted_spectrum", "check_weak_nonresonance"),
+}
+FIELD_COMMANDS = {"potential", "coupling", "chain", "resonance", "evolve", "control", "nonlinear",
+                  "certify"}
+STAGE_GATES = {
+    "fourier_mode": ({"kind": "fourier_mode", "n": 2}, "solve_full_gate"),
+    "segment": ({"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 2}, "solve_partial_gate_fd"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, gate",
+    [(c, g) for c in COMMAND_STAGES for g in STAGE_GATES if (c, g) != ("gate-sweep", "segment")],
+)
+def test_each_stage_runs_once(tmp_path, monkeypatch, command, gate):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STAGE_FUNCTIONS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    gate_doc, field_function = STAGE_GATES[gate]
+    doc = {
+        "L": 1.03,
+        "truncation": 20,
+        "grid": {"nx": 32, "ny": 32},
+        "gate": gate_doc,
+        "control": {"samples": [[0.05, 0.1], [0.05, 0.2]]},
+        "dynamics": {"path": [[1, 1], [2, 1]], "T": 0.02, "nonlinear_nx": 32, "nonlinear_ny": 32},
+        "gate_sweep": {"fractions": [0.5, 0.9]},
+    }
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, doc), out) == 0
+    expected = Counter(COMMAND_STAGES[command])
+    if command in FIELD_COMMANDS:
+        expected[field_function] += 1
+    assert {n: calls[n] for n in STAGE_FUNCTIONS} == {n: expected[n] for n in STAGE_FUNCTIONS}
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    assert sorted(artifacts) == sorted(p.name for p in out.iterdir() if p.name != "report.json")
+
+
+def test_control_on_a_one_mode_path_writes_the_empty_pulse(tmp_path):
+    out = tmp_path / "out"
+    doc = {**BASE, "dynamics": {"path": [[1, 1]]}}
+    assert run("control", write_config(tmp_path, doc), out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["artifacts"] == ["control.csv"]
+    assert (out / "control.csv").read_text() == "duration,value\n"
+    assert report["results"]["samples"] == 0
+    assert "fidelity" not in report["results"] and "final_norm" not in report["results"]
+

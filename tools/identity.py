@@ -58,6 +58,13 @@ CONFIGS = {
         "truncation": 20,
         "control": {"samples": [[0.05, 0.1], [0.05, 0.2], [0.05, 0.1], [0.03, 0.2]]},
     },
+    # a one-mode path: `control` synthesizes an empty pulse, so it writes
+    # control.csv (header only) and no trajectory
+    "control-one-mode": {
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 20,
+        "dynamics": {"path": [[1, 1]]},
+    },
     # four alphas, so the alpha study runs all three logging modes, on a
     # control with a zero value and a repeated (duration, value) sample
     "nonlinear-logs": {
