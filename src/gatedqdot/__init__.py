@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .chains import (
     ChainCertificate,
-    CouplingGraph,
     build_graph,
     certify,
     certify_nonresonant_chain,

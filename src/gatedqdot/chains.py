@@ -5,56 +5,36 @@ entry is nonzero; a set of pairs that links every pair of levels through
 overlapping hops is a connectedness chain, rendered here as connectivity
 of the undirected coupling graph.  All verdicts are finite: they hold at
 the stated truncation and tolerance, never for the infinite mode family.
+
+The graph is the read-only boolean adjacency array of `build_graph`, and
+every function here takes and returns ordering positions; the `Spectrum`
+alone names them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .spectral import ModeIndex, window_pairs
+from .spectral import window_pairs
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingGraph:
-    """Undirected graph over the first `node_count` ordering positions.
+def build_graph(matrix: CouplingMatrix, node_count: int) -> np.ndarray:
+    """Coupling graph of the first `node_count` ordering positions.
 
-    `adj[a, b]` (read-only, boolean) is True when positions a != b couple.
+    Returns the read-only boolean adjacency array: `adj[a, b]` is True when
+    positions a != b share a stored entry.
     """
-
-    modes: tuple[ModeIndex, ...]
-    adj: np.ndarray = field(repr=False)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.modes)
-
-    def resolve(self, node) -> int:
-        """Accept an ordering position or a ModeIndex; return the position."""
-        if isinstance(node, (int, np.integer)):
-            pos = int(node)
-            if not 0 <= pos < self.node_count:
-                raise ValueError(f"node position {pos} out of range")
-            return pos
-        target = ModeIndex(*node)
-        for i, m in enumerate(self.modes):
-            if m == target:
-                return i
-        raise ValueError(f"mode {tuple(target)} not among graph nodes")
-
-
-def build_graph(matrix: CouplingMatrix, node_count: int) -> CouplingGraph:
-    """Graph with the stored off-diagonal entries among the first nodes as edges."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    if node_count > len(matrix.modes):
+    if node_count > len(matrix):
         raise ValueError("node_count exceeds coupling matrix mode count")
     adj = matrix.values[:node_count, :node_count] != 0
     np.fill_diagonal(adj, False)
     adj.flags.writeable = False
-    return CouplingGraph(modes=tuple(matrix.modes[:node_count]), adj=adj)
+    return adj
 
 
 def _tree(adj: np.ndarray, root: int, seen: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -81,28 +61,28 @@ def _tree(adj: np.ndarray, root: int, seen: np.ndarray, parent: np.ndarray) -> n
     return np.concatenate(levels)
 
 
-def breadth_first_forest(graph: CouplingGraph) -> tuple[list[list[int]], list[int]]:
+def breadth_first_forest(adj: np.ndarray) -> tuple[list[list[int]], list[int]]:
     """The one breadth-first search behind every chain verdict.
 
     Each component is rooted at its least node and adjacent nodes are
     visited in ascending order.  Returns the components, each sorted and
     listed in order of least member, and the parent pointers (-1 at
     roots).  The tree edges form the spanning chain, and the tree path from
-    a root to a node is `coupling_path(graph, root, node)`: shortest, with
+    a root to a node is `coupling_path(adj, root, node)`: shortest, with
     ties broken towards lexicographically smaller node sequences.
     """
-    seen = np.zeros(graph.node_count, dtype=bool)
-    parent = np.full(graph.node_count, -1)
+    seen = np.zeros(len(adj), dtype=bool)
+    parent = np.full(len(adj), -1)
     components = []
-    for root in range(graph.node_count):
+    for root in range(len(adj)):
         if not seen[root]:
-            components.append(np.sort(_tree(graph.adj, root, seen, parent)).tolist())
+            components.append(np.sort(_tree(adj, root, seen, parent)).tolist())
     return components, parent.tolist()
 
 
-def check_connected(graph: CouplingGraph) -> tuple[bool, list[list[int]]]:
+def check_connected(adj: np.ndarray) -> tuple[bool, list[list[int]]]:
     """Connectivity verdict; components listed in order of least member."""
-    components, _ = breadth_first_forest(graph)
+    components, _ = breadth_first_forest(adj)
     return len(components) == 1, components
 
 
@@ -110,37 +90,36 @@ def _tree_edges(parent: list[int]) -> list[tuple[int, int]]:
     return [(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0]
 
 
-def spanning_chain(graph: CouplingGraph) -> list[tuple[int, int]]:
+def spanning_chain(adj: np.ndarray) -> list[tuple[int, int]]:
     """Breadth-first spanning forest edges, the default chain to certify."""
-    return _tree_edges(breadth_first_forest(graph)[1])
+    return _tree_edges(breadth_first_forest(adj)[1])
 
 
-def witness_paths(
-    graph: CouplingGraph, parent: list[int]
-) -> dict[tuple[ModeIndex, ModeIndex], list[ModeIndex]]:
+def witness_paths(parent: list[int]) -> dict[tuple[int, int], list[int]]:
     """Forest path from each component's least node to every other member."""
     witness = {}
-    for node in range(graph.node_count):
-        if parent[node] < 0:
+    for node, up in enumerate(parent):
+        if up < 0:
             continue
         path = [node]
         while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
         path.reverse()
-        witness[(graph.modes[path[0]], graph.modes[node])] = [graph.modes[p] for p in path]
+        witness[(path[0], node)] = path
     return witness
 
 
-def coupling_path(graph: CouplingGraph, j, k) -> list[int] | None:
-    """Shortest coupling path from j to k, or None across components.
+def coupling_path(adj: np.ndarray, src: int, dst: int) -> list[int] | None:
+    """Shortest coupling path between two positions, or None across components.
 
     Ties are broken towards lexicographically smaller node sequences: the
-    path is the branch of the breadth-first tree rooted at j.
+    path is the branch of the breadth-first tree rooted at src.
     """
-    src = graph.resolve(j)
-    dst = graph.resolve(k)
-    parent = np.full(graph.node_count, -1)
-    _tree(graph.adj, src, np.zeros(graph.node_count, dtype=bool), parent)
+    for node in (src, dst):
+        if not 0 <= node < len(adj):
+            raise ValueError(f"node position {node} out of range")
+    parent = np.full(len(adj), -1)
+    _tree(adj, src, np.zeros(len(adj), dtype=bool), parent)
     path = [dst]
     while path[-1] != src:
         if parent[path[-1]] < 0:
@@ -211,15 +190,12 @@ def certify_nonresonant_chain(
 
 @dataclass(frozen=True)
 class ChainCertificate:
-    """Finite rendering of the non-resonant connectedness chain condition."""
+    """Finite rendering of the non-resonant connectedness chain condition, over positions."""
 
     connected: bool
-    components: list[list[ModeIndex]]
-    witness_paths: dict[tuple[ModeIndex, ModeIndex], list[ModeIndex]]
-    violations: list
-    truncation: int
-    resonance_tol: float
-    zero_tol: float
+    components: list[list[int]]
+    witness_paths: dict[tuple[int, int], list[int]]
+    violations: list[tuple[tuple[int, int], tuple[int, int], float]]
 
     @property
     def certified(self) -> bool:
@@ -238,23 +214,12 @@ def certify(
     witness paths go from each component's least node to its other members
     (paths between arbitrary pairs concatenate two witnesses).
     """
-    graph = build_graph(matrix, truncation)
-    components, parent = breadth_first_forest(graph)
-    raw = certify_nonresonant_chain(eigenvalues, matrix, _tree_edges(parent), resonance_tol)
-    violations = [
-        (
-            (graph.modes[s[0]], graph.modes[s[1]]),
-            (graph.modes[t[0]], graph.modes[t[1]]),
-            gap,
-        )
-        for s, t, gap in raw
-    ]
+    components, parent = breadth_first_forest(build_graph(matrix, truncation))
     return ChainCertificate(
         connected=len(components) == 1,
-        components=[[graph.modes[i] for i in comp] for comp in components],
-        witness_paths=witness_paths(graph, parent),
-        violations=violations,
-        truncation=truncation,
-        resonance_tol=resonance_tol,
-        zero_tol=matrix.zero_tol,
+        components=components,
+        witness_paths=witness_paths(parent),
+        violations=certify_nonresonant_chain(
+            eigenvalues, matrix, _tree_edges(parent), resonance_tol
+        ),
     )

@@ -34,7 +34,6 @@ from .coupling import assemble_coupling_matrix
 from .dynamics import (
     ControlSignal,
     NonlinearConfig,
-    WaveState,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,
@@ -165,14 +164,18 @@ def _write_json(path, doc):
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _forest_json(components, witness) -> dict:
-    """The `components` and `witness_paths` keys of a chain.json document."""
+def _forest_json(modes, components, witness) -> dict:
+    """The `components` and `witness_paths` keys of a chain.json document.
+
+    Positions are named by `modes`; the witness paths are sorted by their
+    (from, to) mode pair, which need not be their order by position.
+    """
+    paths = sorted(
+        ((modes[a], modes[b]), [list(modes[p]) for p in path]) for (a, b), path in witness.items()
+    )
     return {
-        "components": [[list(m) for m in comp] for comp in components],
-        "witness_paths": [
-            {"from": list(a), "to": list(b), "path": [list(m) for m in p]}
-            for (a, b), p in sorted(witness.items())
-        ],
+        "components": [[list(modes[i]) for i in comp] for comp in components],
+        "witness_paths": [{"from": list(a), "to": list(b), "path": p} for (a, b), p in paths],
     }
 
 
@@ -216,7 +219,7 @@ def _cmd_coupling(run: _Run):
     matrix = run.matrix
     a, b = np.nonzero(np.triu(matrix.values))
     triplets = [list(t) for t in zip(a.tolist(), b.tolist(), matrix.values[a, b].tolist())]
-    modes = matrix.modes
+    modes = run.spectrum.modes
     rows = ((*modes[i], *modes[j], v) for i, j, v in triplets)
     doc = {"modes": [list(m) for m in modes], "triplets": triplets,
            "zero_tol": matrix.zero_tol, "dropped": matrix.dropped}
@@ -232,14 +235,12 @@ def _cmd_coupling(run: _Run):
 
 def _cmd_chain(run: _Run):
     config, matrix = run.config, run.matrix
-    graph = build_graph(matrix, config.truncation)
-    components, parent = breadth_first_forest(graph)
+    adj = build_graph(matrix, config.truncation)
+    components, parent = breadth_first_forest(adj)
     connected = len(components) == 1
     doc = {
         "connected": connected,
-        **_forest_json(
-            [[graph.modes[i] for i in comp] for comp in components], witness_paths(graph, parent)
-        ),
+        **_forest_json(run.spectrum.modes, components, witness_paths(parent)),
         "truncation": config.truncation,
         "zero_tol": matrix.zero_tol,
     }
@@ -247,7 +248,7 @@ def _cmd_chain(run: _Run):
         "connected": connected,
         "component_count": len(components),
         "component_sizes": [len(c) for c in components],
-        "edges": int(np.count_nonzero(np.triu(graph.adj))),
+        "edges": int(np.count_nonzero(np.triu(adj))),
         "truncation": config.truncation,
     }
     return results, {"chain.json": doc}
@@ -306,10 +307,11 @@ def _cmd_shape_derivative(run: _Run):
 def _propagate_stage(run: _Run, control):
     """Bilinear flow from the first path mode.
 
-    Returns the final state, the number K of logged populations and the
-    (header, rows) of trajectory.csv.  Each column is computed on the whole
-    trajectory with the arithmetic of the per-state `WaveState.norm` and
-    `WaveState.population`, bit for bit.
+    Returns the final Galerkin coefficients, the final norm and the K
+    final populations (the trajectory's last row) and the (header, rows)
+    of trajectory.csv.  Each column is computed on the whole trajectory
+    with the arithmetic of `np.linalg.norm` and of `abs(z) ** 2` on one
+    coefficient, bit for bit.
     """
     config, spectrum = run.config, run.spectrum
     initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
@@ -330,19 +332,17 @@ def _propagate_stage(run: _Run, control):
     controls = [value for _, value in control.samples] + [0.0]
     cols = ["time", "norm", "h1_seminorm", *(f"population_{i + 1}" for i in range(k)), "control_value"]
     rows = np.column_stack((times, norms[:, 0, 0], h1, pops, controls)).tolist()
-    final = WaveState(values=values[-1].copy(), time=float(times[-1]), modes=initial.modes)
-    return final, k, (",".join(cols), rows)
+    return values[-1], norms[-1, 0, 0], pops[-1], (",".join(cols), rows)
 
 
 def _cmd_evolve(run: _Run):
     run.matrix  # first, so a failing gate is reported before a missing control
     control = run.control
-    final, k, trajectory = _propagate_stage(run, control)
-    modes = run.spectrum.modes
+    _, norm, pops, trajectory = _propagate_stage(run, control)
     results = {
         "total_duration": control.total_duration,
-        "final_norm": final.norm,
-        "final_populations": {str(tuple(modes[i])): final.population(i) for i in range(k)},
+        "final_norm": norm,
+        "final_populations": {str(tuple(m)): p for m, p in zip(run.spectrum.modes, pops)},
     }
     return results, {"trajectory.csv": trajectory}
 
@@ -367,9 +367,9 @@ def _cmd_control(run: _Run):
         "total_duration": control.total_duration,
     }
     if control.samples:
-        final, _, artifacts["trajectory.csv"] = _propagate_stage(run, control)
-        results["fidelity"] = transfer_fidelity(final, path[-1])
-        results["final_norm"] = final.norm
+        final, norm, _, artifacts["trajectory.csv"] = _propagate_stage(run, control)
+        results["fidelity"] = transfer_fidelity(run.spectrum, final, path[-1])
+        results["final_norm"] = norm
     return results, artifacts
 
 
@@ -421,20 +421,21 @@ def _cmd_gate_sweep(run: _Run):
 
 
 def _cmd_certify(run: _Run):
-    config, matrix = run.config, run.matrix
+    config, matrix, modes = run.config, run.matrix, run.spectrum.modes
     simplicity = _simplicity_results(run.spectrum, config.tolerances.simplicity)
     shifted, tol, weak = run.resonance
     cert = certify(matrix, shifted, config.truncation, tol)
     doc = {
         "connected": cert.connected,
         "certified": cert.certified,
-        **_forest_json(cert.components, cert.witness_paths),
+        **_forest_json(modes, cert.components, cert.witness_paths),
         "violations": [
-            {"chain_pair": [list(m) for m in s], "other_pair": [list(m) for m in t], "gap": gap}
+            {"chain_pair": [list(modes[p]) for p in s], "other_pair": [list(modes[p]) for p in t],
+             "gap": gap}
             for s, t, gap in cert.violations
         ],
-        "truncation": cert.truncation,
-        "tolerances": {"resonance": cert.resonance_tol, "zero": cert.zero_tol},
+        "truncation": config.truncation,
+        "tolerances": {"resonance": tol, "zero": matrix.zero_tol},
     }
     verdict = {
         "hypothesis": "non-resonant connectedness chain at finite truncation",

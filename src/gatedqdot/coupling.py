@@ -22,7 +22,7 @@ import scipy  # scipy.fft.<fn>: SciPy loads scipy.fft on the first transform
 
 from .errors import NumericalError
 from .poisson import GridField, SpectralField, gate_term_cosh
-from .spectral import ModeIndex, Spectrum
+from .spectral import Spectrum
 
 
 def coupling_x1_closed(n: int, j1, k1):
@@ -53,7 +53,7 @@ def coupling_x2_closed(n: int, j2, k2, L: float):
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric coupling operator over an ordered mode list, as one dense array.
+    """Symmetric coupling operator over the first spectrum positions, as one dense array.
 
     `values[a, b]` is the entry between ordering positions a and b.
     Magnitudes at or below the effective zero tolerance are structural
@@ -61,13 +61,12 @@ class CouplingMatrix:
     in `dropped`.  The stored entries are exactly the nonzero ones.
     """
 
-    modes: tuple[ModeIndex, ...]
     values: np.ndarray
     zero_tol: float
     dropped: int = 0
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.values)
 
     @property
     def entries(self) -> dict[tuple[int, int], float]:
@@ -191,5 +190,4 @@ def assemble_coupling_matrix(
     values = np.triu(np.where(drop, 0.0, raw))
     values += np.triu(values, 1).T
     dropped = int(np.count_nonzero(np.triu(drop)))
-    modes = tuple(spectrum.modes[:truncation])
-    return CouplingMatrix(modes=modes, values=values, zero_tol=effective, dropped=dropped)
+    return CouplingMatrix(values=values, zero_tol=effective, dropped=dropped)

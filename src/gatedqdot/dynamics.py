@@ -19,6 +19,10 @@ after the kinetic step also opens the next step.  The alpha study's flows
 share no state, so they run on a thread pool; the transforms and ufuncs
 that take their time release the GIL, and each flow is the same call, so
 every result is the serial one bit for bit.
+
+Bilinear states are plain arrays of Galerkin coefficients over spectrum
+positions, and the `Spectrum` names them; `WaveState` is the grid state of
+the nonlinear flow.
 """
 
 from __future__ import annotations
@@ -81,34 +85,24 @@ class ControlSignal:
 
 @dataclass
 class WaveState:
-    """Unit-norm quantum state: Galerkin coefficients (1-D) or grid values (2-D)."""
+    """Unit-norm grid state of the nonlinear flow: values on a staggered grid."""
 
     values: np.ndarray
+    grid: StaggeredGrid
     time: float = 0.0
-    modes: tuple[ModeIndex, ...] | None = None
-    grid: StaggeredGrid | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
 
-    @property
-    def norm(self) -> float:
-        if self.grid is not None:
-            return self.grid.norm(self.values)
-        return float(np.linalg.norm(self.values))
 
-    def population(self, position: int) -> float:
-        return float(abs(self.values[position]) ** 2)
-
-
-def galerkin_mode_state(spectrum: Spectrum, mode, truncation: int) -> WaveState:
-    """Basis state concentrated on one mode, over the first `truncation` modes."""
+def galerkin_mode_state(spectrum: Spectrum, mode, truncation: int) -> np.ndarray:
+    """Galerkin coefficients of one mode over the first `truncation` positions."""
     pos = spectrum.position(ModeIndex(*mode))
     if pos >= truncation:
         raise ValueError("mode lies outside the truncation window")
     values = np.zeros(truncation, dtype=complex)
     values[pos] = 1.0
-    return WaveState(values=values, modes=tuple(spectrum.modes[:truncation]))
+    return values
 
 
 def grid_mode_state(grid: StaggeredGrid, mode, L: float) -> WaveState:
@@ -117,38 +111,39 @@ def grid_mode_state(grid: StaggeredGrid, mode, L: float) -> WaveState:
     return WaveState(values=phi.astype(complex), grid=grid)
 
 
-def _check_initial(state: WaveState):
-    if abs(state.norm - 1.0) > 1e-8:
-        raise ValueError(f"initial state norm {state.norm} is not 1")
+def _check_initial(norm: float):
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"initial state norm {norm} is not 1")
 
 
 def propagate_bilinear(
     spectrum: Spectrum,
     coupling: CouplingMatrix,
     control: ControlSignal,
-    initial: WaveState,
+    initial,
     truncation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact piecewise exponential of -i(diag(lambda) + u*C).
+    """Exact piecewise exponential of -i(diag(lambda) + u*C) from t = 0.
 
+    `initial` holds the `(truncation,)` Galerkin coefficients at t = 0.
     Returns `(times, values)`: the `(S+1,)` sample-boundary times and the
-    `(S+1, truncation)` Galerkin coefficients there, row 0 the initial
-    state.  Each interval is applied through the symmetric
-    eigendecomposition of the frozen Hamiltonian, so the step is unitary
-    to rounding and independent of any internal step size.  One `eigh`
-    serves every sample of a control value and one phase every sample of a
-    (value, duration) pair.  The eigenvectors are kept as one complex
-    matrix per value, held from the value's first sample to its last and
-    then dropped, so no value is decomposed twice and the cache holds only
-    the values still to come.
+    `(S+1, truncation)` coefficients there, row 0 the initial state.  Each
+    interval is applied through the symmetric eigendecomposition of the
+    frozen Hamiltonian, so the step is unitary to rounding and independent
+    of any internal step size.  One `eigh` serves every sample of a control
+    value and one phase every sample of a (value, duration) pair.  The
+    eigenvectors are kept as one complex matrix per value, held from the
+    value's first sample to its last and then dropped, so no value is
+    decomposed twice and the cache holds only the values still to come.
     """
     if truncation > len(spectrum):
         raise ValueError("truncation exceeds spectrum size")
     lam = spectrum.eigenvalues[:truncation]
     cmat = coupling.values[:truncation, :truncation]
-    if initial.values.shape != (truncation,):
+    initial = np.asarray(initial, dtype=complex)
+    if initial.shape != (truncation,):
         raise ValueError("initial state size does not match truncation")
-    _check_initial(initial)
+    _check_initial(float(np.linalg.norm(initial)))
     # per-call caches: constant segments and repeated pulse samples reuse
     # the same frozen-Hamiltonian eigendecomposition and step phase; complex
     # eigenvectors spare both matvecs a cast
@@ -157,9 +152,9 @@ def propagate_bilinear(
     last = {u: k for k, (_, u) in enumerate(control.samples, start=1)}
     times = np.empty(len(control.samples) + 1)
     values = np.empty((len(control.samples) + 1, truncation), dtype=complex)
-    values[0] = initial.values
+    values[0] = initial
     psi = values[0]
-    t = times[0] = initial.time
+    t = times[0] = 0.0
     for k, (dur, u) in enumerate(control.samples, start=1):
         if u not in eigs:
             w, v = np.linalg.eigh(np.diag(lam) + u * cmat)
@@ -176,17 +171,15 @@ def propagate_bilinear(
     return times, values
 
 
-def transfer_fidelity(final: WaveState, target_mode) -> float:
-    """Population of the target mode in a normalized Galerkin state."""
-    if final.modes is None:
-        raise ValueError("state carries no mode list")
-    if abs(final.norm - 1.0) > 1e-8:
+def transfer_fidelity(spectrum: Spectrum, values, target_mode) -> float:
+    """Population of the target mode in normalized Galerkin coefficients."""
+    values = np.asarray(values)
+    if abs(float(np.linalg.norm(values)) - 1.0) > 1e-8:
         raise ValueError("state is not normalized")
-    target = ModeIndex(*target_mode)
-    for i, m in enumerate(final.modes):
-        if m == target:
-            return final.population(i)
-    raise ValueError(f"target mode {tuple(target)} not in state")
+    pos = spectrum.position(ModeIndex(*target_mode))
+    if pos >= values.size:
+        raise ValueError(f"target mode {tuple(target_mode)} not in state")
+    return float(abs(values[pos]) ** 2)
 
 
 def synthesize_chain_transfer(
@@ -348,11 +341,9 @@ def propagate_nonlinear(
     if log not in LOG_LEVELS:
         raise ValueError(f"log must be one of {LOG_LEVELS}")
     grid = initial.grid
-    if grid is None:
-        raise ValueError("initial state must live on a staggered grid")
     if initial.values.shape != grid.shape:
         raise ValueError("initial state shape does not match its grid")
-    _check_initial(initial)
+    _check_initial(grid.norm(initial.values))
     if isinstance(gate_field, np.ndarray):
         v0 = gate_field
         if v0.shape != grid.shape:

@@ -78,10 +78,8 @@ class ShiftedSpectrum:
     eigenfunction in the unshifted eigenbasis.
     """
 
-    rho: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    truncation: int
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ def shifted_spectrum(spectrum: Spectrum, matrix, rho: float, truncation: int) ->
     mat = matrix.values[:truncation, :truncation]
     h = np.diag(spectrum.eigenvalues[:truncation]) + rho * mat
     vals, vecs = np.linalg.eigh(h)
-    return ShiftedSpectrum(rho=rho, eigenvalues=vals, eigenvectors=vecs, truncation=truncation)
+    return ShiftedSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _normal_derivative_sq(mode: ModeIndex, L: float, wall: str, s: np.ndarray) -> np.ndarray:

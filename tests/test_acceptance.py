@@ -24,7 +24,6 @@ from gatedqdot.coupling import (
 from gatedqdot.dynamics import (
     ControlSignal,
     NonlinearConfig,
-    WaveState,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,
@@ -312,10 +311,9 @@ def test_criterion_09_bilinear_propagator():
 
     fwd_ctrl = ControlSignal(samples=samples[:500], delta=0.3)
     fwd = propagate_bilinear(spec, matrix, fwd_ctrl, psi0, 30)[1][-1]
-    conj = WaveState(values=np.conj(fwd), modes=psi0.modes)
     rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
-    back = propagate_bilinear(spec, matrix, rev_ctrl, conj, 30)[1][-1]
-    reversal = float(np.linalg.norm(np.conj(back) - psi0.values))
+    back = propagate_bilinear(spec, matrix, rev_ctrl, np.conj(fwd), 30)[1][-1]
+    reversal = float(np.linalg.norm(np.conj(back) - psi0))
 
     ok = norm_dev <= 1e-12 and split_dev <= 1e-12 and reversal <= 1e-10
     report(
@@ -334,7 +332,7 @@ def test_criterion_10_chain_transfer_fidelity():
     )
     psi0 = galerkin_mode_state(spec, (1, 1), 30)
     final = propagate_bilinear(spec, matrix, control, psi0, 30)[1][-1]
-    fidelity = transfer_fidelity(WaveState(final, modes=psi0.modes), (3, 1))
+    fidelity = transfer_fidelity(spec, final, (3, 1))
     ok = fidelity >= 0.9
     report(
         10,
@@ -367,14 +365,12 @@ def test_criterion_11_nonlinear_alpha_scaling():
 
 def test_criterion_12_small_instance_oracles():
     from gatedqdot.chains import CouplingMatrix
-    from gatedqdot.spectral import ModeIndex
 
     def toy(n_nodes, edges):
-        modes = tuple(ModeIndex(i + 1, 1) for i in range(n_nodes))
         values = np.zeros((n_nodes, n_nodes))
         for a, b in edges:
             values[a, b] = values[b, a] = 1.0
-        return CouplingMatrix(modes=modes, values=values, zero_tol=0.0)
+        return CouplingMatrix(values=values, zero_tol=0.0)
 
     def closure(n_nodes, edges):
         adj = np.eye(n_nodes, dtype=bool)

@@ -19,18 +19,17 @@ from gatedqdot.chains import (
 )
 from gatedqdot.cli import run
 from gatedqdot.coupling import CouplingMatrix
-from gatedqdot.spectral import ModeIndex
+from gatedqdot.spectral import enumerate_modes
 
 
 def toy_matrix(n_nodes, edges, diagonal=()):
-    """CouplingMatrix over placeholder modes with unit entries on given pairs."""
-    modes = tuple(ModeIndex(i + 1, 1) for i in range(n_nodes))
+    """CouplingMatrix with unit entries on the given pairs of positions."""
     values = np.zeros((n_nodes, n_nodes))
     for a, b in edges:
         values[a, b] = values[b, a] = 1.0
     for d in diagonal:
         values[d, d] = 1.0
-    return CouplingMatrix(modes=modes, values=values, zero_tol=0.0)
+    return CouplingMatrix(values=values, zero_tol=0.0)
 
 
 def closure_connected(n_nodes, edges):
@@ -90,25 +89,25 @@ def queue_path(neighbors, src, dst):
 
 class TestGraph:
     def test_even_gate_edges_are_odd_sums(self, matrix_n2_100, spec100):
-        g = build_graph(matrix_n2_100, 20)
-        for a, b in zip(*np.nonzero(g.adj)):
+        adj = build_graph(matrix_n2_100, 20)
+        for a, b in zip(*np.nonzero(adj)):
             assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 1
         for i in range(20):
             for j in range(i + 1, 20):
                 if (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 1:
-                    assert g.adj[i, j]
+                    assert adj[i, j]
 
     def test_empty_matrix_edgeless(self):
-        g = build_graph(toy_matrix(4, []), 4)
-        assert not g.adj.any()
+        adj = build_graph(toy_matrix(4, []), 4)
+        assert not adj.any()
 
     def test_single_node(self):
-        g = build_graph(toy_matrix(3, [(0, 1)]), 1)
-        assert g.node_count == 1 and not g.adj.any()
+        adj = build_graph(toy_matrix(3, [(0, 1)]), 1)
+        assert adj.shape == (1, 1) and not adj.any()
 
     def test_diagonal_not_an_edge(self):
-        g = build_graph(toy_matrix(3, [(0, 1)], diagonal=[2]), 3)
-        assert not g.adj[2, 2]
+        adj = build_graph(toy_matrix(3, [(0, 1)], diagonal=[2]), 3)
+        assert not adj[2, 2]
 
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
@@ -166,40 +165,41 @@ class TestConnectivity:
 
 
 class TestPaths:
-    def test_two_hop_path(self, matrix_n2_100):
-        g = build_graph(matrix_n2_100, 30)
-        path = coupling_path(g, (1, 1), (3, 1))
-        assert [tuple(g.modes[p]) for p in path] == [(1, 1), (2, 1), (3, 1)]
+    def test_two_hop_path(self, matrix_n2_100, spec100):
+        adj = build_graph(matrix_n2_100, 30)
+        path = coupling_path(adj, spec100.position((1, 1)), spec100.position((3, 1)))
+        assert [tuple(spec100.modes[p]) for p in path] == [(1, 1), (2, 1), (3, 1)]
 
-    def test_direct_edge_absent_for_even_sum(self, matrix_n2_100):
-        g = build_graph(matrix_n2_100, 30)
-        assert not g.adj[g.resolve((1, 1)), g.resolve((3, 1))]
+    def test_direct_edge_absent_for_even_sum(self, matrix_n2_100, spec100):
+        adj = build_graph(matrix_n2_100, 30)
+        assert not adj[spec100.position((1, 1)), spec100.position((3, 1))]
 
     def test_trivial_path(self, matrix_n2_100):
-        g = build_graph(matrix_n2_100, 10)
-        assert coupling_path(g, 4, 4) == [4]
+        adj = build_graph(matrix_n2_100, 10)
+        assert coupling_path(adj, 4, 4) == [4]
 
-    def test_absence_across_components(self, matrix_n1_100):
-        g = build_graph(matrix_n1_100, 20)
-        assert coupling_path(g, (1, 1), (2, 1)) is None
+    def test_absence_across_components(self, matrix_n1_100, spec100):
+        adj = build_graph(matrix_n1_100, 20)
+        assert coupling_path(adj, spec100.position((1, 1)), spec100.position((2, 1))) is None
 
     def test_unknown_node_raises(self, matrix_n2_100):
-        g = build_graph(matrix_n2_100, 10)
+        adj = build_graph(matrix_n2_100, 10)
         with pytest.raises(ValueError):
-            coupling_path(g, (40, 40), 0)
+            coupling_path(adj, 10, 0)
         with pytest.raises(ValueError):
-            coupling_path(g, 0, 99)
+            coupling_path(adj, 0, 99)
+        with pytest.raises(ValueError):
+            coupling_path(adj, -1, 0)
 
     def test_witness_paths_valid(self, matrix_n2_30, spec30):
         cert = certify(matrix_n2_30, spec30.eigenvalues, 30, 1e-9)
         assert cert.connected
-        g = build_graph(matrix_n2_30, 30)
+        adj = build_graph(matrix_n2_30, 30)
         assert len(cert.witness_paths) == 29
         for (_, _), path in cert.witness_paths.items():
-            positions = [g.resolve(m) for m in path]
-            assert len(positions) <= 30
-            for a, b in zip(positions[:-1], positions[1:]):
-                assert g.adj[a, b]
+            assert len(path) <= 30
+            for a, b in zip(path[:-1], path[1:]):
+                assert adj[a, b]
 
 
 @st.composite
@@ -226,21 +226,19 @@ class TestForest:
     def test_witness_paths_are_lexicographic_shortest_paths(self, instance):
         n, edges = instance
         matrix = toy_matrix(n, edges)
-        g = build_graph(matrix, n)
+        adj = build_graph(matrix, n)
         cert = certify(matrix, np.arange(n, dtype=float), n, 1e-9)
-        _, comps = check_connected(g)
+        _, comps = check_connected(adj)
         expected = {}
         for comp in comps:
             for node in comp[1:]:
-                path = coupling_path(g, comp[0], node)
-                expected[(g.modes[comp[0]], g.modes[node])] = [g.modes[p] for p in path]
+                expected[(comp[0], node)] = coupling_path(adj, comp[0], node)
         assert cert.witness_paths == expected
         # the witness paths walk exactly the spanning-chain edges
         tree = set()
         for path in cert.witness_paths.values():
-            positions = [g.resolve(m) for m in path]
-            tree |= {(min(a, b), max(a, b)) for a, b in zip(positions[:-1], positions[1:])}
-        chain = spanning_chain(g)
+            tree |= {(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])}
+        chain = spanning_chain(adj)
         assert tree == set(chain)
         assert len(chain) == n - len(comps)
 
@@ -248,15 +246,15 @@ class TestForest:
     @given(sparse_graphs())
     def test_matches_queue_search(self, instance):
         n, edges = instance
-        g = build_graph(toy_matrix(n, edges), n)
-        neighbors = [np.flatnonzero(row).tolist() for row in g.adj]
-        assert breadth_first_forest(g) == queue_forest(neighbors)
+        adj = build_graph(toy_matrix(n, edges), n)
+        neighbors = [np.flatnonzero(row).tolist() for row in adj]
+        assert breadth_first_forest(adj) == queue_forest(neighbors)
         for src, dst in itertools.product(range(n), repeat=2):
-            assert coupling_path(g, src, dst) == queue_path(neighbors, src, dst)
+            assert coupling_path(adj, src, dst) == queue_path(neighbors, src, dst)
 
     def test_forest_roots_at_least_node(self):
-        g = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]), 5)
-        comps, parent = breadth_first_forest(g)
+        adj = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]), 5)
+        comps, parent = breadth_first_forest(adj)
         assert comps == [[0, 2], [1, 3, 4]]
         assert parent == [-1, -1, 0, 4, 1]
 
@@ -361,8 +359,7 @@ class TestResonanceCertificate:
 
         spec = enumerate_modes(1.0, 40)
         matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, 1.0)], 1.0), spec, 40)
-        graph = build_graph(matrix, 40)
-        tree = spanning_chain(graph)
+        tree = spanning_chain(build_graph(matrix, 40))
         shifted = shifted_spectrum(spec, matrix, 0.2, 40)
         assert certify_nonresonant_chain(shifted.eigenvalues, matrix, tree, 1e-6) == []
 
@@ -372,10 +369,10 @@ class TestResonanceCertificate:
         assert cert.violations == []
 
     def test_spanning_chain_is_tree(self, matrix_n2_30):
-        g = build_graph(matrix_n2_30, 30)
-        edges = spanning_chain(g)
+        adj = build_graph(matrix_n2_30, 30)
+        edges = spanning_chain(adj)
         assert len(edges) == 29
-        assert all(g.adj[e] for e in edges)
+        assert all(adj[e] for e in edges)
 
     def test_certificate_json(self, tmp_path):
         # the default config is the n = 2 gate at L = 1, truncation 30
@@ -387,3 +384,18 @@ class TestResonanceCertificate:
         assert doc["truncation"] == 30
         assert doc["tolerances"]["resonance"] == 1e-9
         assert len(doc["witness_paths"]) == 29
+
+
+@pytest.mark.parametrize("command", ["chain", "certify"])
+def test_witness_paths_sorted_by_mode_pair(tmp_path, command):
+    # the default config is the n = 2 gate at L = 1, truncation 30; there
+    # (2, 1) comes before (1, 2) in the spectrum, but (1, 2) sorts first
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    assert run(command, config, tmp_path) == 0
+    doc = json.loads((tmp_path / "chain.json").read_text())
+    pairs = [(tuple(w["from"]), tuple(w["to"])) for w in doc["witness_paths"]]
+    spectrum = enumerate_modes(1.0, 30)
+    by_position = sorted(pairs, key=lambda p: (spectrum.position(p[0]), spectrum.position(p[1])))
+    assert pairs == sorted(pairs)
+    assert pairs != by_position

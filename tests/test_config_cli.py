@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -858,3 +859,42 @@ def test_control_on_a_one_mode_path_writes_the_empty_pulse(tmp_path):
     assert report["results"]["samples"] == 0
     assert "fidelity" not in report["results"] and "final_norm" not in report["results"]
 
+
+def documented_artifacts():
+    """Per command, {file: columns or None} as the `--help` epilog `cli.CSV_DOC` lists them."""
+    text = re.sub(r",\n\s+", ",", cli.CSV_DOC)  # join wrapped column lists
+    documented, commands = {}, []
+    for line in text.splitlines():
+        entry = re.match(r"  (\S+)\s", line)
+        if entry:
+            commands = entry[1].split("/")
+        for name, cols in re.findall(r"(\w+\.(?:csv|json))(?:: ([\w.,]+))?", line):
+            columns = cols.split(",") if name.endswith(".csv") else None
+            for command in commands:
+                documented.setdefault(command, {})[name] = columns
+    return documented
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_epilog_lists_every_artifact_and_csv_header(tmp_path, command):
+    k = 3
+    doc = {
+        **BASE,
+        "grid": {"nx": 32, "ny": 32},
+        "control": {"samples": [[0.05, 0.1], [0.05, 0.2]]},
+        "dynamics": {"path": [[1, 1], [2, 1]], "T": 0.02, "nonlinear_nx": 16, "nonlinear_ny": 16,
+                     "log_populations": k},
+        "gate_sweep": {"fractions": [0.5, 0.9]},
+    }
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, doc), out) == 0
+    documented = documented_artifacts().get(command, {})
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    assert sorted(artifacts) == sorted(documented)
+    for name, columns in documented.items():
+        if columns is None:
+            continue
+        expanded = []
+        for col in columns:
+            expanded += [f"population_{i + 1}" for i in range(k)] if col == "population_1..K" else [col]
+        assert (out / name).read_text().splitlines()[0] == ",".join(expanded)

@@ -79,7 +79,7 @@ class TestBilinear:
     def test_frozen_hamiltonian_stationary_states(self, spec30, matrix_n2_30):
         h = np.diag(spec30.eigenvalues[:30]) + DELTA * matrix_n2_30.values
         _, vecs = np.linalg.eigh(h)
-        psi0 = WaveState(values=vecs[:, 2].astype(complex), modes=tuple(spec30.modes))
+        psi0 = vecs[:, 2].astype(complex)
         _, values = propagate_bilinear(
             spec30, matrix_n2_30, ControlSignal.constant(3.0, DELTA, DELTA), psi0, 30
         )
@@ -114,10 +114,9 @@ class TestBilinear:
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         fwd_ctrl = ControlSignal(samples=((0.3, 0.3), (0.2, 0.1), (0.4, 0.25)), delta=DELTA)
         fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0, 30)[1][-1]
-        conj = WaveState(values=np.conj(fwd), modes=psi0.modes)
         rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
-        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, conj, 30)[1][-1]
-        assert np.linalg.norm(np.conj(back) - psi0.values) <= 1e-10
+        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, np.conj(fwd), 30)[1][-1]
+        assert np.linalg.norm(np.conj(back) - psi0) <= 1e-10
 
     def test_control_range_enforced(self, spec30, matrix_n2_30):
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
@@ -128,7 +127,7 @@ class TestBilinear:
             )
 
     def test_initial_norm_checked(self, spec30, matrix_n2_30):
-        bad = WaveState(values=np.full(30, 0.5, dtype=complex), modes=tuple(spec30.modes))
+        bad = np.full(30, 0.5, dtype=complex)
         with pytest.raises(ValueError):
             propagate_bilinear(
                 spec30, matrix_n2_30, ControlSignal.constant(1.0, 0.0, DELTA), bad, 30
@@ -187,7 +186,7 @@ class TestBilinear:
         )
         assert len(calls) == 3
         expected = bilinear_expm_rows(
-            spec30.eigenvalues[:30], matrix_n2_30.values, samples, psi0.values
+            spec30.eigenvalues[:30], matrix_n2_30.values, samples, psi0
         )
         assert np.abs(values - expected).max() <= 1e-12
 
@@ -197,7 +196,6 @@ class TestBilinear:
         ctrl = ControlSignal(samples=((0.5, 0.3), (0.5, 0.12)), delta=DELTA)
         _, base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
         shifted_matrix = CouplingMatrix(
-            modes=matrix_n2_30.modes,
             values=matrix_n2_30.values + 0.7 * np.eye(30),
             zero_tol=matrix_n2_30.zero_tol,
         )
@@ -323,25 +321,24 @@ class TestSynthesis:
         psi0 = galerkin_mode_state(spec30, (1, 1), 30)
         sig = synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.5)
         final = propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)[1][-1]
-        assert transfer_fidelity(WaveState(final, modes=psi0.modes), (2, 1)) >= 0.9
+        assert transfer_fidelity(spec30, final, (2, 1)) >= 0.9
 
 
 class TestFidelity:
     def test_targets(self, spec30):
         state = galerkin_mode_state(spec30, (2, 1), 30)
-        assert transfer_fidelity(state, (2, 1)) == 1.0
-        assert transfer_fidelity(state, (1, 1)) == 0.0
+        assert transfer_fidelity(spec30, state, (2, 1)) == 1.0
+        assert transfer_fidelity(spec30, state, (1, 1)) == 0.0
 
     def test_superposition(self, spec30):
         v = np.zeros(30, dtype=complex)
         v[0] = v[1] = 1 / math.sqrt(2)
-        state = WaveState(values=v, modes=tuple(spec30.modes))
-        assert transfer_fidelity(state, (1, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert transfer_fidelity(spec30, v, (1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_unknown_target(self, spec30):
         state = galerkin_mode_state(spec30, (1, 1), 30)
         with pytest.raises(ValueError):
-            transfer_fidelity(state, (50, 50))
+            transfer_fidelity(spec30, state, (50, 50))
 
 
 class TestNonlinear:
@@ -416,9 +413,9 @@ class TestNonlinear:
         bad_norm = WaveState(values=np.ones(grid.shape, dtype=complex), grid=grid)
         with pytest.raises(ValueError):
             propagate_nonlinear(bad_norm, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
-        no_grid = WaveState(values=np.ones(4, dtype=complex))
+        off_grid = WaveState(values=np.ones(4, dtype=complex), grid=grid)
         with pytest.raises(ValueError):
-            propagate_nonlinear(no_grid, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
+            propagate_nonlinear(off_grid, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -775,3 +772,29 @@ def test_control_trajectory_csv_matches_per_state_oracle(tmp_path, spec30, matri
     controls = [u for _, u in control.samples] + [0.0]
     expected = trajectory_csv(times, values, spec30.eigenvalues[:30], controls, 6)
     assert (tmp_path / "trajectory.csv").read_text() == expected
+
+
+def test_final_results_are_the_trajectory_last_row(tmp_path, spec30):
+    # final_norm, final_populations and the fidelity read the arrays that
+    # trajectory.csv is written from; 17 significant digits round-trip
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 30,
+        "control": {"samples": [[0.05, 0.1], [0.05, 0.2]]},
+        "dynamics": {"path": [[1, 1], [2, 1], [3, 1]]},
+    }))
+    for command in ("evolve", "control"):
+        out = tmp_path / command
+        assert run(command, config, out) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        header, *_, last = (out / "trajectory.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, last.split(","))))
+        assert results["final_norm"] == row["norm"]
+        if command == "evolve":
+            assert results["final_populations"] == {
+                str(tuple(m)): row[f"population_{i + 1}"] for i, m in enumerate(spec30.modes[:6])
+            }
+        else:
+            assert spec30.position((3, 1)) == 2
+            assert results["fidelity"] == row["population_3"]
