@@ -21,7 +21,6 @@ from .coupling import (
 from .dynamics import (
     ControlSignal,
     NonlinearConfig,
-    WaveState,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,

@@ -181,10 +181,11 @@ def _forest_json(modes, components, witness) -> dict:
 
 def _simplicity_results(spectrum, tol):
     collisions = check_simplicity(spectrum, tol)
+    modes = spectrum.modes
     return {
         "tol": tol,
         "simple": not collisions,
-        "collisions": [[list(a), list(b), gap] for a, b, gap in collisions],
+        "collisions": [[list(modes[a]), list(modes[b]), gap] for a, b, gap in collisions],
     }
 
 
@@ -379,8 +380,10 @@ def _cmd_nonlinear(run: _Run):
     initial = grid_mode_state(grid, dyn.path[0], config.L)
     control = (run.control if config.control is not None
                else ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta))
-    base = NonlinearConfig(alpha=0.0, dt=dyn.dt, log_populations=dyn.log_populations)
-    study = alpha_scaling_study(dyn.alphas, control, dyn.T, base, field, initial)
+    base = NonlinearConfig(alpha=0.0, dt=dyn.dt, grid=grid, log_populations=dyn.log_populations)
+    # one read-only potential array serves every flow of the study
+    v0 = field.values_on(grid.x1, grid.x2)
+    study = alpha_scaling_study(dyn.alphas, control, dyn.T, base, v0, initial)
     study_header = "alpha,deviation,max_norm_drift,max_h1"
     study_rows = [[r[k] for k in study_header.split(",")] for r in study["rows"]]
     logged = study["runs"][-1]
@@ -395,7 +398,7 @@ def _cmd_nonlinear(run: _Run):
         "slope": study["slope"],
         "max_norm_drift": max(r["max_norm_drift"] for r in study["rows"]),
         "max_h1_seminorm": max(r["max_h1"] for r in study["rows"]),
-        "dt_lambda_max": logged.dt_lambda_max,
+        "dt_lambda_max": float(dyn.dt * grid.sine_eigenvalues().max()),
         "T": dyn.T,
     }
     return results, {

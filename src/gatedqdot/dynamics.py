@@ -16,13 +16,12 @@ last, so a pulse edge keeps at most its own distinct values.  The nonlinear
 solver is Strang splitting on a staggered grid with one Hartree solve per
 step: a potential half step leaves |psi|^2 unchanged, so the field solved
 after the kinetic step also opens the next step.  The alpha study's flows
-share no state, so they run on a thread pool; the transforms and ufuncs
-that take their time release the GIL, and each flow is the same call, so
-every result is the serial one bit for bit.
+share only read-only arrays, so they run on a thread pool; the transforms
+and ufuncs that take their time release the GIL, and each flow is the same
+call, so every result is the serial one bit for bit.
 
-Bilinear states are plain arrays of Galerkin coefficients over spectrum
-positions, and the `Spectrum` names them; `WaveState` is the grid state of
-the nonlinear flow.
+States are plain arrays: Galerkin coefficients over spectrum positions,
+which the `Spectrum` names, or values on `NonlinearConfig.grid`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from .coupling import CouplingMatrix
 from .errors import DurationCapError, InstabilityError
 from .poisson import StaggeredGrid, hartree_field
-from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid
+from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid, enumerate_modes
 
 NORM_GUARD = 1e-6
 
@@ -83,18 +82,6 @@ class ControlSignal:
         return ControlSignal(samples=tuple(out), delta=self.delta)
 
 
-@dataclass
-class WaveState:
-    """Unit-norm grid state of the nonlinear flow: values on a staggered grid."""
-
-    values: np.ndarray
-    grid: StaggeredGrid
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-
-
 def galerkin_mode_state(spectrum: Spectrum, mode, truncation: int) -> np.ndarray:
     """Galerkin coefficients of one mode over the first `truncation` positions."""
     pos = spectrum.position(ModeIndex(*mode))
@@ -105,10 +92,9 @@ def galerkin_mode_state(spectrum: Spectrum, mode, truncation: int) -> np.ndarray
     return values
 
 
-def grid_mode_state(grid: StaggeredGrid, mode, L: float) -> WaveState:
-    """Eigenmode sampled on the staggered grid; exactly unit norm there."""
-    phi = eigenfunction_on_grid(ModeIndex(*mode), L, grid.x1, grid.x2)
-    return WaveState(values=phi.astype(complex), grid=grid)
+def grid_mode_state(grid: StaggeredGrid, mode, L: float) -> np.ndarray:
+    """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there."""
+    return eigenfunction_on_grid(ModeIndex(*mode), L, grid.x1, grid.x2).astype(complex)
 
 
 def _check_initial(norm: float):
@@ -277,11 +263,12 @@ class NonlinearConfig:
     """Strang-splitting parameters for the Schroedinger-Poisson system.
 
     alpha is the self-consistency strength (inverse squared scaled Debye
-    length); the grid is the initial state's.
+    length); the initial state and the gate potential are values on `grid`.
     """
 
     alpha: float
     dt: float
+    grid: StaggeredGrid
     log_populations: int = 6
 
     def __post_init__(self):
@@ -303,23 +290,23 @@ class NonlinearResult:
     gate_expectations: np.ndarray
     populations: np.ndarray  # (steps+1, K)
     control_values: np.ndarray  # (steps+1,), value applied after each time
-    final: WaveState
-    population_modes: tuple[ModeIndex, ...]
-    dt_lambda_max: float = 0.0
+    final: np.ndarray  # values on the grid at the last time
 
 
 LOG_LEVELS = ("norm", "h1", "all")
 
 
 def propagate_nonlinear(
-    initial: WaveState,
+    initial: np.ndarray,
     control: ControlSignal,
     config: NonlinearConfig,
-    gate_field,
+    v0: np.ndarray,
     *,
     log: str = "all",
 ) -> NonlinearResult:
-    """Strang splitting of i d(psi)/dt = (-Delta + u(t) V0 + W_psi) psi.
+    """Strang splitting of i d(psi)/dt = (-Delta + u(t) V0 + W_psi) psi from t = 0.
+
+    The unit-norm `initial` and the gate potential `v0` are on `config.grid`.
 
     Each step: half potential phase, exact kinetic step in the Dirichlet
     sine basis, then one Hartree solve from the post-kinetic density and
@@ -335,40 +322,33 @@ def propagate_nonlinear(
     with InstabilityError.  `log` says what else is logged: "norm"
     nothing more, "h1" the H1 seminorm, and "all" (the default) the H1
     seminorm, the gate expectation int V0 |psi|^2, the populations and
-    the control values.  What a run does not log comes back empty, so
-    `population_modes` is empty unless log="all".
+    the control values, the populations those of the first
+    `config.log_populations` modes of `enumerate_modes`.  What a run does
+    not log comes back empty.
     """
     if log not in LOG_LEVELS:
         raise ValueError(f"log must be one of {LOG_LEVELS}")
-    grid = initial.grid
-    if initial.values.shape != grid.shape:
-        raise ValueError("initial state shape does not match its grid")
-    _check_initial(grid.norm(initial.values))
-    if isinstance(gate_field, np.ndarray):
-        v0 = gate_field
-        if v0.shape != grid.shape:
-            raise ValueError("gate field shape does not match grid")
-    else:
-        v0 = gate_field.values_on(grid.x1, grid.x2)
+    grid = config.grid
+    if initial.shape != grid.shape:
+        raise ValueError("initial state shape does not match grid")
+    _check_initial(grid.norm(initial))
+    if v0.shape != grid.shape:
+        raise ValueError("gate field shape does not match grid")
     sine_eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
     L = grid.L
     log_h1 = log != "norm"
     log_all = log == "all"
 
-    kmodes: tuple[ModeIndex, ...] = ()
-    phis = np.zeros((0, initial.values.size))
+    phis = np.zeros((0, initial.size))
     if log_all and config.log_populations:
-        from .spectral import enumerate_modes
-
-        kspec = enumerate_modes(L, config.log_populations)
-        kmodes = tuple(kspec.modes)
         phis = np.stack(
-            [eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in kmodes]
+            [eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel()
+             for m in enumerate_modes(L, config.log_populations).modes]
         ).astype(complex)
 
-    psi = initial.values.astype(complex).copy()
-    t = initial.time
+    psi = initial.astype(complex)
+    t = 0.0
 
     logs = {k: [] for k in ("t", "norm", "h1", "gate", "pop", "u")}
 
@@ -433,11 +413,9 @@ def propagate_nonlinear(
         norms=np.array(logs["norm"]),
         h1_seminorms=np.array(logs["h1"]),
         gate_expectations=np.array(logs["gate"]),
-        populations=np.array(logs["pop"]) if kmodes else np.zeros((len(logs["pop"]), 0)),
+        populations=np.array(logs["pop"]).reshape(len(logs["pop"]), len(phis)),
         control_values=np.array(logs["u"]),
-        final=WaveState(values=psi, time=t, grid=grid),
-        population_modes=kmodes,
-        dt_lambda_max=float(config.dt * sine_eigs.max()),
+        final=psi,
     )
 
 
@@ -454,8 +432,8 @@ def alpha_scaling_study(
     control: ControlSignal,
     T: float,
     config: NonlinearConfig,
-    gate_field,
-    initial: WaveState,
+    v0: np.ndarray,
+    initial: np.ndarray,
 ) -> dict:
     """Deviation of the nonlinear flow from the linear one as alpha varies.
 
@@ -470,9 +448,9 @@ def alpha_scaling_study(
     alpha run but the last its norms and H1 seminorms, for the rows'
     maxima; the last run everything, for the trajectory it reports.
 
-    The runs share no state and run on a thread pool with one worker per
-    run, at most one per CPU the process may use; the longest runs start
-    first.  Each is the same `propagate_nonlinear` call as in a serial
+    The runs share only the read-only `initial` and `v0` arrays and run on
+    a thread pool with one worker per run, at most one per CPU the process
+    may use; the longest runs start first.  Each is the same `propagate_nonlinear` call as in a serial
     loop, so every result is bitwise the serial one.  Results are read in
     the serial order (the reference, then the alphas ascending), so the
     first failure in that order is the one raised; runs not yet started
@@ -494,7 +472,7 @@ def alpha_scaling_study(
         # longest first: the fully logged run, the H1 runs, then the reference
         futures = [
             pool.submit(
-                propagate_nonlinear, initial, clipped, replace(config, alpha=a), gate_field, log=log
+                propagate_nonlinear, initial, clipped, replace(config, alpha=a), v0, log=log
             )
             for a, log in reversed(jobs)
         ][::-1]
@@ -502,13 +480,13 @@ def alpha_scaling_study(
         linear, *runs = [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-    grid = initial.grid
+    grid = config.grid
     rows = []
     for a, res in zip(alphas, runs):
         rows.append(
             {
                 "alpha": a,
-                "deviation": grid.norm(res.final.values - linear.final.values),
+                "deviation": grid.norm(res.final - linear.final),
                 "max_norm_drift": float(np.abs(res.norms - 1.0).max()),
                 "max_h1": float(res.h1_seminorms.max()),
             }

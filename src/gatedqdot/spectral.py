@@ -174,18 +174,18 @@ def _close_pair_chunks(values: np.ndarray, tol: float):
         start = stop
 
 
-def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[ModeIndex, ModeIndex, float]]:
-    """All listed mode pairs whose eigenvalues collide within `tol`.
+def check_simplicity(spectrum: Spectrum, tol: float) -> list[tuple[int, int, float]]:
+    """All (a, b, gap) position pairs a < b whose eigenvalues collide within `tol`.
 
-    An empty list certifies simplicity at this truncation and tolerance.
+    Positions are 0-based and named by `spectrum.modes`.  An empty list
+    certifies simplicity at this truncation and tolerance.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    modes = spectrum.modes
     return [
-        (modes[a], modes[b], g)
+        pair
         for i, j, gaps in _close_pair_chunks(spectrum.eigenvalues, tol)
-        for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())
+        for pair in zip(i.tolist(), j.tolist(), gaps.tolist())
     ]
 
 

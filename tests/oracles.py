@@ -59,11 +59,12 @@ def strang_full_log(initial, control, config, v0, phis):
 
     One Hartree solve per step, computed inline as
     `mixed_backward(alpha * mixed_forward(|psi|^2) / mixed_eigenvalues)`;
-    no norm guard.  Returns the final grid values and the per-record
-    times, norms, H1 seminorms, gate expectations, populations against the
-    rows of `phis` and control values.
+    no norm guard.  The state starts on `config.grid` at t = 0.  Returns
+    the final grid values and the per-record times, norms, H1 seminorms,
+    gate expectations, populations against the rows of `phis` and control
+    values.
     """
-    grid = initial.grid
+    grid = config.grid
     sine_eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
 
@@ -71,8 +72,8 @@ def strang_full_log(initial, control, config, v0, phis):
         coeffs = grid.mixed_forward(np.abs(psi) ** 2)
         return grid.mixed_backward(config.alpha * coeffs / grid.mixed_eigenvalues)
 
-    psi = initial.values.astype(complex).copy()
-    t = initial.time
+    psi = np.asarray(initial, dtype=complex).copy()
+    t = 0.0
     logs = {k: [] for k in ("t", "norm", "h1", "gate", "pop", "u")}
 
     def record(u_next):

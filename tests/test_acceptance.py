@@ -347,8 +347,9 @@ def test_criterion_11_nonlinear_alpha_scaling():
     grid = StaggeredGrid(L=L, nx=128, ny=128)
     psi0 = grid_mode_state(grid, (1, 1), L)
     control = ControlSignal.constant(2.0, 0.15, 0.3)
-    cfg = NonlinearConfig(alpha=0.0, dt=1e-3, log_populations=0)
-    study = alpha_scaling_study([1e-3, 1e-2, 1e-1], control, 2.0, cfg, field, psi0)
+    cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid, log_populations=0)
+    v0 = field.values_on(grid.x1, grid.x2)
+    study = alpha_scaling_study([1e-3, 1e-2, 1e-1], control, 2.0, cfg, v0, psi0)
     slope = study["slope"]
     max_drift = max(r["max_norm_drift"] for r in study["rows"])
     # the initial record, the same in every run; the reference logs no H1

@@ -19,7 +19,7 @@ from gatedqdot.config import (
     RunConfig,
     validate_config,
 )
-from gatedqdot.poisson import GateSegment
+from gatedqdot.poisson import GateSegment, GridField, SpectralField
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -847,6 +847,34 @@ def test_each_stage_runs_once(tmp_path, monkeypatch, command, gate):
     assert {n: calls[n] for n in STAGE_FUNCTIONS} == {n: expected[n] for n in STAGE_FUNCTIONS}
     artifacts = json.loads((out / "report.json").read_text())["artifacts"]
     assert sorted(artifacts) == sorted(p.name for p in out.iterdir() if p.name != "report.json")
+
+
+@pytest.mark.parametrize(
+    "gate, field_type", [("fourier_mode", SpectralField), ("segment", GridField)]
+)
+def test_nonlinear_evaluates_the_gate_potential_once(tmp_path, monkeypatch, gate, field_type):
+    calls = Counter()
+
+    def counting(cls):
+        values_on = cls.values_on
+
+        def wrapper(self, x1, x2):
+            calls[cls] += 1
+            return values_on(self, x1, x2)
+        return wrapper
+
+    for cls in (SpectralField, GridField):
+        monkeypatch.setattr(cls, "values_on", counting(cls))
+    doc = {
+        "L": 1.03,
+        "grid": {"nx": 32, "ny": 32},
+        "gate": STAGE_GATES[gate][0],
+        "dynamics": {"T": 0.02, "alphas": [1e-3, 1e-2, 1e-1],
+                     "nonlinear_nx": 16, "nonlinear_ny": 16},
+    }
+    assert run("nonlinear", write_config(tmp_path, doc), tmp_path / "out") == 0
+    # the reference and the three alpha flows share one evaluation
+    assert calls == {field_type: 1}
 
 
 def test_control_on_a_one_mode_path_writes_the_empty_pulse(tmp_path):

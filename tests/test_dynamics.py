@@ -15,7 +15,6 @@ from gatedqdot.coupling import CouplingMatrix
 from gatedqdot.dynamics import (
     ControlSignal,
     NonlinearConfig,
-    WaveState,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,
@@ -345,30 +344,32 @@ class TestNonlinear:
     def test_free_eigenmode_stationary(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, log_populations=2)
-        res = propagate_nonlinear(psi0, ControlSignal.constant(0.3, 0.0, DELTA), cfg, field_n2)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid, log_populations=2)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        res = propagate_nonlinear(psi0, ControlSignal.constant(0.3, 0.0, DELTA), cfg, v0)
         assert np.abs(res.populations[:, 0] - 1.0).max() <= 1e-12
         assert np.abs(res.norms - 1.0).max() <= 1e-10
 
     def test_gauge_covariance_populations(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0.2, dt=1e-3, log_populations=4)
+        cfg = NonlinearConfig(alpha=0.2, dt=1e-3, grid=grid, log_populations=4)
         ctrl = ControlSignal(samples=((0.2, 0.3), (0.2, 0.1)), delta=DELTA)
-        base = propagate_nonlinear(psi0, ctrl, cfg, field_n2)
-        v0_shifted = field_n2.values_on(grid.x1, grid.x2) + 0.9
-        moved = propagate_nonlinear(psi0, ctrl, cfg, v0_shifted)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        base = propagate_nonlinear(psi0, ctrl, cfg, v0)
+        moved = propagate_nonlinear(psi0, ctrl, cfg, v0 + 0.9)
         assert np.abs(base.populations - moved.populations).max() <= 1e-10
 
     def test_strang_second_order(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
         psi0 = grid_mode_state(grid, (1, 1), L)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
 
         def final(dt):
-            cfg = NonlinearConfig(alpha=0.5, dt=dt, log_populations=0)
+            cfg = NonlinearConfig(alpha=0.5, dt=dt, grid=grid, log_populations=0)
             return propagate_nonlinear(
-                psi0, ControlSignal.constant(0.4, 0.25, DELTA), cfg, field_n2
-            ).final.values
+                psi0, ControlSignal.constant(0.4, 0.25, DELTA), cfg, v0
+            ).final
 
         c1, c2, c3 = final(2e-3), final(1e-3), final(5e-4)
         r = grid.norm(c1 - c2) / grid.norm(c2 - c3)
@@ -378,8 +379,8 @@ class TestNonlinear:
         grid = StaggeredGrid(L=L, nx=48, ny=48)
         psi0g = grid_mode_state(grid, (1, 1), L)
         ctrl = ControlSignal(samples=((0.4, 0.3), (0.6, 0.1)), delta=DELTA)
-        cfg = NonlinearConfig(alpha=0.0, dt=2e-4, log_populations=0)
-        res = propagate_nonlinear(psi0g, ctrl, cfg, field_n2)
+        cfg = NonlinearConfig(alpha=0.0, dt=2e-4, grid=grid, log_populations=0)
+        res = propagate_nonlinear(psi0g, ctrl, cfg, field_n2.values_on(grid.x1, grid.x2))
         n = 40
         spec = enumerate_modes(L, n)
         from gatedqdot.coupling import assemble_coupling_matrix
@@ -391,7 +392,7 @@ class TestNonlinear:
         proj = np.array(
             [
                 grid.cell_weight
-                * np.sum(eigenfunction_on_grid(m, L, grid.x1, grid.x2) * res.final.values)
+                * np.sum(eigenfunction_on_grid(m, L, grid.x1, grid.x2) * res.final)
                 for m in spec.modes
             ]
         )
@@ -402,39 +403,54 @@ class TestNonlinear:
         # the strongest parameters exercised anywhere in the suite
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=1.0, dt=2e-3, log_populations=0)
-        res = propagate_nonlinear(psi0, ControlSignal.constant(5.0, 0.5, 0.5), cfg, field_n2)
+        cfg = NonlinearConfig(alpha=1.0, dt=2e-3, grid=grid, log_populations=0)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        res = propagate_nonlinear(psi0, ControlSignal.constant(5.0, 0.5, 0.5), cfg, v0)
         assert res.h1_seminorms.max() <= 2.0 * res.h1_seminorms[0]
         assert np.abs(res.norms - 1.0).max() <= 1e-10
 
     def test_shape_and_norm_validation(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        cfg = NonlinearConfig(alpha=0.0, dt=1e-3)
-        bad_norm = WaveState(values=np.ones(grid.shape, dtype=complex), grid=grid)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        bad_norm = np.ones(grid.shape, dtype=complex)
         with pytest.raises(ValueError):
-            propagate_nonlinear(bad_norm, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
-        off_grid = WaveState(values=np.ones(4, dtype=complex), grid=grid)
+            propagate_nonlinear(bad_norm, ControlSignal.constant(0.1, 0.0, DELTA), cfg, v0)
+        off_grid = np.ones(4, dtype=complex)
         with pytest.raises(ValueError):
-            propagate_nonlinear(off_grid, ControlSignal.constant(0.1, 0.0, DELTA), cfg, field_n2)
+            propagate_nonlinear(off_grid, ControlSignal.constant(0.1, 0.0, DELTA), cfg, v0)
+
+    def test_gate_shape_validation(self, field_n2):
+        grid = StaggeredGrid(L=L, nx=32, ny=32)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid)
+        psi0 = grid_mode_state(grid, (1, 1), L)
+        # the gate potential sampled on another grid
+        other = StaggeredGrid(L=L, nx=16, ny=32)
+        v0 = field_n2.values_on(other.x1, other.x2)
+        with pytest.raises(ValueError, match="gate field shape does not match grid"):
+            propagate_nonlinear(psi0, ControlSignal.constant(0.1, 0.0, DELTA), cfg, v0)
 
     def test_config_validation(self):
+        grid = StaggeredGrid(L=L, nx=4, ny=4)
         with pytest.raises(ValueError):
-            NonlinearConfig(alpha=-1.0, dt=1e-3)
+            NonlinearConfig(alpha=-1.0, dt=1e-3, grid=grid)
         with pytest.raises(ValueError):
-            NonlinearConfig(alpha=0.0, dt=0.0)
+            NonlinearConfig(alpha=0.0, dt=0.0, grid=grid)
 
 
-def two_solve_strang(initial, control, config, v0, pop_modes):
+def two_solve_strang(initial, control, config, v0):
     """Oracle: the Strang step with a fresh Hartree solve before each half phase.
 
     Returns the final state and the per-record norms, H1 seminorms, gate
-    expectations and populations, computed as the integrator logs them.
+    expectations and populations of the first `config.log_populations`
+    modes, computed as the integrator logs them.
     """
-    grid = initial.grid
+    grid = config.grid
     eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
+    pop_modes = enumerate_modes(L, config.log_populations).modes
     phis = np.stack([eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in pop_modes])
-    psi = initial.values.copy()
+    psi = initial.copy()
     logs = []
 
     def record():
@@ -468,7 +484,7 @@ class TestOneSolvePerStep:
     def run(self, field_n2, alpha, samples, monkeypatch):
         grid = StaggeredGrid(L=L, nx=16, ny=16)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=alpha, dt=1e-2, log_populations=3)
+        cfg = NonlinearConfig(alpha=alpha, dt=1e-2, grid=grid, log_populations=3)
         ctrl = ControlSignal(samples=samples, delta=DELTA)
         calls = []
 
@@ -477,12 +493,12 @@ class TestOneSolvePerStep:
             return hartree_field(*args)
 
         monkeypatch.setattr("gatedqdot.dynamics.hartree_field", counted)
-        res = propagate_nonlinear(psi0, ctrl, cfg, field_n2)
         v0 = field_n2.values_on(grid.x1, grid.x2)
-        expected = two_solve_strang(psi0, ctrl, cfg, v0, res.population_modes)
+        res = propagate_nonlinear(psi0, ctrl, cfg, v0)
+        expected = two_solve_strang(psi0, ctrl, cfg, v0)
         steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in samples)
         assert res.times.size == steps + 1
-        got = (res.final.values, res.norms, res.h1_seminorms, res.gate_expectations, res.populations)
+        got = (res.final, res.norms, res.h1_seminorms, res.gate_expectations, res.populations)
         return got, expected, len(calls), steps
 
     def test_linear_run_solves_nothing_and_is_bitwise_equal(self, field_n2, monkeypatch):
@@ -511,9 +527,10 @@ class TestAlphaStudy:
     def test_single_alpha_no_slope(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3, log_populations=0)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid, log_populations=0)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
         out = alpha_scaling_study(
-            [1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
+            [1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, v0, psi0
         )
         assert out["slope"] is None
         assert len(out["rows"]) == 1
@@ -521,9 +538,10 @@ class TestAlphaStudy:
     def test_deviations_increase_with_alpha(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3, log_populations=0)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid, log_populations=0)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
         out = alpha_scaling_study(
-            [1e-2, 1e-1], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
+            [1e-2, 1e-1], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, v0, psi0
         )
         devs = [r["deviation"] for r in out["rows"]]
         assert devs[1] > devs[0] > 0
@@ -531,10 +549,11 @@ class TestAlphaStudy:
     def test_alpha_ordering_enforced(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0, dt=2e-3)
+        cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
         with pytest.raises(ValueError):
             alpha_scaling_study(
-                [1e-1, 1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, field_n2, psi0
+                [1e-1, 1e-2], ControlSignal.constant(0.5, 0.15, DELTA), 0.5, cfg, v0, psi0
             )
 
 
@@ -546,15 +565,15 @@ def assert_same_bytes(a, b):
 class TestLoggedQuantities:
     """Runs log only what is read, and what they log is the first-written loop's, byte for byte."""
 
-    def setup_run(self):
+    def setup_run(self, field_n2):
         grid = StaggeredGrid(L=L, nx=16, ny=16)
         psi0 = grid_mode_state(grid, (1, 1), L)
-        cfg = NonlinearConfig(alpha=0.0, dt=1e-2, log_populations=3)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-2, grid=grid, log_populations=3)
         ctrl = ControlSignal(samples=TestOneSolvePerStep.SAMPLES, delta=DELTA)
-        return psi0, ctrl, cfg
+        return psi0, ctrl, cfg, field_n2.values_on(grid.x1, grid.x2)
 
     def oracle(self, field_n2, psi0, ctrl, cfg, alpha):
-        grid = psi0.grid
+        grid = cfg.grid
         modes = enumerate_modes(L, cfg.log_populations).modes
         phis = np.stack(
             [eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in modes]
@@ -569,27 +588,27 @@ class TestLoggedQuantities:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_full_log_matches_first_loop(self, field_n2, alpha):
-        psi0, ctrl, cfg = self.setup_run()
-        res = propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), field_n2)
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
+        res = propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), v0)
         final, *logs = self.oracle(field_n2, psi0, ctrl, cfg, alpha)
-        assert_same_bytes(res.final.values, final)
+        assert_same_bytes(res.final, final)
         for got, expected in zip(self.logs(res), logs):
             assert_same_bytes(got, expected)
 
     def test_alpha_study_matches_first_loop(self, field_n2):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         alphas = [0.05, 0.1]
-        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         self.check_study(field_n2, study, alphas)
 
     def check_study(self, field_n2, study, alphas):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, _ = self.setup_run(field_n2)
         linear = self.oracle(field_n2, psi0, ctrl, cfg, 0.0)
         runs = [self.oracle(field_n2, psi0, ctrl, cfg, a) for a in alphas]
         rows = [
             {
                 "alpha": a,
-                "deviation": psi0.grid.norm(run[0] - linear[0]),
+                "deviation": cfg.grid.norm(run[0] - linear[0]),
                 "max_norm_drift": float(np.abs(run[2] - 1.0).max()),
                 "max_h1": float(run[3].max()),
             }
@@ -599,35 +618,35 @@ class TestLoggedQuantities:
         slope = np.polyfit(np.log(alphas), np.log([r["deviation"] for r in rows]), 1)[0]
         assert study["slope"] == float(slope)
         reference = study["linear_reference"]
-        assert_same_bytes(reference.final.values, linear[0])
+        assert_same_bytes(reference.final, linear[0])
         assert_same_bytes(reference.norms, linear[2])
-        assert reference.h1_seminorms.size == 0 and reference.population_modes == ()
+        assert reference.h1_seminorms.size == 0 and reference.populations.size == 0
         middle, last = study["runs"]
-        assert_same_bytes(middle.final.values, runs[0][0])
+        assert_same_bytes(middle.final, runs[0][0])
         assert_same_bytes(middle.norms, runs[0][2])
         assert_same_bytes(middle.h1_seminorms, runs[0][3])
         assert middle.gate_expectations.size == 0 and middle.populations.size == 0
-        assert_same_bytes(last.final.values, runs[1][0])
+        assert_same_bytes(last.final, runs[1][0])
         for got, expected in zip(self.logs(last), runs[1][1:]):
             assert_same_bytes(got, expected)
 
     @pytest.mark.parametrize("alpha, log", [(0.0, "norm"), (0.1, "h1")])
     def test_trimmed_log_still_guards_norm(self, field_n2, monkeypatch, alpha, log):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         backward = StaggeredGrid.sine_backward
         monkeypatch.setattr(
             StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
         )
         with pytest.raises(InstabilityError):
-            propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), field_n2, log=log)
+            propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), v0, log=log)
 
     def test_unknown_log_rejected(self, field_n2):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         with pytest.raises(ValueError):
-            propagate_nonlinear(psi0, ctrl, cfg, field_n2, log="gate")
+            propagate_nonlinear(psi0, ctrl, cfg, v0, log="gate")
 
     def test_sine_transforms_per_run(self, field_n2, monkeypatch):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         forward = StaggeredGrid.sine_forward
         # the flows run concurrently, so each thread counts its own transforms
         calls = collections.Counter()
@@ -646,7 +665,7 @@ class TestLoggedQuantities:
 
         monkeypatch.setattr(StaggeredGrid, "sine_forward", counted_forward)
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", counted_run)
-        alpha_scaling_study([0.05, 0.1, 0.2], ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        alpha_scaling_study([0.05, 0.1, 0.2], ctrl, ctrl.total_duration, cfg, v0, psi0)
         steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in ctrl.samples)
         # the reference transforms once per kinetic step and logs no H1;
         # every alpha run adds the H1 transform of each record
@@ -662,7 +681,10 @@ class TestConcurrentAlphaStudy:
     check_study = TestLoggedQuantities.check_study
 
     def test_two_flows_run_at_once(self, field_n2, monkeypatch):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
+        # the flows share these two arrays: a write from any flow raises
+        psi0.setflags(write=False)
+        v0.setflags(write=False)
         # neither of the first two flows passes the barrier until the other
         # has reached it, so the study finishes only if they run at once
         barrier = threading.Barrier(2, timeout=30)
@@ -676,12 +698,12 @@ class TestConcurrentAlphaStudy:
         monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 2)
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", paired_run)
         alphas = [0.05, 0.1]
-        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         assert next(entered) == 3
         self.check_study(field_n2, study, alphas)
 
     def test_one_cpu_runs_longest_flow_first(self, field_n2, monkeypatch):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         started = []
 
         def recorded_run(initial, control, config, *args, log, **kwargs):
@@ -691,14 +713,14 @@ class TestConcurrentAlphaStudy:
         monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 1)
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", recorded_run)
         alphas = [0.05, 0.1]
-        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+        study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         assert [(a, log) for a, log, _ in started] == [(0.1, "all"), (0.05, "h1"), (0.0, "norm")]
         # one worker, which is not the caller's thread
         assert len({ident for _, _, ident in started} - {threading.get_ident()}) == 1
         self.check_study(field_n2, study, alphas)
 
     def test_failure_raises_the_serial_loops_first_error(self, field_n2, monkeypatch):
-        psi0, ctrl, cfg = self.setup_run()
+        psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         backward = StaggeredGrid.sine_backward
         # every flow trips the norm guard
         monkeypatch.setattr(
@@ -717,7 +739,7 @@ class TestConcurrentAlphaStudy:
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", recorded_run)
         threads = threading.active_count()
         with pytest.raises(InstabilityError) as excinfo:
-            alpha_scaling_study([0.05, 0.1], ctrl, ctrl.total_duration, cfg, field_n2, psi0)
+            alpha_scaling_study([0.05, 0.1], ctrl, ctrl.total_duration, cfg, v0, psi0)
         # the reference comes first in the serial loop
         assert excinfo.value is raised[0.0]
         assert str(excinfo.value) == "norm drift 1.000e-03 at t=0.01; reduce dt"
@@ -742,8 +764,9 @@ class TestConcurrentAlphaStudy:
 def test_trajectory_csv(tmp_path, field_n2):
     grid = StaggeredGrid(L=L, nx=32, ny=32)
     psi0 = grid_mode_state(grid, (1, 1), L)
-    cfg = NonlinearConfig(alpha=0.1, dt=1e-2, log_populations=3)
-    res = propagate_nonlinear(psi0, ControlSignal.constant(0.05, 0.2, DELTA), cfg, field_n2)
+    cfg = NonlinearConfig(alpha=0.1, dt=1e-2, grid=grid, log_populations=3)
+    v0 = field_n2.values_on(grid.x1, grid.x2)
+    res = propagate_nonlinear(psi0, ControlSignal.constant(0.05, 0.2, DELTA), cfg, v0)
     # the same run through the CLI: its only alpha is the logged one
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

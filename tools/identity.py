@@ -73,6 +73,12 @@ CONFIGS = {
         "control": {"samples": [[0.05, 0.0], [0.03, 0.2], [0.05, 0.0]]},
         "dynamics": {"T": 0.13, "alphas": [1e-3, 4e-3, 2e-2, 1e-1]},
     },
+    # no population columns: the fully logged run keeps an empty (steps+1, 0) log
+    "nonlinear-no-populations": {
+        "gate": {"kind": "fourier_mode", "n": 2},
+        "truncation": 20,
+        "dynamics": {"log_populations": 0},
+    },
     # a two-edge pulse whose edges each end on a remainder sample, with an
     # odd period whose middle sample is its own mirror image
     "chain-3mode": {
