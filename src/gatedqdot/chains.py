@@ -4,7 +4,7 @@ A control field couples a pair of levels when the corresponding coupling
 entry is nonzero; a set of pairs that links every pair of levels through
 overlapping hops is a connectedness chain, rendered here as connectivity
 of the undirected coupling graph.  All verdicts are finite: they hold at
-the stated truncation and tolerance, never for the infinite mode family.
+the coupling matrix's truncation and tolerance, never for all modes.
 
 The graph is the read-only boolean adjacency array of `build_graph`, and
 every function here takes and returns ordering positions; the `Spectrum`
@@ -21,17 +21,13 @@ from .coupling import CouplingMatrix
 from .spectral import window_pairs
 
 
-def build_graph(matrix: CouplingMatrix, node_count: int) -> np.ndarray:
-    """Coupling graph of the first `node_count` ordering positions.
+def build_graph(matrix: CouplingMatrix) -> np.ndarray:
+    """Coupling graph over the positions of `matrix`.
 
     Returns the read-only boolean adjacency array: `adj[a, b]` is True when
     positions a != b share a stored entry.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if node_count > len(matrix):
-        raise ValueError("node_count exceeds coupling matrix mode count")
-    adj = matrix.values[:node_count, :node_count] != 0
+    adj = matrix.values != 0
     np.fill_diagonal(adj, False)
     adj.flags.writeable = False
     return adj
@@ -146,7 +142,9 @@ def certify_nonresonant_chain(
     if tol <= 0:
         raise ValueError("tol must be positive")
     lam = np.asarray(eigenvalues, dtype=float)
-    coupled = matrix.values[: lam.size, : lam.size] != 0
+    if lam.shape != (len(matrix),):
+        raise ValueError(f"{lam.size} eigenvalues for a {len(matrix)}-mode coupling matrix")
+    coupled = matrix.values != 0
     chain = []
     for a, b in chain_edges:
         a, b = int(a), int(b)
@@ -202,19 +200,14 @@ class ChainCertificate:
         return self.connected and not self.violations
 
 
-def certify(
-    matrix: CouplingMatrix,
-    eigenvalues,
-    truncation: int,
-    resonance_tol: float,
-) -> ChainCertificate:
+def certify(matrix: CouplingMatrix, eigenvalues, resonance_tol: float) -> ChainCertificate:
     """Full certificate: connectivity, witness paths and resonance scan.
 
     The chain is the breadth-first spanning forest of the coupling graph;
     witness paths go from each component's least node to its other members
     (paths between arbitrary pairs concatenate two witnesses).
     """
-    components, parent = breadth_first_forest(build_graph(matrix, truncation))
+    components, parent = breadth_first_forest(build_graph(matrix))
     return ChainCertificate(
         connected=len(components) == 1,
         components=components,

@@ -126,19 +126,15 @@ class _Run:
 
     @cached_property
     def matrix(self):
-        """Coupling matrix of the gate field at the truncation."""
-        spectrum, config = self.spectrum, self.config
-        return assemble_coupling_matrix(
-            self.field, spectrum, config.truncation, config.tolerances.zero_tol
-        )
+        """Coupling matrix of the gate field over the spectrum."""
+        spectrum = self.spectrum
+        return assemble_coupling_matrix(self.field, spectrum, self.config.tolerances.zero_tol)
 
     @cached_property
     def resonance(self):
         """Shifted eigenvalues at `effective_rho()`, their tolerance and the weak scan."""
         config = self.config
-        shifted = shifted_spectrum(
-            self.spectrum, self.matrix, config.effective_rho(), config.truncation
-        ).eigenvalues
+        shifted = shifted_spectrum(self.spectrum, self.matrix, config.effective_rho()).eigenvalues
         tol = config.resonance_tol(shifted)
         return shifted, tol, check_weak_nonresonance(shifted, tol)
 
@@ -236,7 +232,7 @@ def _cmd_coupling(run: _Run):
 
 def _cmd_chain(run: _Run):
     config, matrix = run.config, run.matrix
-    adj = build_graph(matrix, config.truncation)
+    adj = build_graph(matrix)
     components, parent = breadth_first_forest(adj)
     connected = len(components) == 1
     doc = {
@@ -315,9 +311,9 @@ def _propagate_stage(run: _Run, control):
     coefficient, bit for bit.
     """
     config, spectrum = run.config, run.spectrum
-    initial = galerkin_mode_state(spectrum, config.dynamics.path[0], config.truncation)
-    times, values = propagate_bilinear(spectrum, run.matrix, control, initial, config.truncation)
-    k = min(config.dynamics.log_populations or 1, config.truncation)
+    initial = galerkin_mode_state(spectrum, config.dynamics.path[0])
+    times, values = propagate_bilinear(spectrum, run.matrix, control, initial)
+    k = min(config.dynamics.log_populations or 1, len(spectrum))
     re, im = values.real, values.imag
     # np.linalg.norm of a complex vector: the real and imaginary dot products
     norms = re[:, None, :] @ re[:, :, None]
@@ -325,7 +321,7 @@ def _propagate_stage(run: _Run, control):
     np.sqrt(norms, out=norms)
     weighted = np.abs(values)
     weighted **= 2
-    weighted *= spectrum.eigenvalues[: config.truncation]
+    weighted *= spectrum.eigenvalues
     h1 = np.sqrt(np.sum(weighted, axis=1))
     # abs(z) ** 2 on a numpy scalar is hypot and then libm pow, not a square
     pops = np.float_power(np.hypot(re[:, :k], im[:, :k]), 2.0)
@@ -357,7 +353,6 @@ def _cmd_control(run: _Run):
         run.matrix,
         config.delta,
         config.dynamics.amplitude_fraction,
-        truncation=config.truncation,
         samples_per_period=config.dynamics.samples_per_period,
         duration_cap=config.dynamics.duration_cap,
     )
@@ -377,7 +372,7 @@ def _cmd_control(run: _Run):
 def _cmd_nonlinear(run: _Run):
     config, dyn, field = run.config, run.config.dynamics, run.field
     grid = StaggeredGrid(L=config.L, nx=dyn.nonlinear_nx, ny=dyn.nonlinear_ny)
-    initial = grid_mode_state(grid, dyn.path[0], config.L)
+    initial = grid_mode_state(grid, dyn.path[0])
     control = (run.control if config.control is not None
                else ControlSignal.constant(dyn.T, 0.5 * config.delta, config.delta))
     base = NonlinearConfig(alpha=0.0, dt=dyn.dt, grid=grid, log_populations=dyn.log_populations)
@@ -427,7 +422,7 @@ def _cmd_certify(run: _Run):
     config, matrix, modes = run.config, run.matrix, run.spectrum.modes
     simplicity = _simplicity_results(run.spectrum, config.tolerances.simplicity)
     shifted, tol, weak = run.resonance
-    cert = certify(matrix, shifted, config.truncation, tol)
+    cert = certify(matrix, shifted, tol)
     doc = {
         "connected": cert.connected,
         "certified": cert.certified,
@@ -450,7 +445,7 @@ def _cmd_certify(run: _Run):
         "chain": {
             "connected": cert.connected,
             "component_count": len(cert.components),
-            "chain_edges": config.truncation - len(cert.components),
+            "chain_edges": len(matrix) - len(cert.components),
         },
         "resonance_violations": len(cert.violations),
         "weak_nonresonance_violations": weak.count,

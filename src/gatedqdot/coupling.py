@@ -53,7 +53,7 @@ def coupling_x2_closed(n: int, j2, k2, L: float):
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric coupling operator over the first spectrum positions, as one dense array.
+    """Symmetric coupling operator over the positions of a spectrum, as one dense array.
 
     `values[a, b]` is the entry between ordering positions a and b.
     Magnitudes at or below the effective zero tolerance are structural
@@ -147,27 +147,24 @@ def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
 def assemble_coupling_matrix(
     field,
     spectrum: Spectrum,
-    truncation: int,
     zero_tol: float | None = None,
 ) -> CouplingMatrix:
-    """Coupling matrix over the first `truncation` ordered modes.
+    """Coupling matrix over every mode of `spectrum`, in its order.
 
-    A SpectralField (full-gate sine superposition) uses the closed forms; a
-    GridField must sample the uniform lattice on [0, pi] x [0, L], and its
-    bilinear interpolant is integrated exactly.  With zero_tol=None the
-    structural-zero threshold is 1e-12 times the largest raw magnitude in
-    either touching row, which keeps large cosh-inflated rows from
-    misclassifying true zeros.  The closed forms fill only the upper
+    A SpectralField (full-gate sine superposition) on the spectrum's L uses
+    the closed forms; a GridField must sample the uniform lattice on
+    [0, pi] x [0, L], and its bilinear interpolant is integrated exactly.
+    With zero_tol=None the structural-zero threshold is 1e-12 times the
+    largest raw magnitude in either touching row, which keeps large
+    cosh-inflated rows from misclassifying true zeros.  The closed forms fill only the upper
     triangle, so there a row's maximum runs over the columns >= the row.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if truncation > len(spectrum):
-        raise ValueError("truncation exceeds spectrum size")
     if zero_tol is not None and not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
-    j1, j2, L = spectrum.j1[:truncation], spectrum.j2[:truncation], spectrum.L
+    j1, j2, L = spectrum.j1, spectrum.j2, spectrum.L
     if isinstance(field, SpectralField):
+        if field.L != L:
+            raise ValueError(f"spectral gate field lies on L = {field.L!r}, not on L = {L!r}")
         raw = _raw_entries_spectral(field, j1, j2, L)
     elif isinstance(field, GridField):
         raw = _raw_entries_lattice(field, j1, j2, L)

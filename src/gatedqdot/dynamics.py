@@ -20,8 +20,8 @@ share only read-only arrays, so they run on a thread pool; the transforms
 and ufuncs that take their time release the GIL, and each flow is the same
 call, so every result is the serial one bit for bit.
 
-States are plain arrays: Galerkin coefficients over spectrum positions,
-which the `Spectrum` names, or values on `NonlinearConfig.grid`.
+States are plain arrays: Galerkin coefficients over all the positions of
+the `Spectrum`, which names them, or values on `NonlinearConfig.grid`.
 """
 
 from __future__ import annotations
@@ -82,19 +82,16 @@ class ControlSignal:
         return ControlSignal(samples=tuple(out), delta=self.delta)
 
 
-def galerkin_mode_state(spectrum: Spectrum, mode, truncation: int) -> np.ndarray:
-    """Galerkin coefficients of one mode over the first `truncation` positions."""
-    pos = spectrum.position(ModeIndex(*mode))
-    if pos >= truncation:
-        raise ValueError("mode lies outside the truncation window")
-    values = np.zeros(truncation, dtype=complex)
-    values[pos] = 1.0
+def galerkin_mode_state(spectrum: Spectrum, mode) -> np.ndarray:
+    """Galerkin coefficients of one mode over the positions of `spectrum`."""
+    values = np.zeros(len(spectrum), dtype=complex)
+    values[spectrum.position(ModeIndex(*mode))] = 1.0
     return values
 
 
-def grid_mode_state(grid: StaggeredGrid, mode, L: float) -> np.ndarray:
+def grid_mode_state(grid: StaggeredGrid, mode) -> np.ndarray:
     """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there."""
-    return eigenfunction_on_grid(ModeIndex(*mode), L, grid.x1, grid.x2).astype(complex)
+    return eigenfunction_on_grid(ModeIndex(*mode), grid.L, grid.x1, grid.x2).astype(complex)
 
 
 def _check_initial(norm: float):
@@ -102,33 +99,36 @@ def _check_initial(norm: float):
         raise ValueError(f"initial state norm {norm} is not 1")
 
 
+def _check_sizes(spectrum: Spectrum, coupling: CouplingMatrix):
+    if len(coupling) != len(spectrum):
+        raise ValueError(f"{len(coupling)}-mode coupling matrix for a {len(spectrum)}-mode spectrum")
+
+
 def propagate_bilinear(
     spectrum: Spectrum,
     coupling: CouplingMatrix,
     control: ControlSignal,
     initial,
-    truncation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact piecewise exponential of -i(diag(lambda) + u*C) from t = 0.
 
-    `initial` holds the `(truncation,)` Galerkin coefficients at t = 0.
-    Returns `(times, values)`: the `(S+1,)` sample-boundary times and the
-    `(S+1, truncation)` coefficients there, row 0 the initial state.  Each
-    interval is applied through the symmetric eigendecomposition of the
-    frozen Hamiltonian, so the step is unitary to rounding and independent
-    of any internal step size.  One `eigh` serves every sample of a control
-    value and one phase every sample of a (value, duration) pair.  The
-    eigenvectors are kept as one complex matrix per value, held from the
-    value's first sample to its last and then dropped, so no value is
-    decomposed twice and the cache holds only the values still to come.
+    `coupling` spans the N modes of `spectrum`, and `initial` holds the
+    `(N,)` Galerkin coefficients at t = 0.  Returns `(times, values)`: the
+    `(S+1,)` sample-boundary times and the `(S+1, N)` coefficients there,
+    row 0 the initial state.  Each interval is applied through the
+    symmetric eigendecomposition of the frozen Hamiltonian, so the step is
+    unitary to rounding and independent of any internal step size.  One
+    `eigh` serves every sample of a control value and one phase every
+    sample of a (value, duration) pair.  The eigenvectors are kept as one
+    complex matrix per value, held from the value's first sample to its
+    last and then dropped, so no value is decomposed twice and the cache
+    holds only the values still to come.
     """
-    if truncation > len(spectrum):
-        raise ValueError("truncation exceeds spectrum size")
-    lam = spectrum.eigenvalues[:truncation]
-    cmat = coupling.values[:truncation, :truncation]
+    _check_sizes(spectrum, coupling)
+    lam, cmat = spectrum.eigenvalues, coupling.values
     initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (truncation,):
-        raise ValueError("initial state size does not match truncation")
+    if initial.shape != lam.shape:
+        raise ValueError("initial state size does not match the spectrum")
     _check_initial(float(np.linalg.norm(initial)))
     # per-call caches: constant segments and repeated pulse samples reuse
     # the same frozen-Hamiltonian eigendecomposition and step phase; complex
@@ -137,7 +137,7 @@ def propagate_bilinear(
     phases: dict[tuple[float, float], np.ndarray] = {}
     last = {u: k for k, (_, u) in enumerate(control.samples, start=1)}
     times = np.empty(len(control.samples) + 1)
-    values = np.empty((len(control.samples) + 1, truncation), dtype=complex)
+    values = np.empty((len(control.samples) + 1, lam.size), dtype=complex)
     values[0] = initial
     psi = values[0]
     t = times[0] = 0.0
@@ -160,12 +160,11 @@ def propagate_bilinear(
 def transfer_fidelity(spectrum: Spectrum, values, target_mode) -> float:
     """Population of the target mode in normalized Galerkin coefficients."""
     values = np.asarray(values)
+    if values.shape != (len(spectrum),):
+        raise ValueError(f"{values.size} coefficients for a {len(spectrum)}-mode spectrum")
     if abs(float(np.linalg.norm(values)) - 1.0) > 1e-8:
         raise ValueError("state is not normalized")
-    pos = spectrum.position(ModeIndex(*target_mode))
-    if pos >= values.size:
-        raise ValueError(f"target mode {tuple(target_mode)} not in state")
-    return float(abs(values[pos]) ** 2)
+    return float(abs(values[spectrum.position(ModeIndex(*target_mode))]) ** 2)
 
 
 def synthesize_chain_transfer(
@@ -175,7 +174,6 @@ def synthesize_chain_transfer(
     delta: float,
     amplitude_fraction: float,
     *,
-    truncation: int | None = None,
     samples_per_period: int = 40,
     duration_cap: float = math.inf,
 ) -> ControlSignal:
@@ -206,20 +204,16 @@ def synthesize_chain_transfer(
         raise ValueError("amplitude_fraction must lie in (0, 1/2]")
     if samples_per_period < 2:
         raise ValueError("samples_per_period must be >= 2")
+    _check_sizes(spectrum, coupling)
     modes = [ModeIndex(*m) for m in path]
     if not modes:
         raise ValueError("path must contain at least one mode")
     if len(modes) == 1:
         return ControlSignal(samples=(), delta=delta)
 
-    n = truncation if truncation is not None else len(spectrum)
-    lam = spectrum.eigenvalues[:n]
-    cmat = coupling.values[:n, :n]
-    u_bar = 0.5 * delta
-    shifted = np.linalg.eigvalsh(np.diag(lam) + u_bar * cmat)
+    cmat, u_bar = coupling.values, 0.5 * delta
+    shifted = np.linalg.eigvalsh(np.diag(spectrum.eigenvalues) + u_bar * cmat)
     positions = [spectrum.position(m) for m in modes]
-    if any(p >= n for p in positions):
-        raise ValueError("path mode outside the truncation window")
 
     amp = amplitude_fraction * delta
     samples: list[tuple[float, float]] = []

@@ -7,6 +7,8 @@ Eigenpairs are indexed by (j1, j2) with
 
 Resonance scans, Galerkin spectra of -Delta + rho*V0, and Hadamard shape
 derivatives of simple eigenvalues all operate on this parameterization.
+A `Spectrum` is also the Galerkin window: every coupling matrix, shifted
+spectrum and Galerkin state spans all of the spectrum it was built from.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ShiftedSpectrum:
-    """Galerkin spectrum of -Delta + rho*V0 on the first `truncation` modes.
+    """Galerkin spectrum of -Delta + rho*V0 over the modes of a `Spectrum`.
 
     `eigenvectors[:, k]` holds the coefficients of the k-th shifted
     eigenfunction in the unshifted eigenbasis.
@@ -258,21 +260,16 @@ def check_weak_nonresonance(eigenvalues: Sequence[float], tol: float) -> Nonreso
     return NonresonanceScan(count=count, rows=rows)
 
 
-def shifted_spectrum(spectrum: Spectrum, matrix, rho: float, truncation: int) -> ShiftedSpectrum:
-    """Diagonalize diag(lambda) + rho * matrix.values on the first `truncation` modes.
+def shifted_spectrum(spectrum: Spectrum, matrix, rho: float) -> ShiftedSpectrum:
+    """Diagonalize diag(lambda) + rho * matrix.values over the modes of `spectrum`.
 
-    `matrix` is a CouplingMatrix.  rho may be slightly negative: central
-    differencing of eigenvalue slopes at rho = 0 needs both signs even
-    though physical controls live in [0, delta].
+    `matrix` is a CouplingMatrix over the same modes.  rho may be slightly
+    negative: central differencing of eigenvalue slopes at rho = 0 needs
+    both signs even though physical controls live in [0, delta].
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if truncation > len(spectrum):
-        raise ValueError("truncation exceeds spectrum size")
-    if truncation > len(matrix):
-        raise ValueError("truncation exceeds coupling matrix size")
-    mat = matrix.values[:truncation, :truncation]
-    h = np.diag(spectrum.eigenvalues[:truncation]) + rho * mat
+    if len(matrix) != len(spectrum):
+        raise ValueError(f"{len(matrix)}-mode coupling matrix for a {len(spectrum)}-mode spectrum")
+    h = np.diag(spectrum.eigenvalues) + rho * matrix.values
     vals, vecs = np.linalg.eigh(h)
     return ShiftedSpectrum(eigenvalues=vals, eigenvectors=vecs)
 

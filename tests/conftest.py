@@ -27,14 +27,14 @@ def field_n2():
 
 @pytest.fixture(scope="session")
 def matrix_n2_100(field_n2, spec100):
-    return assemble_coupling_matrix(field_n2, spec100, 100)
+    return assemble_coupling_matrix(field_n2, spec100)
 
 
 @pytest.fixture(scope="session")
 def matrix_n1_100(field_n1, spec100):
-    return assemble_coupling_matrix(field_n1, spec100, 100)
+    return assemble_coupling_matrix(field_n1, spec100)
 
 
 @pytest.fixture(scope="session")
 def matrix_n2_30(field_n2, spec30):
-    return assemble_coupling_matrix(field_n2, spec30, 30)
+    return assemble_coupling_matrix(field_n2, spec30)

@@ -119,10 +119,10 @@ def test_criterion_02_closed_forms_vs_quadrature():
 
 def test_criterion_03_chain_connectivity():
     spec = enumerate_modes(L, 100)
-    m2 = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 100)
-    connected2, comps2 = check_connected(build_graph(m2, 100))
-    m1 = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec, 100)
-    connected1, comps1 = check_connected(build_graph(m1, 100))
+    m2 = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec)
+    connected2, comps2 = check_connected(build_graph(m2))
+    m1 = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec)
+    connected1, comps1 = check_connected(build_graph(m1))
     parities = [{spec.modes[i].j1 % 2 for i in comp} for comp in comps1]
     ok = connected2 and not connected1 and len(comps1) == 2 and parities == [{1}, {0}]
     report(
@@ -135,7 +135,7 @@ def test_criterion_03_chain_connectivity():
 
 def test_criterion_04_unshifted_resonance_failure():
     spec = enumerate_modes(L, 100)
-    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 100)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec)
     edges = [(a, b) for a, b in matrix.entries if a != b]
     tol = 1e-9 * (spec.eigenvalues[-1] - spec.eigenvalues[0])
     violations = certify_nonresonant_chain(spec.eigenvalues, matrix, edges, tol)
@@ -178,7 +178,7 @@ def test_criterion_05_shifted_weak_nonresonance():
     # |d rho| <= 0.05.
     truncation, tol, h, reach = 40, 1e-6, 1e-4, 0.05
     spec = enumerate_modes(L, truncation)
-    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec, truncation)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec)
     dense = matrix.values
 
     def gap(lam, s, t):
@@ -197,9 +197,9 @@ def test_criterion_05_shifted_weak_nonresonance():
     worst_rel = 0.0
     crossings = []
     for rho in (0.19, 0.2, 0.21):
-        shifted = shifted_spectrum(spec, matrix, rho, truncation)
-        up = shifted_spectrum(spec, matrix, rho + h, truncation).eigenvalues
-        dn = shifted_spectrum(spec, matrix, rho - h, truncation).eigenvalues
+        shifted = shifted_spectrum(spec, matrix, rho)
+        up = shifted_spectrum(spec, matrix, rho + h).eigenvalues
+        dn = shifted_spectrum(spec, matrix, rho - h).eigenvalues
         vecs = shifted.eigenvectors
         hf = np.einsum("ik,ij,jk->k", vecs, dense, vecs)  # <v, M v> per level
         violations = check_weak_nonresonance(shifted.eigenvalues, tol)
@@ -236,9 +236,9 @@ def test_criterion_06_hellmann_feynman():
     details = []
     for n in (1, 2):
         field = solve_full_gate([fourier_term(n, L)], L)
-        matrix = assemble_coupling_matrix(field, spec, 60)
-        up = shifted_spectrum(spec, matrix, h, 60)
-        dn = shifted_spectrum(spec, matrix, -h, 60)
+        matrix = assemble_coupling_matrix(field, spec)
+        up = shifted_spectrum(spec, matrix, h)
+        dn = shifted_spectrum(spec, matrix, -h)
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
         slopes = matrix.values.diagonal()
         if n % 2 == 0:
@@ -288,31 +288,30 @@ def test_criterion_08_partial_gate_convergence():
 
 def test_criterion_09_bilinear_propagator():
     spec = enumerate_modes(L, 30)
-    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 30)
-    psi0 = galerkin_mode_state(spec, (1, 1), 30)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec)
+    psi0 = galerkin_mode_state(spec, (1, 1))
     values = 0.15 + 0.15 * np.cos(np.linspace(0, 2 * np.pi, 50, endpoint=False))
     samples = tuple((0.01, float(values[k % 50])) for k in range(10_000))
     _, values = propagate_bilinear(
-        spec, matrix, ControlSignal(samples=samples, delta=0.3), psi0, 30
+        spec, matrix, ControlSignal(samples=samples, delta=0.3), psi0
     )
     norm_dev = float(np.abs(np.linalg.norm(values, axis=1) - 1.0).max())
 
     one = propagate_bilinear(
-        spec, matrix, ControlSignal.constant(2.0, 0.21, 0.3), psi0, 30
+        spec, matrix, ControlSignal.constant(2.0, 0.21, 0.3), psi0
     )[1][-1]
     many = propagate_bilinear(
         spec,
         matrix,
         ControlSignal(samples=tuple((0.1, 0.21) for _ in range(20)), delta=0.3),
         psi0,
-        30,
     )[1][-1]
     split_dev = float(np.linalg.norm(one - many))
 
     fwd_ctrl = ControlSignal(samples=samples[:500], delta=0.3)
-    fwd = propagate_bilinear(spec, matrix, fwd_ctrl, psi0, 30)[1][-1]
+    fwd = propagate_bilinear(spec, matrix, fwd_ctrl, psi0)[1][-1]
     rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
-    back = propagate_bilinear(spec, matrix, rev_ctrl, np.conj(fwd), 30)[1][-1]
+    back = propagate_bilinear(spec, matrix, rev_ctrl, np.conj(fwd))[1][-1]
     reversal = float(np.linalg.norm(np.conj(back) - psi0))
 
     ok = norm_dev <= 1e-12 and split_dev <= 1e-12 and reversal <= 1e-10
@@ -326,12 +325,12 @@ def test_criterion_09_bilinear_propagator():
 
 def test_criterion_10_chain_transfer_fidelity():
     spec = enumerate_modes(L, 30)
-    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec, 30)
+    matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec)
     control = synthesize_chain_transfer(
         [(1, 1), (2, 1), (3, 1)], spec, matrix, delta=0.3, amplitude_fraction=0.5
     )
-    psi0 = galerkin_mode_state(spec, (1, 1), 30)
-    final = propagate_bilinear(spec, matrix, control, psi0, 30)[1][-1]
+    psi0 = galerkin_mode_state(spec, (1, 1))
+    final = propagate_bilinear(spec, matrix, control, psi0)[1][-1]
     fidelity = transfer_fidelity(spec, final, (3, 1))
     ok = fidelity >= 0.9
     report(
@@ -345,7 +344,7 @@ def test_criterion_10_chain_transfer_fidelity():
 def test_criterion_11_nonlinear_alpha_scaling():
     field = solve_full_gate([fourier_term(2, L)], L)
     grid = StaggeredGrid(L=L, nx=128, ny=128)
-    psi0 = grid_mode_state(grid, (1, 1), L)
+    psi0 = grid_mode_state(grid, (1, 1))
     control = ControlSignal.constant(2.0, 0.15, 0.3)
     cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid, log_populations=0)
     v0 = field.values_on(grid.x1, grid.x2)
@@ -385,7 +384,7 @@ def test_criterion_12_small_instance_oracles():
     pairs4 = list(itertools.combinations(range(4), 2))
     for bits in range(2 ** len(pairs4)):
         edges = [p for i, p in enumerate(pairs4) if bits >> i & 1]
-        got, _ = check_connected(build_graph(toy(4, edges), 4))
+        got, _ = check_connected(build_graph(toy(4, edges)))
         mismatches += got != closure(4, edges)
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -393,7 +392,7 @@ def test_criterion_12_small_instance_oracles():
         pairs = list(itertools.combinations(range(n), 2))
         mask = rng.random(len(pairs)) < rng.random()
         edges = [p for p, m in zip(pairs, mask) if m]
-        got, _ = check_connected(build_graph(toy(n, edges), n))
+        got, _ = check_connected(build_graph(toy(n, edges)))
         mismatches += got != closure(n, edges)
 
     g = StaggeredGrid(L=L, nx=64, ny=64)

@@ -18,8 +18,13 @@ from gatedqdot.chains import (
     spanning_chain,
 )
 from gatedqdot.cli import run
-from gatedqdot.coupling import CouplingMatrix
+from gatedqdot.coupling import CouplingMatrix, assemble_coupling_matrix
 from gatedqdot.spectral import enumerate_modes
+
+
+def window_matrix(field, n):
+    """Coupling matrix of a gate field over the first n modes at L = 1."""
+    return assemble_coupling_matrix(field, enumerate_modes(1.0, n))
 
 
 def toy_matrix(n_nodes, edges, diagonal=()):
@@ -88,8 +93,8 @@ def queue_path(neighbors, src, dst):
 
 
 class TestGraph:
-    def test_even_gate_edges_are_odd_sums(self, matrix_n2_100, spec100):
-        adj = build_graph(matrix_n2_100, 20)
+    def test_even_gate_edges_are_odd_sums(self, field_n2, spec100):
+        adj = build_graph(window_matrix(field_n2, 20))
         for a, b in zip(*np.nonzero(adj)):
             assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 1
         for i in range(20):
@@ -98,39 +103,35 @@ class TestGraph:
                     assert adj[i, j]
 
     def test_empty_matrix_edgeless(self):
-        adj = build_graph(toy_matrix(4, []), 4)
+        adj = build_graph(toy_matrix(4, []))
         assert not adj.any()
 
     def test_single_node(self):
-        adj = build_graph(toy_matrix(3, [(0, 1)]), 1)
+        adj = build_graph(toy_matrix(1, []))
         assert adj.shape == (1, 1) and not adj.any()
 
     def test_diagonal_not_an_edge(self):
-        adj = build_graph(toy_matrix(3, [(0, 1)], diagonal=[2]), 3)
+        adj = build_graph(toy_matrix(3, [(0, 1)], diagonal=[2]))
         assert not adj[2, 2]
-
-    def test_node_count_guard(self):
-        with pytest.raises(ValueError):
-            build_graph(toy_matrix(3, []), 4)
 
 
 class TestConnectivity:
-    def test_even_gate_connected(self, matrix_n2_100):
-        connected, comps = check_connected(build_graph(matrix_n2_100, 20))
+    def test_even_gate_connected(self, field_n2):
+        connected, comps = check_connected(build_graph(window_matrix(field_n2, 20)))
         assert connected and len(comps) == 1
 
-    def test_odd_gate_two_parity_components(self, matrix_n1_100, spec100):
-        connected, comps = check_connected(build_graph(matrix_n1_100, 20))
+    def test_odd_gate_two_parity_components(self, field_n1, spec100):
+        connected, comps = check_connected(build_graph(window_matrix(field_n1, 20)))
         assert not connected and len(comps) == 2
         parities = [{spec100.modes[i].j1 % 2 for i in comp} for comp in comps]
         assert parities == [{1}, {0}]
 
     def test_edgeless_three_components(self):
-        _, comps = check_connected(build_graph(toy_matrix(3, []), 3))
+        _, comps = check_connected(build_graph(toy_matrix(3, [])))
         assert comps == [[0], [1], [2]]
 
     def test_components_ordered_by_least_member(self):
-        g = build_graph(toy_matrix(5, [(1, 3), (0, 4)]), 5)
+        g = build_graph(toy_matrix(5, [(1, 3), (0, 4)]))
         _, comps = check_connected(g)
         assert comps == [[0, 4], [1, 3], [2]]
 
@@ -139,7 +140,7 @@ class TestConnectivity:
         all_pairs = list(itertools.combinations(range(nodes), 2))
         for bits in range(2 ** len(all_pairs)):
             edges = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
-            got, _ = check_connected(build_graph(toy_matrix(nodes, edges), nodes))
+            got, _ = check_connected(build_graph(toy_matrix(nodes, edges)))
             assert got == closure_connected(nodes, edges)
 
     def test_small_instance_oracle_random_corpus(self):
@@ -149,7 +150,7 @@ class TestConnectivity:
             pairs = list(itertools.combinations(range(n), 2))
             mask = rng.random(len(pairs)) < rng.random()
             edges = [p for p, m in zip(pairs, mask) if m]
-            got, comps = check_connected(build_graph(toy_matrix(n, edges), n))
+            got, comps = check_connected(build_graph(toy_matrix(n, edges)))
             assert got == closure_connected(n, edges)
             assert sorted(i for c in comps for i in c) == list(range(n))
 
@@ -159,31 +160,31 @@ class TestConnectivity:
         extra = [(1, 2), (3, 4), (0, 4)]
         counts = []
         for k in range(len(extra) + 1):
-            g = build_graph(toy_matrix(5, base + extra[:k]), 5)
+            g = build_graph(toy_matrix(5, base + extra[:k]))
             counts.append(len(check_connected(g)[1]))
         assert all(b <= a for a, b in zip(counts[:-1], counts[1:]))
 
 
 class TestPaths:
-    def test_two_hop_path(self, matrix_n2_100, spec100):
-        adj = build_graph(matrix_n2_100, 30)
+    def test_two_hop_path(self, field_n2, spec100):
+        adj = build_graph(window_matrix(field_n2, 30))
         path = coupling_path(adj, spec100.position((1, 1)), spec100.position((3, 1)))
         assert [tuple(spec100.modes[p]) for p in path] == [(1, 1), (2, 1), (3, 1)]
 
-    def test_direct_edge_absent_for_even_sum(self, matrix_n2_100, spec100):
-        adj = build_graph(matrix_n2_100, 30)
+    def test_direct_edge_absent_for_even_sum(self, field_n2, spec100):
+        adj = build_graph(window_matrix(field_n2, 30))
         assert not adj[spec100.position((1, 1)), spec100.position((3, 1))]
 
-    def test_trivial_path(self, matrix_n2_100):
-        adj = build_graph(matrix_n2_100, 10)
+    def test_trivial_path(self, field_n2):
+        adj = build_graph(window_matrix(field_n2, 10))
         assert coupling_path(adj, 4, 4) == [4]
 
-    def test_absence_across_components(self, matrix_n1_100, spec100):
-        adj = build_graph(matrix_n1_100, 20)
+    def test_absence_across_components(self, field_n1, spec100):
+        adj = build_graph(window_matrix(field_n1, 20))
         assert coupling_path(adj, spec100.position((1, 1)), spec100.position((2, 1))) is None
 
-    def test_unknown_node_raises(self, matrix_n2_100):
-        adj = build_graph(matrix_n2_100, 10)
+    def test_unknown_node_raises(self, field_n2):
+        adj = build_graph(window_matrix(field_n2, 10))
         with pytest.raises(ValueError):
             coupling_path(adj, 10, 0)
         with pytest.raises(ValueError):
@@ -192,9 +193,9 @@ class TestPaths:
             coupling_path(adj, -1, 0)
 
     def test_witness_paths_valid(self, matrix_n2_30, spec30):
-        cert = certify(matrix_n2_30, spec30.eigenvalues, 30, 1e-9)
+        cert = certify(matrix_n2_30, spec30.eigenvalues, 1e-9)
         assert cert.connected
-        adj = build_graph(matrix_n2_30, 30)
+        adj = build_graph(matrix_n2_30)
         assert len(cert.witness_paths) == 29
         for (_, _), path in cert.witness_paths.items():
             assert len(path) <= 30
@@ -226,8 +227,8 @@ class TestForest:
     def test_witness_paths_are_lexicographic_shortest_paths(self, instance):
         n, edges = instance
         matrix = toy_matrix(n, edges)
-        adj = build_graph(matrix, n)
-        cert = certify(matrix, np.arange(n, dtype=float), n, 1e-9)
+        adj = build_graph(matrix)
+        cert = certify(matrix, np.arange(n, dtype=float), 1e-9)
         _, comps = check_connected(adj)
         expected = {}
         for comp in comps:
@@ -246,14 +247,14 @@ class TestForest:
     @given(sparse_graphs())
     def test_matches_queue_search(self, instance):
         n, edges = instance
-        adj = build_graph(toy_matrix(n, edges), n)
+        adj = build_graph(toy_matrix(n, edges))
         neighbors = [np.flatnonzero(row).tolist() for row in adj]
         assert breadth_first_forest(adj) == queue_forest(neighbors)
         for src, dst in itertools.product(range(n), repeat=2):
             assert coupling_path(adj, src, dst) == queue_path(neighbors, src, dst)
 
     def test_forest_roots_at_least_node(self):
-        adj = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]), 5)
+        adj = build_graph(toy_matrix(5, [(3, 4), (1, 4), (0, 2)]))
         comps, parent = breadth_first_forest(adj)
         assert comps == [[0, 2], [1, 3, 4]]
         assert parent == [-1, -1, 0, 4, 1]
@@ -353,23 +354,22 @@ class TestResonanceCertificate:
     def test_shifted_tree_chain_clean_for_odd_gate(self, spec100, matrix_n1_100):
         # full pipeline: spanning-forest chain frequencies on the 0.2-shifted
         # spectrum collide with no coupled pair at tol 1e-6 (truncation 40)
-        from gatedqdot.coupling import assemble_coupling_matrix
         from gatedqdot.poisson import fourier_term, solve_full_gate
-        from gatedqdot.spectral import enumerate_modes, shifted_spectrum
+        from gatedqdot.spectral import shifted_spectrum
 
         spec = enumerate_modes(1.0, 40)
-        matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, 1.0)], 1.0), spec, 40)
-        tree = spanning_chain(build_graph(matrix, 40))
-        shifted = shifted_spectrum(spec, matrix, 0.2, 40)
+        matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, 1.0)], 1.0), spec)
+        tree = spanning_chain(build_graph(matrix))
+        shifted = shifted_spectrum(spec, matrix, 0.2)
         assert certify_nonresonant_chain(shifted.eigenvalues, matrix, tree, 1e-6) == []
 
     def test_coupling_free_graph(self):
-        cert = certify(toy_matrix(3, []), [1.0, 2.0, 3.0], 3, 1e-9)
+        cert = certify(toy_matrix(3, []), [1.0, 2.0, 3.0], 1e-9)
         assert cert.connected is False
         assert cert.violations == []
 
     def test_spanning_chain_is_tree(self, matrix_n2_30):
-        adj = build_graph(matrix_n2_30, 30)
+        adj = build_graph(matrix_n2_30)
         edges = spanning_chain(adj)
         assert len(edges) == 29
         assert all(adj[e] for e in edges)

@@ -100,21 +100,22 @@ class TestClosedForms:
 class TestQuadratureEntry:
     """Single entries against values derived from 1-D quadrature-checked closed forms."""
 
-    def test_product_entry(self, field_n2, spec100):
-        m = assemble_coupling_matrix(field_n2, spec100, 3)
-        assert spec100.modes[:2] == [(1, 1), (2, 1)]
+    def test_product_entry(self, field_n2):
+        spec = enumerate_modes(1.0, 3)
+        m = assemble_coupling_matrix(field_n2, spec)
+        assert spec.modes[:2] == [(1, 1), (2, 1)]
         want = (4 / math.pi) * (16 / 15) * coupling_x2_closed(2, 1, 1, 1.0)
         assert m.values[0, 1] == pytest.approx(want, rel=1e-12)
         assert m.values[0, 1] == pytest.approx(1.1181387502194358, rel=1e-12)
 
     def test_even_diagonal_zero(self, field_n2, spec100):
         pos = spec100.position((3, 2))
-        m = assemble_coupling_matrix(field_n2, spec100, pos + 1)
+        m = assemble_coupling_matrix(field_n2, enumerate_modes(1.0, pos + 1))
         assert m.values[pos, pos] == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_field(self, spec100):
+    def test_zero_field(self):
         zero = SpectralField([], 1.0)
-        m = assemble_coupling_matrix(zero, spec100, 10)
+        m = assemble_coupling_matrix(zero, enumerate_modes(1.0, 10))
         assert m.entries == {}
         assert m.values.max() == 0.0
 
@@ -129,30 +130,27 @@ class TestAssembly:
             assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 0
 
     def test_parity_exhaustive_truncation_20(self, spec100, field_n2, field_n1):
-        m2 = assemble_coupling_matrix(field_n2, spec100, 20, None)
+        spec20 = enumerate_modes(1.0, 20)
+        m2 = assemble_coupling_matrix(field_n2, spec20, None)
         stored2 = set(m2.entries)
         for i in range(20):
             for j in range(i, 20):
                 odd = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 1
                 assert ((i, j) in stored2) == odd
-        m1 = assemble_coupling_matrix(field_n1, spec100, 20, None)
+        m1 = assemble_coupling_matrix(field_n1, spec20, None)
         stored1 = set(m1.entries)
         for i in range(20):
             for j in range(i, 20):
                 even = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 0
                 assert ((i, j) in stored1) == even
 
-    def test_infinite_zero_tol_empty(self, field_n2, spec100):
-        m = assemble_coupling_matrix(field_n2, spec100, 10, math.inf)
+    def test_infinite_zero_tol_empty(self, field_n2):
+        m = assemble_coupling_matrix(field_n2, enumerate_modes(1.0, 10), math.inf)
         assert m.entries == {}
         assert m.dropped == 55
 
     def test_symmetry_exact(self, matrix_n2_30):
         assert np.array_equal(matrix_n2_30.values, matrix_n2_30.values.T)
-
-    def test_truncation_guard(self, field_n2, spec100):
-        with pytest.raises(ValueError):
-            assemble_coupling_matrix(field_n2, spec100, 101, None)
 
     def test_serialization_round_trip(self, matrix_n2_30, tmp_path):
         # the default config is the n = 2 gate at L = 1, truncation 30
@@ -181,13 +179,15 @@ class TestEigenvalueSlope:
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(0.9728979619121302, rel=1e-12)
 
-    def test_hellmann_feynman(self, spec100, matrix_n1_100):
+    def test_hellmann_feynman(self, field_n1):
         h = 1e-4
-        up = shifted_spectrum(spec100, matrix_n1_100, h, 60)
-        dn = shifted_spectrum(spec100, matrix_n1_100, -h, 60)
+        spec = enumerate_modes(1.0, 60)
+        matrix = assemble_coupling_matrix(field_n1, spec)
+        up = shifted_spectrum(spec, matrix, h)
+        dn = shifted_spectrum(spec, matrix, -h)
         fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
         for pos in range(10):
-            assert fd[pos] == pytest.approx(matrix_n1_100.values[pos, pos], rel=1e-6)
+            assert fd[pos] == pytest.approx(matrix.values[pos, pos], rel=1e-6)
 
 
 def scalar_x1(n, j1, k1):
@@ -273,8 +273,8 @@ class TestArrayKernel:
             terms = enumerate(gate["coefficients"], start=1)
         field = solve_full_gate(terms, L)
         spectrum = enumerate_modes(L, N)
-        m = assemble_coupling_matrix(field, spectrum, N, zero_tol)
-        dense, entries, dropped = loop_oracle(field.terms, spectrum.modes[:N], L, zero_tol)
+        m = assemble_coupling_matrix(field, spectrum, zero_tol)
+        dense, entries, dropped = loop_oracle(field.terms, spectrum.modes, L, zero_tol)
         assert np.array_equal(m.values, dense)
         assert m.dropped == dropped
         assert list(m.entries.items()) == list(entries.items())
@@ -291,9 +291,9 @@ class TestArrayKernel:
         assert report["results"]["stored"] == len(m.entries)
         assert report["results"]["dropped"] == m.dropped
 
-    def test_negative_zero_tol_rejected(self, field_n2, spec100):
+    def test_negative_zero_tol_rejected(self, field_n2, spec30):
         with pytest.raises(ValueError, match="nonnegative"):
-            assemble_coupling_matrix(field_n2, spec100, 10, -1e-3)
+            assemble_coupling_matrix(field_n2, spec30, -1e-3)
 
 
 def segment_field(a, b, trace_mode, L, n):
@@ -302,7 +302,7 @@ def segment_field(a, b, trace_mode, L, n):
     return solve_partial_gate_fd(segment, segment_trace(segment, trace_mode, L, n), L, n, n)
 
 
-def cellwise_oracle(field, spectrum, truncation, nodes):
+def cellwise_oracle(field, spectrum, nodes):
     """Normalized entries by Gauss-Legendre with one panel per lattice cell.
 
     The bilinear interpolant is smooth inside each cell, so the rule
@@ -312,11 +312,11 @@ def cellwise_oracle(field, spectrum, truncation, nodes):
     x1, w1 = panel_rule(0.0, math.pi, field.x1.size - 1, nodes)
     x2, w2 = panel_rule(0.0, L, field.x2.size - 1, nodes)
     v = field.values_on(x1, x2)
-    modes = spectrum.modes[:truncation]
+    modes = spectrum.modes
     s1 = np.array([np.sin(m.j1 * x1) for m in modes])
     s2 = np.array([np.sin(m.j2 * math.pi * x2 / L) for m in modes])
-    out = np.zeros((truncation, truncation))
-    for a in range(truncation):
+    out = np.zeros((len(modes), len(modes)))
+    for a in range(len(modes)):
         core = (s1[a] * s1 * w1) @ v
         out[a] = np.einsum("by,by->b", core, s2[a] * s2 * w2)
     return (4.0 / (math.pi * L)) * out
@@ -333,9 +333,9 @@ class TestLatticeFields:
         L = 1.03
         field = segment_field(0.6, 2.2, trace_mode, L, n)
         spectrum = enumerate_modes(L, truncation)
-        m = assemble_coupling_matrix(field, spectrum, truncation, 0.0)
+        m = assemble_coupling_matrix(field, spectrum, 0.0)
         got = m.values
-        want = cellwise_oracle(field, spectrum, truncation, nodes)
+        want = cellwise_oracle(field, spectrum, nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.T)
 
@@ -343,11 +343,11 @@ class TestLatticeFields:
     def test_rasterized_closed_form_converges_at_second_order(self, n, L):
         spectrum = enumerate_modes(L, 30)
         full = solve_full_gate([fourier_term(n, L)], L)
-        exact = assemble_coupling_matrix(full, spectrum, 30)
+        exact = assemble_coupling_matrix(full, spectrum)
         scale = max(abs(v) for v in exact.entries.values())
         errors = []
         for size in (64, 128, 256, 512):
-            m = assemble_coupling_matrix(full.rasterize(size, size), spectrum, 30)
+            m = assemble_coupling_matrix(full.rasterize(size, size), spectrum)
             assert set(m.entries) == set(exact.entries)
             errors.append(np.abs(m.values - exact.values).max() / scale)
         for coarse, fine in zip(errors[:-1], errors[1:]):
@@ -357,16 +357,21 @@ class TestLatticeFields:
         grid = StaggeredGrid(L=1.0, nx=16, ny=16)
         field = GridField(grid.x1, grid.x2, np.ones(grid.shape))
         with pytest.raises(ValueError, match="uniform lattice"):
-            assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
+            assemble_coupling_matrix(field, enumerate_modes(1.0, 10))
 
     def test_other_height_rejected(self):
         field = solve_full_gate([fourier_term(1, 1.2)], 1.2).rasterize(32, 32)
         with pytest.raises(ValueError, match="uniform lattice"):
-            assemble_coupling_matrix(field, enumerate_modes(1.0, 10), 10)
+            assemble_coupling_matrix(field, enumerate_modes(1.0, 10))
 
-    def test_other_field_types_rejected(self, field_n1, spec100):
+    def test_other_spectral_height_rejected(self):
+        field = solve_full_gate([fourier_term(2, 1.0)], 2.0)
+        with pytest.raises(ValueError, match="lies on L = 2.0, not on L = 1.0"):
+            assemble_coupling_matrix(field, enumerate_modes(1.0, 10))
+
+    def test_other_field_types_rejected(self, field_n1, spec30):
         class Sampled:
             values_on = field_n1.values_on
 
         with pytest.raises(ValueError, match="SpectralField or a GridField"):
-            assemble_coupling_matrix(Sampled(), spec100, 10)
+            assemble_coupling_matrix(Sampled(), spec30)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from oracles import bilinear_expm_rows, strang_full_log, trajectory_csv
 
+from gatedqdot.chains import certify
 from gatedqdot.cli import _write_rows_csv, run
-from gatedqdot.coupling import CouplingMatrix
+from gatedqdot.coupling import CouplingMatrix, assemble_coupling_matrix
 from gatedqdot.dynamics import (
     ControlSignal,
     NonlinearConfig,
@@ -25,7 +26,7 @@ from gatedqdot.dynamics import (
 )
 from gatedqdot.errors import DurationCapError, InstabilityError
 from gatedqdot.poisson import StaggeredGrid, hartree_field
-from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes
+from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
 
 L = 1.0
 DELTA = 0.3
@@ -66,10 +67,10 @@ class TestControlSignal:
 
 class TestBilinear:
     def test_free_evolution_exact_phase(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         t = 1.7
         _, values = propagate_bilinear(
-            spec30, matrix_n2_30, ControlSignal.constant(t, 0.0, DELTA), psi0, 30
+            spec30, matrix_n2_30, ControlSignal.constant(t, 0.0, DELTA), psi0
         )
         final = values[-1]
         assert final[0] == pytest.approx(np.exp(-1j * spec30.eigenvalues[0] * t), abs=1e-13)
@@ -80,67 +81,66 @@ class TestBilinear:
         _, vecs = np.linalg.eigh(h)
         psi0 = vecs[:, 2].astype(complex)
         _, values = propagate_bilinear(
-            spec30, matrix_n2_30, ControlSignal.constant(3.0, DELTA, DELTA), psi0, 30
+            spec30, matrix_n2_30, ControlSignal.constant(3.0, DELTA, DELTA), psi0
         )
         pops0 = np.abs(values[0]) ** 2
         pops1 = np.abs(values[-1]) ** 2
         assert np.abs(pops1 - pops0).max() <= 1e-12
 
     def test_norm_preserved_per_step(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         samples = tuple((0.05, 0.15 + 0.1 * math.cos(0.3 * k)) for k in range(200))
         _, values = propagate_bilinear(
-            spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0, 30
+            spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0
         )
         norms = np.linalg.norm(values, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_constant_control_step_splitting(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         one = propagate_bilinear(
-            spec30, matrix_n2_30, ControlSignal.constant(2.0, 0.21, DELTA), psi0, 30
+            spec30, matrix_n2_30, ControlSignal.constant(2.0, 0.21, DELTA), psi0
         )[1][-1]
         many = propagate_bilinear(
             spec30,
             matrix_n2_30,
             ControlSignal(samples=tuple((0.1, 0.21) for _ in range(20)), delta=DELTA),
             psi0,
-            30,
         )[1][-1]
         assert np.linalg.norm(one - many) <= 1e-12
 
     def test_time_reversal(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         fwd_ctrl = ControlSignal(samples=((0.3, 0.3), (0.2, 0.1), (0.4, 0.25)), delta=DELTA)
-        fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0, 30)[1][-1]
+        fwd = propagate_bilinear(spec30, matrix_n2_30, fwd_ctrl, psi0)[1][-1]
         rev_ctrl = ControlSignal(tuple(reversed(fwd_ctrl.samples)), fwd_ctrl.delta)
-        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, np.conj(fwd), 30)[1][-1]
+        back = propagate_bilinear(spec30, matrix_n2_30, rev_ctrl, np.conj(fwd))[1][-1]
         assert np.linalg.norm(np.conj(back) - psi0) <= 1e-10
 
     def test_control_range_enforced(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         sig = ControlSignal(samples=((1.0, 0.4),), delta=0.5)
         with pytest.raises(ValueError):
             propagate_bilinear(
-                spec30, matrix_n2_30, ControlSignal(samples=sig.samples, delta=DELTA), psi0, 30
+                spec30, matrix_n2_30, ControlSignal(samples=sig.samples, delta=DELTA), psi0
             )
 
     def test_initial_norm_checked(self, spec30, matrix_n2_30):
         bad = np.full(30, 0.5, dtype=complex)
         with pytest.raises(ValueError):
             propagate_bilinear(
-                spec30, matrix_n2_30, ControlSignal.constant(1.0, 0.0, DELTA), bad, 30
+                spec30, matrix_n2_30, ControlSignal.constant(1.0, 0.0, DELTA), bad
             )
 
     def test_memory_is_one_row_per_sample(self, spec30, matrix_n2_30):
         # the trajectory is one complex row of 16*N bytes per sample, with
         # no per-sample objects next to it
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         samples = tuple((0.05, 0.1 + 0.05 * (k % 3)) for k in range(4000))
         ctrl = ControlSignal(samples=samples, delta=DELTA)
         tracemalloc.start()
         try:
-            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -149,7 +149,7 @@ class TestBilinear:
     def test_memory_holds_only_live_values(self, spec30, matrix_n2_30):
         # 40 blocks of 10 distinct values, each block cycled for 100 samples
         # like one pulse edge: 400 values, of which only one block is live
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         samples = tuple(
             (0.05, 0.01 + 0.0007 * (10 * block + k % 10))
             for block in range(40)
@@ -159,7 +159,7 @@ class TestBilinear:
         assert len({u for _, u in samples}) == 400
         tracemalloc.start()
         try:
-            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+            propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,9 +179,9 @@ class TestBilinear:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         _, values = propagate_bilinear(
-            spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0, 30
+            spec30, matrix_n2_30, ControlSignal(samples=samples, delta=DELTA), psi0
         )
         assert len(calls) == 3
         expected = bilinear_expm_rows(
@@ -191,14 +191,14 @@ class TestBilinear:
 
     def test_gauge_covariance_constant_offset(self, spec30, matrix_n2_30):
         # V0 -> V0 + c shifts B by c*Id: populations must not move
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         ctrl = ControlSignal(samples=((0.5, 0.3), (0.5, 0.12)), delta=DELTA)
-        _, base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0, 30)
+        _, base = propagate_bilinear(spec30, matrix_n2_30, ctrl, psi0)
         shifted_matrix = CouplingMatrix(
             values=matrix_n2_30.values + 0.7 * np.eye(30),
             zero_tol=matrix_n2_30.zero_tol,
         )
-        _, moved = propagate_bilinear(spec30, shifted_matrix, ctrl, psi0, 30)
+        _, moved = propagate_bilinear(spec30, shifted_matrix, ctrl, psi0)
         for a, b in zip(base, moved):
             assert np.abs(np.abs(a) ** 2 - np.abs(b) ** 2).max() <= 1e-10
 
@@ -309,23 +309,23 @@ class TestSynthesis:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
-        propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
+        propagate_bilinear(spec30, matrix_n2_30, sig, psi0)
         # two edges of at most ceil(samples_per_period/2) + 1 distinct values
         # each, against 360 and 834 samples
         assert len(sig.samples) > 1000
         assert len(calls) <= 2 * (20 + 1)
 
     def test_two_level_transfer(self, spec30, matrix_n2_30):
-        psi0 = galerkin_mode_state(spec30, (1, 1), 30)
+        psi0 = galerkin_mode_state(spec30, (1, 1))
         sig = synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.5)
-        final = propagate_bilinear(spec30, matrix_n2_30, sig, psi0, 30)[1][-1]
+        final = propagate_bilinear(spec30, matrix_n2_30, sig, psi0)[1][-1]
         assert transfer_fidelity(spec30, final, (2, 1)) >= 0.9
 
 
 class TestFidelity:
     def test_targets(self, spec30):
-        state = galerkin_mode_state(spec30, (2, 1), 30)
+        state = galerkin_mode_state(spec30, (2, 1))
         assert transfer_fidelity(spec30, state, (2, 1)) == 1.0
         assert transfer_fidelity(spec30, state, (1, 1)) == 0.0
 
@@ -335,15 +335,42 @@ class TestFidelity:
         assert transfer_fidelity(spec30, v, (1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_unknown_target(self, spec30):
-        state = galerkin_mode_state(spec30, (1, 1), 30)
+        state = galerkin_mode_state(spec30, (1, 1))
         with pytest.raises(ValueError):
             transfer_fidelity(spec30, state, (50, 50))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["shifted_spectrum", "propagate_bilinear", "synthesize_chain_transfer", "certify",
+     "transfer_fidelity"],
+)
+def test_window_sizes_must_agree(name, spec30, field_n2):
+    # a 20-mode input beside a 30-mode one; each message names both sizes
+    spec20 = enumerate_modes(1.0, 20)
+    m20 = assemble_coupling_matrix(field_n2, spec20)
+    psi30 = galerkin_mode_state(spec30, (1, 1))
+    calls = {
+        "shifted_spectrum": lambda: shifted_spectrum(spec30, m20, 0.1),
+        "propagate_bilinear": lambda: propagate_bilinear(
+            spec30, m20, ControlSignal.constant(1.0, 0.1, DELTA), psi30
+        ),
+        "synthesize_chain_transfer": lambda: synthesize_chain_transfer(
+            [(1, 1), (2, 1)], spec30, m20, DELTA, 0.5
+        ),
+        "certify": lambda: certify(m20, spec30.eigenvalues, 1e-9),
+        "transfer_fidelity": lambda: transfer_fidelity(
+            spec30, galerkin_mode_state(spec20, (1, 1)), (1, 1)
+        ),
+    }
+    with pytest.raises(ValueError, match=r"^(20|30)\b.* for a (20|30)-mode "):
+        calls[name]()
 
 
 class TestNonlinear:
     def test_free_eigenmode_stationary(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid, log_populations=2)
         v0 = field_n2.values_on(grid.x1, grid.x2)
         res = propagate_nonlinear(psi0, ControlSignal.constant(0.3, 0.0, DELTA), cfg, v0)
@@ -352,7 +379,7 @@ class TestNonlinear:
 
     def test_gauge_covariance_populations(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0.2, dt=1e-3, grid=grid, log_populations=4)
         ctrl = ControlSignal(samples=((0.2, 0.3), (0.2, 0.1)), delta=DELTA)
         v0 = field_n2.values_on(grid.x1, grid.x2)
@@ -362,7 +389,7 @@ class TestNonlinear:
 
     def test_strang_second_order(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         v0 = field_n2.values_on(grid.x1, grid.x2)
 
         def final(dt):
@@ -377,17 +404,15 @@ class TestNonlinear:
 
     def test_matches_bilinear_at_zero_alpha(self, field_n2):
         grid = StaggeredGrid(L=L, nx=48, ny=48)
-        psi0g = grid_mode_state(grid, (1, 1), L)
+        psi0g = grid_mode_state(grid, (1, 1))
         ctrl = ControlSignal(samples=((0.4, 0.3), (0.6, 0.1)), delta=DELTA)
         cfg = NonlinearConfig(alpha=0.0, dt=2e-4, grid=grid, log_populations=0)
         res = propagate_nonlinear(psi0g, ctrl, cfg, field_n2.values_on(grid.x1, grid.x2))
         n = 40
         spec = enumerate_modes(L, n)
-        from gatedqdot.coupling import assemble_coupling_matrix
-
-        matrix = assemble_coupling_matrix(field_n2, spec, n)
+        matrix = assemble_coupling_matrix(field_n2, spec)
         galerkin = propagate_bilinear(
-            spec, matrix, ctrl, galerkin_mode_state(spec, (1, 1), n), n
+            spec, matrix, ctrl, galerkin_mode_state(spec, (1, 1))
         )[1][-1]
         proj = np.array(
             [
@@ -402,7 +427,7 @@ class TestNonlinear:
         # alpha = 1, delta = 0.5, T = 5: the energy stays controlled even at
         # the strongest parameters exercised anywhere in the suite
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=1.0, dt=2e-3, grid=grid, log_populations=0)
         v0 = field_n2.values_on(grid.x1, grid.x2)
         res = propagate_nonlinear(psi0, ControlSignal.constant(5.0, 0.5, 0.5), cfg, v0)
@@ -423,7 +448,7 @@ class TestNonlinear:
     def test_gate_shape_validation(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
         cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         # the gate potential sampled on another grid
         other = StaggeredGrid(L=L, nx=16, ny=32)
         v0 = field_n2.values_on(other.x1, other.x2)
@@ -483,7 +508,7 @@ class TestOneSolvePerStep:
 
     def run(self, field_n2, alpha, samples, monkeypatch):
         grid = StaggeredGrid(L=L, nx=16, ny=16)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=alpha, dt=1e-2, grid=grid, log_populations=3)
         ctrl = ControlSignal(samples=samples, delta=DELTA)
         calls = []
@@ -526,7 +551,7 @@ class TestOneSolvePerStep:
 class TestAlphaStudy:
     def test_single_alpha_no_slope(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid, log_populations=0)
         v0 = field_n2.values_on(grid.x1, grid.x2)
         out = alpha_scaling_study(
@@ -537,7 +562,7 @@ class TestAlphaStudy:
 
     def test_deviations_increase_with_alpha(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid, log_populations=0)
         v0 = field_n2.values_on(grid.x1, grid.x2)
         out = alpha_scaling_study(
@@ -548,7 +573,7 @@ class TestAlphaStudy:
 
     def test_alpha_ordering_enforced(self, field_n2):
         grid = StaggeredGrid(L=L, nx=32, ny=32)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0, dt=2e-3, grid=grid)
         v0 = field_n2.values_on(grid.x1, grid.x2)
         with pytest.raises(ValueError):
@@ -567,7 +592,7 @@ class TestLoggedQuantities:
 
     def setup_run(self, field_n2):
         grid = StaggeredGrid(L=L, nx=16, ny=16)
-        psi0 = grid_mode_state(grid, (1, 1), L)
+        psi0 = grid_mode_state(grid, (1, 1))
         cfg = NonlinearConfig(alpha=0.0, dt=1e-2, grid=grid, log_populations=3)
         ctrl = ControlSignal(samples=TestOneSolvePerStep.SAMPLES, delta=DELTA)
         return psi0, ctrl, cfg, field_n2.values_on(grid.x1, grid.x2)
@@ -763,7 +788,7 @@ class TestConcurrentAlphaStudy:
 
 def test_trajectory_csv(tmp_path, field_n2):
     grid = StaggeredGrid(L=L, nx=32, ny=32)
-    psi0 = grid_mode_state(grid, (1, 1), L)
+    psi0 = grid_mode_state(grid, (1, 1))
     cfg = NonlinearConfig(alpha=0.1, dt=1e-2, grid=grid, log_populations=3)
     v0 = field_n2.values_on(grid.x1, grid.x2)
     res = propagate_nonlinear(psi0, ControlSignal.constant(0.05, 0.2, DELTA), cfg, v0)
@@ -789,9 +814,9 @@ def test_control_trajectory_csv_matches_per_state_oracle(tmp_path, spec30, matri
         "dynamics": {"path": [list(m) for m in path]},
     }))
     assert run("control", config, tmp_path) == 0
-    control = synthesize_chain_transfer(path, spec30, matrix_n2_30, DELTA, 0.5, truncation=30)
-    psi0 = galerkin_mode_state(spec30, path[0], 30)
-    times, values = propagate_bilinear(spec30, matrix_n2_30, control, psi0, 30)
+    control = synthesize_chain_transfer(path, spec30, matrix_n2_30, DELTA, 0.5)
+    psi0 = galerkin_mode_state(spec30, path[0])
+    times, values = propagate_bilinear(spec30, matrix_n2_30, control, psi0)
     controls = [u for _, u in control.samples] + [0.0]
     expected = trajectory_csv(times, values, spec30.eigenvalues[:30], controls, 6)
     assert (tmp_path / "trajectory.csv").read_text() == expected

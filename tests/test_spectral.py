@@ -9,6 +9,7 @@ from oracles import weak_resonances
 from strategies import scan_inputs
 
 from gatedqdot import spectral
+from gatedqdot.coupling import assemble_coupling_matrix
 from gatedqdot.errors import DegenerateEigenvalueError
 from gatedqdot.spectral import (
     LISTED_VIOLATIONS,
@@ -263,24 +264,27 @@ def test_weak_nonresonance_requires_sorted():
         check_weak_nonresonance([2.0, 1.0], 1e-9)
 
 
-def test_shifted_spectrum_identity_at_zero(spec100, matrix_n2_100):
-    shifted = shifted_spectrum(spec100, matrix_n2_100, 0.0, 60)
-    assert np.abs(shifted.eigenvalues - spec100.eigenvalues[:60]).max() <= 1e-12
+def test_shifted_spectrum_identity_at_zero(field_n2):
+    spec = enumerate_modes(1.0, 60)
+    shifted = shifted_spectrum(spec, assemble_coupling_matrix(field_n2, spec), 0.0)
+    assert np.abs(shifted.eigenvalues - spec.eigenvalues).max() <= 1e-12
     gram = shifted.eigenvectors.T @ shifted.eigenvectors
     assert np.abs(gram - np.eye(60)).max() <= 1e-12
 
 
-def test_shifted_spectrum_truncation_guard(spec100, matrix_n2_100):
-    with pytest.raises(ValueError):
-        shifted_spectrum(spec100, matrix_n2_100, 0.1, 101)
+def test_shifted_spectrum_truncation_guard(spec100, matrix_n2_30):
+    with pytest.raises(ValueError, match="30-mode coupling matrix for a 100-mode spectrum"):
+        shifted_spectrum(spec100, matrix_n2_30, 0.1)
 
 
-def test_shifted_spectrum_first_order_slope(spec100, matrix_n1_100):
+def test_shifted_spectrum_first_order_slope(field_n1):
     # lambda_j(rho) - lambda_j(0) ~ rho * alpha_j for small rho
     rho = 1e-4
-    shifted = shifted_spectrum(spec100, matrix_n1_100, rho, 40)
-    slopes = matrix_n1_100.values.diagonal()[:40]
-    predicted = spec100.eigenvalues[:40] + rho * slopes
+    spec = enumerate_modes(1.0, 40)
+    matrix = assemble_coupling_matrix(field_n1, spec)
+    shifted = shifted_spectrum(spec, matrix, rho)
+    slopes = matrix.values.diagonal()
+    predicted = spec.eigenvalues + rho * slopes
     rel = np.abs(shifted.eigenvalues - predicted) / np.abs(rho * slopes)
     assert rel.max() <= 1e-3
 

@@ -44,6 +44,8 @@ CONFIGS = {
     "fourier-n2-t30": {"gate": {"kind": "fourier_mode", "n": 2}, "truncation": 30},
     "fourier-n1-t30": {"gate": {"kind": "fourier_mode", "n": 1}, "truncation": 30},
     "fourier-n2-t20": {"gate": {"kind": "fourier_mode", "n": 2}, "truncation": 20},
+    # the smallest window: one mode, so `control` cannot find mode (2, 1)
+    "fourier-n2-t1": {"gate": {"kind": "fourier_mode", "n": 2}, "truncation": 1},
     "sine-series": {"gate": SERIES, "L": 1.07, "truncation": 20},
     "control-path": {
         "gate": {"kind": "fourier_mode", "n": 2},
