@@ -470,6 +470,12 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
+def _output_error(outdir, exc: OSError) -> int:
+    """Report an output directory or file that cannot be written; exit code 2."""
+    print(f"output error: cannot write {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     """Execute one command; returns the process exit code."""
     if command not in _DISPATCH:
@@ -502,6 +508,8 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        return _output_error(outdir, exc)
 
     body = _jsonable({"command": command, "config": config.to_dict(), "results": results,
                       "artifacts": list(artifacts)})
@@ -520,7 +528,10 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
         "elapsed_seconds": time.perf_counter() - t0,
         "body_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
-    _write_json(outdir / "report.json", report)
+    try:
+        _write_json(outdir / "report.json", report)
+    except OSError as exc:
+        return _output_error(outdir, exc)
     if command == "certify":
         print(json.dumps(body["results"], indent=2, sort_keys=True))
     if verbose:

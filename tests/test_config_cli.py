@@ -718,6 +718,17 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["under a file", "a file"])
+def test_unwritable_out_is_an_output_error(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "x" if where == "under a file" else blocker
+    assert run("spectrum", write_config(tmp_path, BASE), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {out}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
     # the sweep's errors overflow to inf for this gate; report.json cannot hold them
     doc = {"gate": {"kind": "fourier_mode", "n": 700}, "grid": {"nx": 64, "ny": 64}}

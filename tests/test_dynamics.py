@@ -35,8 +35,7 @@ CHAIN_EDGES = (((1, 1), (2, 1)), ((2, 1), (3, 1)))
 
 def shifted_gap(spec, matrix, a, b):
     """|lambda'_b - lambda'_a| of the delta/2-shifted spectrum."""
-    n = len(spec)
-    shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.values[:n, :n])
+    shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.values)
     return abs(shifted[spec.position(ModeIndex(*b))] - shifted[spec.position(ModeIndex(*a))])
 
 
@@ -77,7 +76,7 @@ class TestBilinear:
         assert np.abs(final[1:]).max() == 0.0
 
     def test_frozen_hamiltonian_stationary_states(self, spec30, matrix_n2_30):
-        h = np.diag(spec30.eigenvalues[:30]) + DELTA * matrix_n2_30.values
+        h = np.diag(spec30.eigenvalues) + DELTA * matrix_n2_30.values
         _, vecs = np.linalg.eigh(h)
         psi0 = vecs[:, 2].astype(complex)
         _, values = propagate_bilinear(
@@ -185,7 +184,7 @@ class TestBilinear:
         )
         assert len(calls) == 3
         expected = bilinear_expm_rows(
-            spec30.eigenvalues[:30], matrix_n2_30.values, samples, psi0
+            spec30.eigenvalues, matrix_n2_30.values, samples, psi0
         )
         assert np.abs(values - expected).max() <= 1e-12
 
@@ -818,7 +817,7 @@ def test_control_trajectory_csv_matches_per_state_oracle(tmp_path, spec30, matri
     psi0 = galerkin_mode_state(spec30, path[0])
     times, values = propagate_bilinear(spec30, matrix_n2_30, control, psi0)
     controls = [u for _, u in control.samples] + [0.0]
-    expected = trajectory_csv(times, values, spec30.eigenvalues[:30], controls, 6)
+    expected = trajectory_csv(times, values, spec30.eigenvalues, controls, 6)
     assert (tmp_path / "trajectory.csv").read_text() == expected
 
 

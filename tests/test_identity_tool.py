@@ -1,6 +1,10 @@
 """The identity oracle in tools/identity.py runs every command of the CLI."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,55 @@ def test_identity_tool_runs_every_command():
 @pytest.mark.parametrize("name", TOOL.CONFIGS)
 def test_identity_configs_are_valid(name):
     validate_config(TOOL.config_doc(name))
+
+
+def test_loading_the_tool_keeps_the_environment():
+    before = dict(os.environ)
+    load_tool()
+    assert dict(os.environ) == before
+
+
+def test_manifest_has_every_run():
+    manifest = json.loads(TOOL.MANIFEST.read_text())
+    assert set(manifest.pop("versions")) == {"python", "numpy", "scipy"}
+    assert list(manifest) == [f"{name}/{command}" for name in TOOL.CONFIGS for command in TOOL.COMMANDS]
+
+
+def test_uncaught_exception_is_exit_1(tmp_path, monkeypatch):
+    def boom(argv):
+        print("partial output")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "main", boom)
+    stdout, stderr = sys.stdout, sys.stderr
+    record = TOOL.run_one("fourier-n2-t20", "spectrum", tmp_path)
+    assert record == {"exit": 1, "stderr_last": "RuntimeError: boom", "artifacts": {}}
+    assert sys.stdout is stdout and sys.stderr is stderr
+
+
+def subprocess_record(name, command, workdir):
+    """The record of one run of `python -m gatedqdot` in a fresh interpreter."""
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(TOOL.config_doc(name)))
+    out = workdir / "out"
+    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
+    env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gatedqdot", command, "--config", str(cfg), "--out", str(out)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    return TOOL.record(proc.returncode, proc.stderr, out)
+
+
+@pytest.mark.parametrize(
+    "key, code",
+    [("fourier-n2-t20/certify", 0), ("fourier-n2-t1/control", 2), ("segment-overflow/certify", 3)],
+)
+def test_in_process_run_matches_a_fresh_interpreter(tmp_path, monkeypatch, key, code):
+    monkeypatch.delenv("GATEDQDOT_OUT", raising=False)
+    name, command = key.split("/")
+    (tmp_path / "in").mkdir()
+    (tmp_path / "sub").mkdir()
+    record = TOOL.run_one(name, command, tmp_path / "in")
+    assert record["exit"] == code
+    assert record == subprocess_record(name, command, tmp_path / "sub")

@@ -1,31 +1,46 @@
 """Identity manifest of the CLI: every command on a fixed list of configs.
 
-Usage: python tools/identity.py SRC_DIR OUT.json
+Usage: python tools/identity.py
 
-Runs `python -m gatedqdot COMMAND` with PYTHONPATH=SRC_DIR, one BLAS
-thread, in a fresh temporary directory, for each of the 11 commands on
-each config below (64^2 grid, T = 0.1, 32^2 for `nonlinear`).  For every
-run it records the exit code, the last stderr line, the `body_sha256` of
-report.json and the sha256 of every other file written to the output
-directory.  The tool's own last stderr line gives the run count and the
-total wall time.  The manifest is sorted JSON, so two source trees compare with
+Imports `gatedqdot` from this checkout's `src/` with one BLAS thread and,
+in this one interpreter, calls `cli.main([COMMAND, "--config", ..., "--out",
+...])` in a fresh temporary directory for each of the 11 commands on each
+config below (64^2 grid, T = 0.1, 32^2 for `nonlinear`).  Each run captures
+its own stdout and stderr and resets the warnings state; an uncaught
+exception is exit 1 with the traceback the interpreter would print.  For
+every run it records the exit code, the last stderr line, the `body_sha256`
+of report.json and the sha256 of every other file written to the output
+directory.
 
-    python tools/identity.py parent/src parent.json
-    python tools/identity.py src change.json
-    diff parent.json change.json
+It rewrites tools/identity.json next to it: the Python, numpy and scipy
+versions, then one line per run.  A change that keeps every output byte
+leaves the committed manifest as it is:
+
+    python tools/identity.py
+    git diff --stat tools/identity.json
+
+A change that moves bodies on purpose commits the new manifest, whose diff
+names every run it moved.  The tool's own last stderr line gives the run
+count and the total wall time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MANIFEST = Path(__file__).resolve().with_name("identity.json")
 
 COMMANDS = (
     "spectrum", "potential", "coupling", "chain", "resonance",
@@ -134,49 +149,65 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_one(src: Path, name: str, command: str, workdir: Path) -> dict:
-    cfg = workdir / "config.json"
-    cfg.write_text(json.dumps(config_doc(name)))
-    out = workdir / "out"
-    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
-    env.update(PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gatedqdot", command, "--config", str(cfg), "--out", str(out)],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=900,
-    )
-    lines = proc.stderr.strip().splitlines()
-    record = {"exit": proc.returncode, "stderr_last": lines[-1] if lines else "", "artifacts": {}}
+def record(code: int, stderr: str, out: Path) -> dict:
+    """The manifest line of a run that exited `code`, printed `stderr` and wrote `out`."""
+    lines = stderr.strip().splitlines()
+    entry = {"exit": code, "stderr_last": lines[-1] if lines else "", "artifacts": {}}
     if out.is_dir():
         for path in sorted(out.iterdir()):
             if path.name == "report.json":
-                record["body_sha256"] = json.loads(path.read_text())["provenance"]["body_sha256"]
+                entry["body_sha256"] = json.loads(path.read_text())["provenance"]["body_sha256"]
             else:
-                record["artifacts"][path.name] = sha256(path)
-    return record
+                entry["artifacts"][path.name] = sha256(path)
+    return entry
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+def run_one(name: str, command: str, workdir: Path) -> dict:
+    from gatedqdot import cli
+
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(config_doc(name)))
+    out = workdir / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        except Exception as exc:
+            traceback.print_exception(exc)
+            code = 1
+    return record(code, stderr.getvalue(), out)
+
+
+def main() -> int:
+    if sys.argv[1:]:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src = Path(argv[0]).resolve()
-    if not (src / "gatedqdot" / "__init__.py").is_file():
-        print(f"error: no gatedqdot package under {src}", file=sys.stderr)
+    os.environ.pop("GATEDQDOT_OUT", None)
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    sys.path.insert(0, str(SRC))
+    import numpy
+    import scipy
+
+    from gatedqdot import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(SRC):
+        print(f"error: imported gatedqdot from {cli.__file__}, not from {SRC}", file=sys.stderr)
         return 2
-    manifest = {}
+    manifest = {
+        "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__}
+    }
     start = time.perf_counter()
     for name in CONFIGS:
         for command in COMMANDS:
             key = f"{name}/{command}"
             with tempfile.TemporaryDirectory() as tmp:
-                manifest[key] = run_one(src, name, command, Path(tmp))
+                manifest[key] = run_one(name, command, Path(tmp))
             print(f"{key}: exit {manifest[key]['exit']}", file=sys.stderr)
-    with open(argv[1], "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"{len(manifest)} runs in {time.perf_counter() - start:.1f} s wall", file=sys.stderr)
+    lines = (f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}" for key, entry in manifest.items())
+    MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"{len(manifest) - 1} runs in {time.perf_counter() - start:.1f} s wall", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
