@@ -59,16 +59,21 @@ def test_uncaught_exception_is_exit_1(tmp_path, monkeypatch):
     assert sys.stdout is stdout and sys.stderr is stderr
 
 
+def child_env():
+    """The environment of a fresh interpreter on this checkout, with one BLAS thread as the tool sets."""
+    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
+    env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    return env
+
+
 def subprocess_record(name, command, workdir):
     """The record of one run of `python -m gatedqdot` in a fresh interpreter."""
     cfg = workdir / "config.json"
     cfg.write_text(json.dumps(TOOL.config_doc(name)))
     out = workdir / "out"
-    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
-    env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "gatedqdot", command, "--config", str(cfg), "--out", str(out)],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+        cwd=workdir, env=child_env(), capture_output=True, text=True, timeout=300,
     )
     return TOOL.record(proc.returncode, proc.stderr, out)
 
@@ -85,3 +90,39 @@ def test_in_process_run_matches_a_fresh_interpreter(tmp_path, monkeypatch, key, 
     record = TOOL.run_one(name, command, tmp_path / "in")
     assert record["exit"] == code
     assert record == subprocess_record(name, command, tmp_path / "sub")
+
+
+# every manifest run that reaches the finite-difference partial-gate solver
+FD_RUNS = [
+    *(
+        f"{name}/{command}"
+        for name in ("segment-trace1", "segment-trace2", "segment-trace3", "segment-corners")
+        for command in ("potential", "coupling", "certify")
+    ),
+    "fourier-n2-t30/gate-sweep",
+    "segment-overflow/certify",
+]
+
+REPLAY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("identity_tool", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+print(json.dumps(dict(tool.run_keys(sys.argv[2:]))))
+"""
+
+
+def test_fd_runs_replay_the_manifest():
+    import numpy
+    import scipy
+
+    manifest = json.loads(TOOL.MANIFEST.read_text())
+    running = {"python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__}
+    if manifest["versions"] != running:
+        pytest.skip(f"manifest written with {manifest['versions']}, running {running}")
+    proc = subprocess.run(
+        [sys.executable, "-c", REPLAY, str(ROOT / "tools" / "identity.py"), *FD_RUNS],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {key: manifest[key] for key in FD_RUNS}

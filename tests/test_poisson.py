@@ -166,22 +166,31 @@ class TestPartialGate:
         assert sol.values.max() <= boundary.max() + 1e-12
         assert sol.values.min() >= boundary.min() - 1e-12
 
-    @pytest.mark.parametrize("trace_mode", [1, 2, 3])
-    def test_stencil_vanishes_at_free_nodes(self, trace_mode):
+    @pytest.mark.parametrize(
+        "trace_mode, nx, ny, a, b",
+        [
+            *(pytest.param(m, 64, 64, 0.6, 2.2, id=f"{m}") for m in (1, 2, 3)),
+            # snaps to i = 1 and i = nx - 1, next to both Dirichlet sides
+            *(pytest.param(m, 64, 48, 0.03, 3.11, id=f"64x48-corners-{m}") for m in (1, 2, 3)),
+            *(pytest.param(m, 48, 64, 0.6, 2.2, id=f"48x64-{m}") for m in (1, 2, 3)),
+        ],
+    )
+    def test_stencil_vanishes_at_free_nodes(self, trace_mode, nx, ny, a, b):
         # the 5-point stencil applied to the returned lattice, independent
         # of the solver's matrix: reflected ghost rows at the Neumann bottom
         # and on the top row, which is free only off the gate
-        n, height = 64, 1.03
-        seg = GateSegment(0.6, 2.2)
-        ia, ib = seg.snap(n)
-        u = solve_partial_gate_fd(seg, segment_trace(seg, trace_mode, height, n), height, n, n).values
-        c1, c2 = (n / math.pi) ** 2, (n / height) ** 2
+        height = 1.03
+        seg = GateSegment(a, b)
+        ia, ib = seg.snap(nx)
+        trace = segment_trace(seg, trace_mode, height, nx)
+        u = solve_partial_gate_fd(seg, trace, height, nx, ny).values
+        c1, c2 = (nx / math.pi) ** 2, (ny / height) ** 2
         ext = np.concatenate([u[:, 1:2], u, u[:, -2:-1]], axis=1)
         lap = c1 * (u[:-2] - 2 * u[1:-1] + u[2:]) + c2 * (
             ext[1:-1, :-2] - 2 * u[1:-1] + ext[1:-1, 2:]
         )
         free = np.ones_like(lap, dtype=bool)
-        free[ia - 1 : ib, n] = False
+        free[ia - 1 : ib, ny] = False
         scaled = np.abs(lap[free]) / ((c1 + c2) * np.abs(u).max())
         assert scaled.max() <= 1e-12
 

@@ -5,12 +5,12 @@ Usage: python tools/identity.py
 Imports `gatedqdot` from this checkout's `src/` with one BLAS thread and,
 in this one interpreter, calls `cli.main([COMMAND, "--config", ..., "--out",
 ...])` in a fresh temporary directory for each of the 11 commands on each
-config below (64^2 grid, T = 0.1, 32^2 for `nonlinear`).  Each run captures
-its own stdout and stderr and resets the warnings state; an uncaught
-exception is exit 1 with the traceback the interpreter would print.  For
-every run it records the exit code, the last stderr line, the `body_sha256`
-of report.json and the sha256 of every other file written to the output
-directory.
+config below (64^2 grid unless a config sets its own, T = 0.1, 32^2 for
+`nonlinear`).  Each run captures its own stdout and stderr and resets
+the warnings state; an uncaught exception is exit 1 with the traceback
+the interpreter would print.  For every run it records the exit code,
+the last stderr line, the `body_sha256` of report.json and the sha256 of
+every other file written to the output directory.
 
 It rewrites tools/identity.json next to it: the Python, numpy and scipy
 versions, then one line per run.  A change that keeps every output byte
@@ -109,6 +109,13 @@ CONFIGS = {
         }
         for m in (1, 2, 3)
     },
+    # a gate that snaps to i = 1 and i = nx - 1, next to both Dirichlet
+    # sides, on a lattice that is not square
+    "segment-corners": {
+        **SEGMENT,
+        "grid": {"nx": 64, "ny": 48},
+        "gate": {"kind": "segment", "a": 0.03, "b": 3.11, "trace_mode": 2},
+    },
     # cosh(2 * 400) overflows in the segment's trace
     "segment-overflow": {
         "L": 400.0, "truncation": 1, "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 2}
@@ -178,6 +185,14 @@ def run_one(name: str, command: str, workdir: Path) -> dict:
     return record(code, stderr.getvalue(), out)
 
 
+def run_keys(keys):
+    """Yield (key, record) for each "config/command" key, each run in a fresh temporary directory."""
+    for key in keys:
+        name, command = key.split("/")
+        with tempfile.TemporaryDirectory() as tmp:
+            yield key, run_one(name, command, Path(tmp))
+
+
 def main() -> int:
     if sys.argv[1:]:
         print(__doc__.strip(), file=sys.stderr)
@@ -197,12 +212,9 @@ def main() -> int:
         "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__}
     }
     start = time.perf_counter()
-    for name in CONFIGS:
-        for command in COMMANDS:
-            key = f"{name}/{command}"
-            with tempfile.TemporaryDirectory() as tmp:
-                manifest[key] = run_one(name, command, Path(tmp))
-            print(f"{key}: exit {manifest[key]['exit']}", file=sys.stderr)
+    for key, entry in run_keys(f"{name}/{command}" for name in CONFIGS for command in COMMANDS):
+        manifest[key] = entry
+        print(f"{key}: exit {entry['exit']}", file=sys.stderr)
     lines = (f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}" for key, entry in manifest.items())
     MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"{len(manifest) - 1} runs in {time.perf_counter() - start:.1f} s wall", file=sys.stderr)
