@@ -491,23 +491,24 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
 
     out = os.environ.get("GATEDQDOT_OUT") or out_dir or "gatedqdot-out"
     outdir = Path(out)
+    if verbose:
+        print(f"[gatedqdot] {command} -> {outdir}", file=sys.stderr)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        if verbose:
-            print(f"[gatedqdot] {command} -> {outdir}", file=sys.stderr)
         results, artifacts = _DISPATCH[command](_Run(config))
-        # written before the body is checked: a non-finite result keeps them
-        for name, content in artifacts.items():
-            if name.endswith(".csv"):
-                _write_rows_csv(outdir / name, *content)
-            else:
-                _write_json(outdir / name, content)
     except (ConfigValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    # written before the body is checked: a non-finite result keeps them
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            if name.endswith(".csv"):
+                _write_rows_csv(outdir / name, *content)
+            else:
+                _write_json(outdir / name, content)
     except OSError as exc:
         return _output_error(outdir, exc)
 

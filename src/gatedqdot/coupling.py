@@ -96,18 +96,6 @@ def _raw_entries_spectral(field: SpectralField, j1, j2, L: float) -> np.ndarray:
     return out
 
 
-def _lattice_spacing(nodes: np.ndarray, span: float, axis: str) -> float:
-    """Spacing of `nodes` if they are the uniform lattice on [0, span]; else ValueError."""
-    cells = nodes.size - 1
-    if cells < 1 or not np.allclose(
-        nodes, np.linspace(0.0, span, cells + 1), rtol=0.0, atol=1e-12 * span
-    ):
-        raise ValueError(
-            f"grid field {axis} nodes are not a uniform lattice on [0, {span!r}]"
-        )
-    return span / cells
-
-
 def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
     """Exact integrals of the bilinear interpolant of a lattice field.
 
@@ -123,9 +111,8 @@ def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
     even and 2n-periodic in the (integer) frequency, so frequencies above
     n fold back into the table.
     """
-    h1 = _lattice_spacing(field.x1, math.pi, "x1")
-    h2 = _lattice_spacing(field.x2, L, "x2")
-    nx, ny = field.x1.size - 1, field.x2.size - 1
+    nx, ny = field.values.shape[0] - 1, field.values.shape[1] - 1
+    h1, h2 = math.pi / nx, L / ny
     table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
 
     def factor(freq, n):
@@ -151,9 +138,9 @@ def assemble_coupling_matrix(
 ) -> CouplingMatrix:
     """Coupling matrix over every mode of `spectrum`, in its order.
 
-    A SpectralField (full-gate sine superposition) on the spectrum's L uses
-    the closed forms; a GridField must sample the uniform lattice on
-    [0, pi] x [0, L], and its bilinear interpolant is integrated exactly.
+    The field must lie on the spectrum's L.  A SpectralField (full-gate sine
+    superposition) uses the closed forms; a GridField's bilinear interpolant
+    on its lattice is integrated exactly.
     With zero_tol=None the structural-zero threshold is 1e-12 times the
     largest raw magnitude in either touching row, which keeps large
     cosh-inflated rows from misclassifying true zeros.  The closed forms fill only the upper
@@ -162,16 +149,16 @@ def assemble_coupling_matrix(
     if zero_tol is not None and not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
     j1, j2, L = spectrum.j1, spectrum.j2, spectrum.L
-    if isinstance(field, SpectralField):
-        if field.L != L:
-            raise ValueError(f"spectral gate field lies on L = {field.L!r}, not on L = {L!r}")
-        raw = _raw_entries_spectral(field, j1, j2, L)
-    elif isinstance(field, GridField):
-        raw = _raw_entries_lattice(field, j1, j2, L)
-    else:
+    if not isinstance(field, (SpectralField, GridField)):
         raise ValueError(
             f"gate field must be a SpectralField or a GridField, not {type(field).__name__}"
         )
+    if field.L != L:
+        raise ValueError(f"gate field lies on L = {field.L!r}, not on L = {L!r}")
+    if isinstance(field, SpectralField):
+        raw = _raw_entries_spectral(field, j1, j2, L)
+    else:
+        raw = _raw_entries_lattice(field, j1, j2, L)
     if not np.all(np.isfinite(raw)):
         raise NumericalError("coupling entries overflow the float range")
 

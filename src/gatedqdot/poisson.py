@@ -83,20 +83,24 @@ class SpectralField:
         return out
 
     def rasterize(self, nx: int, ny: int) -> "GridField":
-        x1 = np.linspace(0.0, math.pi, nx + 1)
-        x2 = np.linspace(0.0, self.L, ny + 1)
-        return GridField(x1, x2, self.values_on(x1, x2), meta={"method": "closed-form"})
+        return GridField(self.L, self.values_on(*_lattice(self.L, nx, ny)), {"method": "closed-form"})
+
+
+def _lattice(L: float, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x1 = i*pi/nx and x2 = j*L/ny of the uniform lattice of [0, pi] x [0, L]."""
+    return np.linspace(0.0, math.pi, nx + 1), np.linspace(0.0, L, ny + 1)
 
 
 class GridField:
-    """Scalar field sampled on the outer product of node arrays."""
+    """Scalar field on the uniform lattice of [0, pi] x [0, L]: values[i, j],
+    of shape (nx+1, ny+1), is the field at node (i*pi/nx, j*L/ny)."""
 
-    def __init__(self, x1: np.ndarray, x2: np.ndarray, values: np.ndarray, meta: dict | None = None):
-        self.x1 = np.asarray(x1, dtype=float)
-        self.x2 = np.asarray(x2, dtype=float)
+    def __init__(self, L: float, values: np.ndarray, meta: dict | None = None):
+        self.L = float(L)
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (self.x1.size, self.x2.size):
-            raise ValueError("values shape does not match node arrays")
+        if self.values.ndim != 2 or min(self.values.shape) < 2:
+            raise ValueError("grid field values need a 2-D lattice of at least 2 x 2 nodes")
+        self.x1, self.x2 = _lattice(self.L, self.values.shape[0] - 1, self.values.shape[1] - 1)
         self.meta = dict(meta or {})
 
     def values_on(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -139,7 +143,7 @@ def segment_trace(segment: GateSegment, n: int, L: float, nx: int) -> np.ndarray
     The FD solver requires the trace to vanish exactly at the segment ends.
     """
     ia, ib = segment.snap(nx)
-    x1 = np.linspace(0.0, math.pi, nx + 1)
+    x1 = _lattice(L, nx, 1)[0]
     trace = SpectralField([fourier_term(n, L)], L).trace(x1[ia : ib + 1])
     trace[0] = 0.0
     trace[-1] = 0.0
@@ -162,7 +166,10 @@ def solve_partial_gate_fd(
     on the bottom and on the top outside the gate.  `trace_values` covers
     the snapped node range inclusive; its endpoint entries must be exactly
     zero (set require_endpoint_zero=False only for solver-verification runs
-    with manufactured data).
+    with manufactured data).  The operator is the Kronecker sum
+    kron(d1, I) + kron(I, d2) of the 1-D second differences in x1 and x2 on
+    the whole lattice; the Dirichlet nodes are sliced out and the rest is
+    solved by sparse LU.
     """
     # imported here, its only user, so commands without a segment gate skip it
     import scipy.sparse as sp
@@ -187,45 +194,26 @@ def solve_partial_gate_fd(
     c1 = 1.0 / h1**2
     c2 = 1.0 / h2**2
 
+    # a Neumann end row of d2 reflects its ghost row (u[i,-1] = u[i,1] at
+    # the bottom, likewise on top off the gate), so its inward entry doubles
+    up = np.full(ny, c2)
+    up[0] = 2.0 * c2
+    d1 = sp.diags([c1, -2.0 * c1, c1], [-1, 0, 1], shape=(nx + 1, nx + 1))
+    d2 = sp.diags([up[::-1], -2.0 * c2, up], [-1, 0, 1], shape=(ny + 1, ny + 1))
+    op = (sp.kron(d1, sp.identity(ny + 1)) + sp.kron(sp.identity(nx + 1), d2)).tocsr()
+
     # Dirichlet nodes carry known values and are eliminated from the system,
-    # so posed boundary data appears in the output exactly
-    known = np.zeros((nx + 1, ny + 1))
-    is_known = np.zeros((nx + 1, ny + 1), dtype=bool)
-    is_known[0, :] = True
-    is_known[nx, :] = True
-    is_known[ia : ib + 1, ny] = True
-    known[ia : ib + 1, ny] = trace_values
-
-    free_index = -np.ones((nx + 1, ny + 1), dtype=int)
-    free_nodes = np.argwhere(~is_known)
-    free_index[~is_known] = np.arange(len(free_nodes))
-
-    # stencil slots of each free node: centre, left, right, below, above.  A
-    # Neumann row reflects its ghost row (u[i,-1] = u[i,1] at the bottom,
-    # likewise on top off the gate): the outward slot is absent (clipped
-    # into the lattice, masked out) and the inward one doubles.
-    i, j = free_nodes.T
-    nb_i = np.column_stack([i, i - 1, i + 1, i, i])
-    nb_j = np.column_stack([j, j, j, np.maximum(j - 1, 0), np.minimum(j + 1, ny)])
-    coeff = np.empty((i.size, 5))
-    coeff[:] = [-2.0 * c1 - 2.0 * c2, c1, c1, c2, c2]
-    coeff[j == ny, 3] = coeff[j == 0, 4] = 2.0 * c2
-    present = np.ones((i.size, 5), dtype=bool)
-    present[:, 3], present[:, 4] = j > 0, j < ny
-    nb_known = present & is_known[nb_i, nb_j]
-    nb_free = present & ~is_known[nb_i, nb_j]
-
-    # known neighbours move to the right-hand side slot by slot, so each
-    # row subtracts its terms in stencil order
-    rhs = np.zeros(len(free_nodes))
-    for slot in range(5):
-        k = nb_known[:, slot]
-        rhs[k] -= coeff[k, slot] * known[nb_i[k, slot], nb_j[k, slot]]
-    rows = np.broadcast_to(np.arange(len(free_nodes))[:, None], nb_free.shape)[nb_free]
-    cols = free_index[nb_i[nb_free], nb_j[nb_free]]
-    data = coeff[nb_free]
-
-    mat = sp.csc_matrix((data, (rows, cols)), shape=(len(free_nodes), len(free_nodes)))
+    # so posed boundary data appears in the output exactly; `0.0 -` keeps
+    # +0.0 on the rows with no known neighbour
+    values = np.zeros((nx + 1, ny + 1))
+    values[ia : ib + 1, ny] = trace_values
+    known = np.zeros((nx + 1, ny + 1), dtype=bool)
+    known[[0, nx], :] = True
+    known[ia : ib + 1, ny] = True
+    free = ~known.ravel()
+    free_rows = op[free]
+    mat = free_rows[:, free].tocsc()
+    rhs = 0.0 - free_rows[:, ~free] @ values[known]
     sol = spla.spsolve(mat, rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverFailureError("sparse solve returned non-finite values")
@@ -235,8 +223,7 @@ def solve_partial_gate_fd(
         raise SolverFailureError(
             f"discrete Laplace residual {residual:.3e} above tolerance", residual=residual
         )
-    values = known.copy()
-    values[~is_known] = sol
+    values[~known] = sol
 
     # harmonic fields attain extrema on the boundary; the 5-point scheme
     # satisfies this exactly, so a violation flags a broken solve
@@ -248,8 +235,6 @@ def solve_partial_gate_fd(
     if values.max() > boundary.max() + slack or values.min() < boundary.min() - slack:
         raise SolverFailureError("discrete maximum principle violated")
 
-    x1 = np.linspace(0.0, math.pi, nx + 1)
-    x2 = np.linspace(0.0, L, ny + 1)
     meta = {
         "method": "sparse-lu",
         "residual": residual,
@@ -257,7 +242,7 @@ def solve_partial_gate_fd(
         "nx": nx,
         "ny": ny,
     }
-    return GridField(x1, x2, values, meta=meta)
+    return GridField(L, values, meta)
 
 
 def lattice_l2_error(field: GridField, reference: np.ndarray) -> float:
@@ -294,10 +279,7 @@ def gate_convergence_sweep(
         raise ValueError("fractions must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(fracs[:-1], fracs[1:])):
         raise ValueError("fractions must be strictly increasing")
-    full = solve_full_gate([fourier_term(n, L)], L)
-    x1 = np.linspace(0.0, math.pi, nx + 1)
-    x2 = np.linspace(0.0, L, ny + 1)
-    reference = full.values_on(x1, x2)
+    reference = solve_full_gate([fourier_term(n, L)], L).rasterize(nx, ny).values
     rows = []
     for f in fracs:
         half = 0.5 * f * math.pi

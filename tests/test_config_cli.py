@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import re
@@ -727,6 +728,17 @@ def test_unwritable_out_is_an_output_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"output error: cannot write {out}: ")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_os_error_while_computing_is_not_an_output_error(tmp_path, capsys, monkeypatch):
+    def unreadable(*args):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(cli, "enumerate_modes", unreadable)
+    with pytest.raises(OSError) as info:
+        run("spectrum", write_config(tmp_path, BASE), tmp_path / "out")
+    assert info.value.errno == errno.EIO
+    assert "output error:" not in capsys.readouterr().err
 
 
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
