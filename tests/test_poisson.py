@@ -7,6 +7,7 @@ import pytest
 from gatedqdot.cli import run
 from gatedqdot.poisson import (
     GateSegment,
+    GridField,
     StaggeredGrid,
     fourier_term,
     gate_convergence_sweep,
@@ -337,6 +338,18 @@ def test_grid_field_csv_round_trip(tmp_path):
     # row-major: row index 2 -> x1 node 2, col 3 -> x2 node 3
     assert x1 == f.x1[2] and x2 == f.x2[3]
     assert v == f.values[2, 3]
+
+
+def test_grid_field_nodes_are_the_lattice():
+    f = GridField(1.3, np.zeros((5, 3)))
+    assert f.x1.tobytes() == np.linspace(0.0, math.pi, 5).tobytes()
+    assert f.x2.tobytes() == np.linspace(0.0, 1.3, 3).tobytes()
+
+
+@pytest.mark.parametrize("values", [np.ones(5), np.ones((1, 5)), np.ones((2, 2, 2))])
+def test_grid_field_needs_a_2d_lattice(values):
+    with pytest.raises(ValueError, match="2-D lattice"):
+        GridField(L, values)
 
 
 def test_spectral_field_l2_error_helper():
