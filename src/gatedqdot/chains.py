@@ -154,9 +154,7 @@ def certify_nonresonant_chain(
         chain.append(key)
 
     # every coupled pair in both orientations, a diagonal pair once
-    rows, cols = np.nonzero(np.triu(coupled))
-    t_arr = np.column_stack([rows, cols, cols, rows]).reshape(-1, 2)
-    t_arr = t_arr[np.column_stack([np.ones(rows.size, dtype=bool), rows != cols]).ravel()]
+    t_arr = np.argwhere(coupled)
     t_diff = lam[t_arr[:, 0]] - lam[t_arr[:, 1]]
     # ties may sort in any order: no two hits of one edge share a canonical key
     order = np.argsort(t_diff)

@@ -5,20 +5,20 @@ The bilinear propagator applies the exact matrix exponential of
 -i(diag(lambda) + u*C) on each constant-control interval, so constant
 controls incur no time-step error at all.  Resonant population transfer
 along a coupling path is synthesized as a chain of first-order pi pulses:
-on each edge a cosine drive at the transition frequency of the DC-shifted
-spectrum, with mean delta/2 so the admissible range [0, delta] is never
-left.  Each drive is sampled on a grid commensurate with its period and
-mirrored about the period's midpoint, so its samples repeat bitwise and
-the propagator's per-value cache of eigendecompositions serves the second
-half of the first period and every period after it.  The cache holds one
-complex eigenvector matrix per value, from the value's first sample to its
-last, so a pulse edge keeps at most its own distinct values.  The nonlinear
-solver is Strang splitting on a staggered grid with one Hartree solve per
-step: a potential half step leaves |psi|^2 unchanged, so the field solved
-after the kinetic step also opens the next step.  The alpha study's flows
-share only read-only arrays, so they run on a thread pool; the transforms
-and ufuncs that take their time release the GIL, and each flow is the same
-call, so every result is the serial one bit for bit.
+on each edge a cosine drive about delta/2, inside [0, delta], at a
+transition frequency of `shifted_spectrum` at delta/2: the levels `certify`
+checks at its default rho.  Each drive is sampled on a grid commensurate
+with its period and mirrored about the period's midpoint, so its samples
+repeat bitwise and the propagator's per-value cache of `shifted_spectrum`
+eigendecompositions serves every sample after the first half period.  The
+cache holds one complex eigenvector matrix per value, from its first sample
+to its last, so a pulse edge keeps at most its own distinct values.  The
+nonlinear solver is Strang splitting on a staggered grid with one Hartree
+solve per step: a potential half step leaves |psi|^2 unchanged, so the
+field solved after the kinetic step also opens the next step.  The alpha
+study's flows share only read-only arrays, so they run on a thread pool;
+the transforms and ufuncs that take their time release the GIL, and each
+flow is the same call, so every result is the serial one bit for bit.
 
 States are plain arrays: Galerkin coefficients over all the positions of
 the `Spectrum`, which names them, or values on `NonlinearConfig.grid`.
@@ -36,7 +36,7 @@ import numpy as np
 from .coupling import CouplingMatrix
 from .errors import DurationCapError, InstabilityError
 from .poisson import StaggeredGrid, hartree_field
-from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid, enumerate_modes
+from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
 
 NORM_GUARD = 1e-6
 
@@ -90,7 +90,12 @@ def galerkin_mode_state(spectrum: Spectrum, mode) -> np.ndarray:
 
 
 def grid_mode_state(grid: StaggeredGrid, mode) -> np.ndarray:
-    """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there."""
+    """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there.
+
+    The grid resolves 1 <= j1 < nx and 1 <= j2 < ny; any other mode is a ValueError.
+    """
+    if not (1 <= mode[0] < grid.nx and 1 <= mode[1] < grid.ny):
+        raise ValueError(f"mode {tuple(mode)} not resolved on the {grid.nx}x{grid.ny} staggered grid")
     return eigenfunction_on_grid(ModeIndex(*mode), grid.L, grid.x1, grid.x2).astype(complex)
 
 
@@ -116,18 +121,17 @@ def propagate_bilinear(
     `(N,)` Galerkin coefficients at t = 0.  Returns `(times, values)`: the
     `(S+1,)` sample-boundary times and the `(S+1, N)` coefficients there,
     row 0 the initial state.  Each interval is applied through the
-    symmetric eigendecomposition of the frozen Hamiltonian, so the step is
-    unitary to rounding and independent of any internal step size.  One
-    `eigh` serves every sample of a control value and one phase every
-    sample of a (value, duration) pair.  The eigenvectors are kept as one
-    complex matrix per value, held from the value's first sample to its
-    last and then dropped, so no value is decomposed twice and the cache
-    holds only the values still to come.
+    `shifted_spectrum` of the frozen Hamiltonian, so the step is unitary to
+    rounding and independent of any internal step size.  One decomposition
+    serves every sample of a control value and one phase every sample of a
+    (value, duration) pair.  The eigenvectors are kept as one complex matrix
+    per value, held from the value's first sample to its last and then
+    dropped, so no value is decomposed twice and the cache holds only the
+    values still to come.
     """
     _check_sizes(spectrum, coupling)
-    lam, cmat = spectrum.eigenvalues, coupling.values
     initial = np.asarray(initial, dtype=complex)
-    if initial.shape != lam.shape:
+    if initial.shape != (len(spectrum),):
         raise ValueError("initial state size does not match the spectrum")
     _check_initial(float(np.linalg.norm(initial)))
     # per-call caches: constant segments and repeated pulse samples reuse
@@ -137,14 +141,13 @@ def propagate_bilinear(
     phases: dict[tuple[float, float], np.ndarray] = {}
     last = {u: k for k, (_, u) in enumerate(control.samples, start=1)}
     times = np.empty(len(control.samples) + 1)
-    values = np.empty((len(control.samples) + 1, lam.size), dtype=complex)
-    values[0] = initial
-    psi = values[0]
+    values = np.empty((len(control.samples) + 1, len(spectrum)), dtype=complex)
+    psi = values[0] = initial
     t = times[0] = 0.0
     for k, (dur, u) in enumerate(control.samples, start=1):
         if u not in eigs:
-            w, v = np.linalg.eigh(np.diag(lam) + u * cmat)
-            eigs[u] = w, v.astype(complex)
+            frozen = shifted_spectrum(spectrum, coupling, u)
+            eigs[u] = frozen.eigenvalues, frozen.eigenvectors.astype(complex)
         w, v = eigs[u]
         phase = phases.get((u, dur))
         if phase is None:
@@ -180,8 +183,8 @@ def synthesize_chain_transfer(
     """Chained resonant pi pulses along a coupling path.
 
     Per edge (j, k): u(t) = delta/2 + a*cos(omega*t) with
-    a = amplitude_fraction*delta, omega the |lambda'_k - lambda'_j|
-    transition frequency of the delta/2-shifted spectrum (removing the
+    a = amplitude_fraction*delta, omega = |lambda'_k - lambda'_j| on the
+    levels of `shifted_spectrum(spectrum, coupling, delta/2)` (removing the
     leading DC Stark detuning), and duration pi/(a*|b_jk|) for a
     first-order pi pulse: on resonance the target population follows
     sin((a*b/2)*t)**2, which first reaches 1 there.  The cosine is sampled
@@ -205,15 +208,14 @@ def synthesize_chain_transfer(
     if samples_per_period < 2:
         raise ValueError("samples_per_period must be >= 2")
     _check_sizes(spectrum, coupling)
-    modes = [ModeIndex(*m) for m in path]
-    if not modes:
+    positions = [spectrum.position(m) for m in path]
+    if not positions:
         raise ValueError("path must contain at least one mode")
-    if len(modes) == 1:
+    if len(positions) == 1:
         return ControlSignal(samples=(), delta=delta)
 
     cmat, u_bar = coupling.values, 0.5 * delta
-    shifted = np.linalg.eigvalsh(np.diag(spectrum.eigenvalues) + u_bar * cmat)
-    positions = [spectrum.position(m) for m in modes]
+    shifted = shifted_spectrum(spectrum, coupling, u_bar).eigenvalues
 
     amp = amplitude_fraction * delta
     samples: list[tuple[float, float]] = []

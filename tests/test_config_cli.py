@@ -685,6 +685,27 @@ def test_empty_path_is_a_config_error(tmp_path, capsys, command):
     assert err == "config error: dynamics.path: expected a list of [int, int] pairs\n"
 
 
+# a one-mode `control` path has no pulse, but its mode must still be in the window
+@pytest.mark.parametrize(
+    "command, path", [("evolve", [[9, 9]]), ("control", [[9, 9]]), ("control", [[9, 9], [1, 1]])]
+)
+def test_path_outside_the_window_is_a_validation_error(tmp_path, capsys, command, path):
+    doc = {**BASE, "truncation": 5, "dynamics": {"path": path}, "control": {"samples": [[0.5, 0.1]]}}
+    assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 2
+    assert capsys.readouterr().err == "validation error: mode (9, 9) not in spectrum\n"
+
+
+# the 8x8 staggered grid resolves 1 <= j1, j2 <= 7: mode 9 would alias mode 7,
+# and mode 8 vanishes in x1 and is not unit norm in x2
+@pytest.mark.parametrize("mode", [(9, 1), (1, 9), (8, 1), (1, 8)])
+def test_nonlinear_mode_off_the_grid_is_a_validation_error(tmp_path, capsys, mode):
+    doc = {**BASE, "dynamics": {"path": [list(mode)], "T": 0.01, "nonlinear_nx": 8,
+                                "nonlinear_ny": 8}}
+    assert run("nonlinear", write_config(tmp_path, doc), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: mode {mode} not resolved on the 8x8 staggered grid\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -207,6 +207,10 @@ class TestSynthesis:
         sig = synthesize_chain_transfer([(1, 1)], spec30, matrix_n2_30, DELTA, 0.5)
         assert sig.samples == ()
 
+    def test_single_node_path_must_be_in_the_window(self, spec30, matrix_n2_30):
+        with pytest.raises(ValueError, match=r"^mode \(9, 9\) not in spectrum$"):
+            synthesize_chain_transfer([(9, 9)], spec30, matrix_n2_30, DELTA, 0.5)
+
     def test_values_span_admissible_range(self, spec30, matrix_n2_30):
         sig = synthesize_chain_transfer([(1, 1), (2, 1)], spec30, matrix_n2_30, DELTA, 0.5)
         values = np.array([v for _, v in sig.samples])
@@ -224,6 +228,20 @@ class TestSynthesis:
         assert omega == pytest.approx(3.0, abs=0.1)
         exact = shifted_gap(spec30, matrix_n2_30, (1, 1), (2, 1))
         assert omega == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("size", (30, 100))
+    def test_drives_the_certified_levels(self, request, size):
+        # the pulse runs at the gaps of the levels `certify` checks at its
+        # default rho = delta/2, bit for bit
+        spec = request.getfixturevalue(f"spec{size}")
+        matrix = request.getfixturevalue(f"matrix_n2_{size}")
+        levels = shifted_spectrum(spec, matrix, 0.5 * DELTA).eigenvalues
+        pairs = [(p, q) for p, q in itertools.permutations(range(12), 2) if matrix.values[p, q] != 0]
+        assert len(pairs) == 70
+        for p, q in pairs:
+            sig = synthesize_chain_transfer([spec.modes[p], spec.modes[q]], spec, matrix, DELTA, 0.5)
+            assert len(sig.samples) > 1
+            assert sig.samples[0][0] == (2 * math.pi / abs(levels[q] - levels[p])) / 40
 
     def test_zero_coupling_edge_rejected(self, spec30, matrix_n2_30):
         with pytest.raises(ValueError, match="zero coupling"):

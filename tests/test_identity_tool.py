@@ -112,7 +112,12 @@ print(json.dumps(dict(tool.run_keys(sys.argv[2:]))))
 """
 
 
-def test_fd_runs_replay_the_manifest():
+# every manifest run of the bilinear layer: the pulse and the propagator
+BILINEAR_RUNS = [f"{name}/{command}" for name in TOOL.CONFIGS for command in ("evolve", "control")]
+
+
+def assert_replay(keys):
+    """Rerun `keys` through the tool in one fresh interpreter; each record must match the manifest."""
     import numpy
     import scipy
 
@@ -121,8 +126,16 @@ def test_fd_runs_replay_the_manifest():
     if manifest["versions"] != running:
         pytest.skip(f"manifest written with {manifest['versions']}, running {running}")
     proc = subprocess.run(
-        [sys.executable, "-c", REPLAY, str(ROOT / "tools" / "identity.py"), *FD_RUNS],
+        [sys.executable, "-c", REPLAY, str(ROOT / "tools" / "identity.py"), *keys],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {key: manifest[key] for key in FD_RUNS}
+    assert json.loads(proc.stdout) == {key: manifest[key] for key in keys}
+
+
+def test_fd_runs_replay_the_manifest():
+    assert_replay(FD_RUNS)
+
+
+def test_bilinear_runs_replay_the_manifest():
+    assert_replay(BILINEAR_RUNS)
