@@ -690,7 +690,8 @@ def test_empty_path_is_a_config_error(tmp_path, capsys, command):
     "command, path", [("evolve", [[9, 9]]), ("control", [[9, 9]]), ("control", [[9, 9], [1, 1]])]
 )
 def test_path_outside_the_window_is_a_validation_error(tmp_path, capsys, command, path):
-    doc = {**BASE, "truncation": 5, "dynamics": {"path": path}, "control": {"samples": [[0.5, 0.1]]}}
+    doc = {**BASE, "truncation": 5, "dynamics": {"path": path},
+           "control": {"samples": [[0.5, 0.1]]}}
     assert run(command, write_config(tmp_path, doc), tmp_path / "out") == 2
     assert capsys.readouterr().err == "validation error: mode (9, 9) not in spectrum\n"
 

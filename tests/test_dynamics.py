@@ -236,10 +236,13 @@ class TestSynthesis:
         spec = request.getfixturevalue(f"spec{size}")
         matrix = request.getfixturevalue(f"matrix_n2_{size}")
         levels = shifted_spectrum(spec, matrix, 0.5 * DELTA).eigenvalues
-        pairs = [(p, q) for p, q in itertools.permutations(range(12), 2) if matrix.values[p, q] != 0]
+        pairs = [
+            (p, q) for p, q in itertools.permutations(range(12), 2) if matrix.values[p, q] != 0
+        ]
         assert len(pairs) == 70
         for p, q in pairs:
-            sig = synthesize_chain_transfer([spec.modes[p], spec.modes[q]], spec, matrix, DELTA, 0.5)
+            path = [spec.modes[p], spec.modes[q]]
+            sig = synthesize_chain_transfer(path, spec, matrix, DELTA, 0.5)
             assert len(sig.samples) > 1
             assert sig.samples[0][0] == (2 * math.pi / abs(levels[q] - levels[p])) / 40
 

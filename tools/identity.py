@@ -143,8 +143,9 @@ CONFIGS = {
     "square-L-pi": {"gate": {"kind": "fourier_mode", "n": 2}, "L": math.pi, "truncation": 30},
     # mode (1, 1) lies within the simplicity tolerance 5 of (2, 1): not simple
     "shape-simplicity-tol": {"tolerances": {"simplicity": 5.0}, "shape": {"mode": [1, 1]}},
-    # shifted levels cross at delta/2: sorted positions 9/10, 14/15, 36/37
-    # and 48/49 swap, so the pulse along (1, 1) -> (1, 3) drives a wrong level
+    # by delta/2 the shifted levels at sorted positions 9/10, 14/15, 36/37 and
+    # 48/49 have crossed and swapped modes: the pulse along (1, 1) -> (1, 3)
+    # drives a wrong level
     "crossing-n3": {
         "gate": {"kind": "fourier_mode", "n": 3},
         "L": 1.5,
