@@ -15,6 +15,7 @@ from .config import ConfigValidationError, RunConfig, load_config, validate_conf
 from .coupling import (
     CouplingMatrix,
     assemble_coupling_matrix,
+    coupling_block,
     coupling_x1_closed,
     coupling_x2_closed,
 )

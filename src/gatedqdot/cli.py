@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -76,7 +75,7 @@ artifact CSV columns per command:
                     gate_expectation,population_1..K,control_value
   gate-sweep        gate_sweep.csv: fraction,a_snapped,b_snapped,l2_error,h1_error
   certify           chain.json (full certificate)
-All floats use 17 significant digits.  GATEDQDOT_OUT overrides --out.
+All floats use 17 significant digits.
 """
 
 
@@ -313,7 +312,7 @@ def _propagate_stage(run: _Run, control):
     config, spectrum = run.config, run.spectrum
     initial = galerkin_mode_state(spectrum, config.dynamics.path[0])
     times, values = propagate_bilinear(spectrum, run.matrix, control, initial)
-    k = min(config.dynamics.log_populations or 1, len(spectrum))
+    k = min(config.dynamics.log_populations, len(spectrum))
     re, im = values.real, values.imag
     # np.linalg.norm of a complex vector: the real and imaginary dot products
     norms = re[:, None, :] @ re[:, :, None]
@@ -489,8 +488,7 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    out = os.environ.get("GATEDQDOT_OUT") or out_dir or "gatedqdot-out"
-    outdir = Path(out)
+    outdir = Path(out_dir or "gatedqdot-out")
     if verbose:
         print(f"[gatedqdot] {command} -> {outdir}", file=sys.stderr)
     try:

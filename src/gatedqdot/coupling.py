@@ -75,33 +75,15 @@ class CouplingMatrix:
         return dict(zip(zip(a.tolist(), b.tolist()), self.values[a, b].tolist()))
 
 
-def _raw_entries_spectral(field: SpectralField, j1, j2, L: float) -> np.ndarray:
-    """Upper triangle of the closed-form entries, summed over the gate terms.
+def coupling_block(field, rows: Spectrum, cols: Spectrum) -> np.ndarray:
+    """Raw entries int V0 phi_a phi_b for every mode a of `rows` and b of `cols`, in their orders.
 
-    A and B are tabulated per term over the index values and read at the
-    odd-parity pairs; overflow to inf is left to the caller's finiteness check.
-    """
-    r1 = np.arange(1, j1.max() + 1)
-    r2 = np.arange(1, j2.max() + 1)
-    rows, cols = np.triu_indices(j1.size)
-    out = np.zeros((j1.size, j1.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, c in field.terms:
-            scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
-            odd = (j1[rows] + j1[cols] + m) % 2 == 1
-            a, b = rows[odd], cols[odd]
-            a1 = coupling_x1_closed(m, r1[:, None], r1[None, :])[j1[a] - 1, j1[b] - 1]
-            x2 = coupling_x2_closed(m, r2[:, None], r2[None, :], L)[j2[a] - 1, j2[b] - 1]
-            out[a, b] += scale * a1 * x2
-    return out
-
-
-def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
-    """Exact integrals of the bilinear interpolant of a lattice field.
-
-    On the uniform lattice x_i = i*h the hat functions h_i integrate
-    cosines in closed form, with w_i the trapezoid weight (1/2 at both
-    ends) and sinc(u) = sin(u)/u:
+    Both spectra must lie on the field's L.  A SpectralField (full-gate sine
+    superposition) reads per-term tables of the closed forms A and B; an
+    entry whose A vanishes by parity is exactly 0 even where B overflows.
+    A GridField's bilinear interpolant is integrated exactly on its lattice:
+    with x_i = i*h, w_i the trapezoid weight (1/2 at both ends) and
+    sinc(u) = sin(u)/u, the hat functions h_i integrate cosines as
 
         int h_i(x) cos(f x) dx = w_i * h * cos(f x_i) * sinc^2(f h/2).
 
@@ -109,26 +91,48 @@ def _raw_entries_lattice(field: GridField, j1, j2, L: float) -> np.ndarray:
     j + k, so every entry is four lattice cosine sums, which one DCT-I of
     the node values tabulates.  On an n-cell axis the lattice cosine is
     even and 2n-periodic in the (integer) frequency, so frequencies above
-    n fold back into the table.
+    n fold back into the table.  Overflow raises NumericalError.
     """
-    nx, ny = field.values.shape[0] - 1, field.values.shape[1] - 1
-    h1, h2 = math.pi / nx, L / ny
-    table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
+    if not isinstance(field, (SpectralField, GridField)):
+        raise ValueError(
+            f"gate field must be a SpectralField or a GridField, not {type(field).__name__}"
+        )
+    L = field.L
+    for spectrum in (rows, cols):
+        if spectrum.L != L:
+            raise ValueError(f"gate field lies on L = {L!r}, not on L = {spectrum.L!r}")
+    a1, a2, b1, b2 = rows.j1[:, None], rows.j2[:, None], cols.j1, cols.j2
+    out = np.zeros((a1.size, b1.size))
+    if isinstance(field, SpectralField):
+        r1 = np.arange(1, max(a1.max(), b1.max()) + 1)
+        r2 = np.arange(1, max(a2.max(), b2.max()) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, c in field.terms:
+                scale = (4.0 / (math.pi * L)) * c / gate_term_cosh(m, L)
+                x1 = coupling_x1_closed(m, r1[:, None], r1[None, :])[a1 - 1, b1 - 1]
+                x2 = coupling_x2_closed(m, r2[:, None], r2[None, :], L)[a2 - 1, b2 - 1]
+                out += np.where(x1 == 0.0, 0.0, scale * x1 * x2)
+    else:
+        nx, ny = field.values.shape[0] - 1, field.values.shape[1] - 1
+        h1, h2 = math.pi / nx, L / ny
+        table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
 
-    def factor(freq, n):
-        # sinc^2 hat weight and folded DCT index of an integer frequency in
-        # units of pi/span; np.sinc(x) is sin(pi x)/(pi x), and f h/2 = pi freq/(2n)
-        freq = np.abs(freq)
-        fold = freq % (2 * n)
-        return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
+        def factor(freq, n):
+            # sinc^2 hat weight and folded DCT index of an integer frequency in
+            # units of pi/span; np.sinc(x) is sin(pi x)/(pi x), and f h/2 = pi freq/(2n)
+            freq = np.abs(freq)
+            fold = freq % (2 * n)
+            return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
 
-    out = np.zeros((j1.size, j1.size))
-    for s in (1, -1):
-        w1, f1 = factor(j1[:, None] + s * j1[None, :], nx)
-        for t in (1, -1):
-            w2, f2 = factor(j2[:, None] + t * j2[None, :], ny)
-            out += (s * t) * w1 * w2 * table[f1, f2]
-    return out / (math.pi * L)
+        for s in (1, -1):
+            w1, f1 = factor(a1 + s * b1, nx)
+            for t in (1, -1):
+                w2, f2 = factor(a2 + t * b2, ny)
+                out += (s * t) * w1 * w2 * table[f1, f2]
+        out /= math.pi * L
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("coupling entries overflow the float range")
+    return out
 
 
 def assemble_coupling_matrix(
@@ -136,31 +140,19 @@ def assemble_coupling_matrix(
     spectrum: Spectrum,
     zero_tol: float | None = None,
 ) -> CouplingMatrix:
-    """Coupling matrix over every mode of `spectrum`, in its order.
+    """Coupling matrix over every mode of `spectrum`, in its order: `coupling_block`'s square.
 
-    The field must lie on the spectrum's L.  A SpectralField (full-gate sine
-    superposition) uses the closed forms; a GridField's bilinear interpolant
-    on its lattice is integrated exactly.
-    With zero_tol=None the structural-zero threshold is 1e-12 times the
-    largest raw magnitude in either touching row, which keeps large
-    cosh-inflated rows from misclassifying true zeros.  The closed forms fill only the upper
-    triangle, so there a row's maximum runs over the columns >= the row.
+    The square keeps its upper triangle, mirrored: the closed forms agree
+    with their transpose only to rounding, and each entry keeps the value
+    computed with its earlier position first.  With zero_tol=None the
+    structural-zero threshold is 1e-12 times the largest magnitude in
+    either touching row of that symmetric array, which keeps large
+    cosh-inflated rows from misclassifying true zeros.
     """
     if zero_tol is not None and not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
-    j1, j2, L = spectrum.j1, spectrum.j2, spectrum.L
-    if not isinstance(field, (SpectralField, GridField)):
-        raise ValueError(
-            f"gate field must be a SpectralField or a GridField, not {type(field).__name__}"
-        )
-    if field.L != L:
-        raise ValueError(f"gate field lies on L = {field.L!r}, not on L = {L!r}")
-    if isinstance(field, SpectralField):
-        raw = _raw_entries_spectral(field, j1, j2, L)
-    else:
-        raw = _raw_entries_lattice(field, j1, j2, L)
-    if not np.all(np.isfinite(raw)):
-        raise NumericalError("coupling entries overflow the float range")
+    raw = np.triu(coupling_block(field, spectrum, spectrum))
+    raw += np.triu(raw, 1).T
 
     if zero_tol is None:
         row_max = np.abs(raw).max(axis=1)
@@ -171,7 +163,6 @@ def assemble_coupling_matrix(
         effective = float(zero_tol)
 
     drop = np.abs(raw) <= thresh
-    values = np.triu(np.where(drop, 0.0, raw))
-    values += np.triu(values, 1).T
+    values = np.where(drop, 0.0, raw)
     dropped = int(np.count_nonzero(np.triu(drop)))
     return CouplingMatrix(values=values, zero_tol=effective, dropped=dropped)

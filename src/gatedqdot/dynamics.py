@@ -89,13 +89,15 @@ def galerkin_mode_state(spectrum: Spectrum, mode) -> np.ndarray:
     return values
 
 
-def grid_mode_state(grid: StaggeredGrid, mode) -> np.ndarray:
-    """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there.
-
-    The grid resolves 1 <= j1 < nx and 1 <= j2 < ny; any other mode is a ValueError.
-    """
+def _check_resolved(grid: StaggeredGrid, mode):
+    """The grid resolves 1 <= j1 < nx and 1 <= j2 < ny; any other mode is a ValueError."""
     if not (1 <= mode[0] < grid.nx and 1 <= mode[1] < grid.ny):
         raise ValueError(f"mode {tuple(mode)} not resolved on the {grid.nx}x{grid.ny} staggered grid")
+
+
+def grid_mode_state(grid: StaggeredGrid, mode) -> np.ndarray:
+    """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there."""
+    _check_resolved(grid, mode)
     return eigenfunction_on_grid(ModeIndex(*mode), grid.L, grid.x1, grid.x2).astype(complex)
 
 
@@ -259,7 +261,8 @@ class NonlinearConfig:
     """Strang-splitting parameters for the Schroedinger-Poisson system.
 
     alpha is the self-consistency strength (inverse squared scaled Debye
-    length); the initial state and the gate potential are values on `grid`.
+    length); the initial state and the gate potential are values on `grid`,
+    which must resolve the first `log_populations` modes of `enumerate_modes`.
     """
 
     alpha: float
@@ -274,6 +277,9 @@ class NonlinearConfig:
             raise ValueError("dt must be positive")
         if self.log_populations < 0:
             raise ValueError("log_populations must be nonnegative")
+        if self.log_populations:
+            for mode in enumerate_modes(self.grid.L, self.log_populations).modes:
+                _check_resolved(self.grid, mode)
 
 
 @dataclass

@@ -45,7 +45,7 @@ def probe(tmp_path, *jobs):
         config = tmp_path / f"config{k}.json"
         config.write_text(json.dumps(doc))
         args.append((command, str(config), str(tmp_path / f"out{k}")))
-    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
+    env = dict(os.environ)
     env.update(PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(args)],

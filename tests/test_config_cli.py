@@ -511,14 +511,6 @@ class TestCli:
         assert h1 == h2
         assert (out1 / "chain.json").read_text() == (out2 / "chain.json").read_text()
 
-    def test_env_var_overrides_out(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, BASE)
-        target = tmp_path / "env-out"
-        monkeypatch.setenv("GATEDQDOT_OUT", str(target))
-        assert run("spectrum", cfg, tmp_path / "ignored") == 0
-        assert (target / "report.json").exists()
-        assert not (tmp_path / "ignored").exists()
-
     def test_chain_command_components(self, tmp_path):
         doc = dict(BASE)
         doc["gate"] = {"kind": "fourier_mode", "n": 1}
@@ -705,6 +697,16 @@ def test_nonlinear_mode_off_the_grid_is_a_validation_error(tmp_path, capsys, mod
     assert run("nonlinear", write_config(tmp_path, doc), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == f"validation error: mode {mode} not resolved on the 8x8 staggered grid\n"
+
+
+# at L = 1 the first six modes reach (5, 1), which the 4x4 grid would alias to (3, 1)
+def test_nonlinear_population_mode_off_the_grid_is_a_validation_error(tmp_path, capsys):
+    doc = {**BASE, "dynamics": {"path": [[3, 1]], "T": 0.01, "log_populations": 6,
+                                "nonlinear_nx": 4, "nonlinear_ny": 4}}
+    assert run("nonlinear", write_config(tmp_path, doc), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: mode (4, 1) not resolved on the 4x4 staggered grid\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -971,3 +973,20 @@ def test_help_epilog_lists_every_artifact_and_csv_header(tmp_path, command):
         for col in columns:
             expanded += [f"population_{i + 1}" for i in range(k)] if col == "population_1..K" else [col]
         assert (out / name).read_text().splitlines()[0] == ",".join(expanded)
+
+
+@pytest.mark.parametrize(
+    "command, name, header",
+    [
+        ("evolve", "trajectory.csv", "time,norm,h1_seminorm,control_value"),
+        ("control", "trajectory.csv", "time,norm,h1_seminorm,control_value"),
+        ("nonlinear", "nonlinear_trajectory.csv", "time,norm,h1_seminorm,gate_expectation,control_value"),
+    ],
+)
+def test_zero_log_populations_writes_no_population_column(tmp_path, command, name, header):
+    doc = {**BASE, "control": {"samples": [[0.05, 0.1]]},
+           "dynamics": {"path": [[1, 1], [2, 1]], "T": 0.02, "nonlinear_nx": 16,
+                        "nonlinear_ny": 16, "log_populations": 0}}
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, doc), out) == 0
+    assert (out / name).read_text().splitlines()[0] == header

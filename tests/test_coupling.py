@@ -8,6 +8,7 @@ from oracles import panel_rule
 from gatedqdot.cli import run
 from gatedqdot.coupling import (
     assemble_coupling_matrix,
+    coupling_block,
     coupling_x1_closed,
     coupling_x2_closed,
 )
@@ -19,7 +20,7 @@ from gatedqdot.poisson import (
     solve_full_gate,
     solve_partial_gate_fd,
 )
-from gatedqdot.spectral import enumerate_modes, shifted_spectrum
+from gatedqdot.spectral import Spectrum, enumerate_modes, shifted_spectrum
 
 
 def quad_a(n, j1, k1):
@@ -208,8 +209,9 @@ def scalar_x2(n, j2, k2, L):
 def loop_oracle(terms, modes, L, zero_tol):
     """Pair-by-pair closed-form assembly and threshold rule in scalar Python.
 
-    Returns the symmetric dense matrix, the stored {(a, b): value} entries
-    in insertion order and the dropped count.
+    The upper triangle is computed and mirrored; a row's maximum runs over
+    the mirrored array.  Returns the symmetric dense matrix, the stored
+    {(a, b): value} entries in insertion order and the dropped count.
     """
     n = len(modes)
     raw = np.zeros((n, n))
@@ -223,7 +225,7 @@ def loop_oracle(terms, modes, L, zero_tol):
                     continue
                 raw[i, j] += scale * a1 * scalar_x2(m, a.j2, b.j2, L)
     if zero_tol is None:
-        row_max = np.abs(raw).max(axis=1)
+        row_max = np.abs(raw + np.triu(raw, 1).T).max(axis=1)
         thresh = 1e-12 * np.maximum.outer(row_max, row_max)
     else:
         thresh = np.full_like(raw, zero_tol)
@@ -293,6 +295,17 @@ class TestArrayKernel:
         with pytest.raises(ValueError, match="nonnegative"):
             assemble_coupling_matrix(field_n2, spec30, -1e-3)
 
+    def test_even_parity_entries_survive_overflow(self, tmp_path):
+        # at L = 354 the n = 2 factor B overflows to inf, and every entry
+        # among the first three modes (j1 = 1, 2, 3) has even parity
+        doc = {"L": 354.0, "truncation": 3, "gate": {"kind": "fourier_mode", "n": 2}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run("coupling", config, tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["stored"] == 0
+        assert report["results"]["dropped"] == 6
+
 
 def segment_field(a, b, trace_mode, L, n):
     """FD partial-gate field, with the trace the CLI poses on the snapped segment."""
@@ -361,9 +374,38 @@ class TestLatticeFields:
         with pytest.raises(ValueError, match="lies on L = 2.0, not on L = 1.0"):
             assemble_coupling_matrix(field, enumerate_modes(1.0, 10))
 
+    def test_square_is_bitwise_symmetric(self):
+        field = segment_field(0.6, 2.2, 2, 1.03, 64)
+        spectrum = enumerate_modes(1.03, 200)
+        block = coupling_block(field, spectrum, spectrum)
+        assert np.array_equal(block, block.T)
+
     def test_other_field_types_rejected(self, field_n1, spec30):
         class Sampled:
             values_on = field_n1.values_on
 
         with pytest.raises(ValueError, match="SpectralField or a GridField"):
             assemble_coupling_matrix(Sampled(), spec30)
+
+
+class TestCouplingBlock:
+    """Any two mode windows read the same entries as the square over their union."""
+
+    @pytest.mark.parametrize("kind", ["series", "segment"])
+    def test_head_by_tail_block_is_a_block_of_the_square(self, kind):
+        L = 1.03
+        if kind == "series":
+            field = solve_full_gate(enumerate([0.3, -0.7, 0.5], start=1), L)
+        else:
+            field = segment_field(0.6, 2.2, 2, L, 64)
+        full = enumerate_modes(L, 1600)
+        head = enumerate_modes(L, 400)
+        assert np.array_equal(head.j1, full.j1[:400]) and np.array_equal(head.j2, full.j2[:400])
+        tail = Spectrum(L, full.j1[400:], full.j2[400:], full.eigenvalues[400:])
+        block = coupling_block(field, head, tail)
+        assert block.shape == (400, 1200)
+        assert np.array_equal(block, coupling_block(field, full, full)[:400, 400:])
+
+    def test_windows_on_another_height_rejected(self, field_n2, spec30):
+        with pytest.raises(ValueError, match="lies on L = 1.0, not on L = 2.0"):
+            coupling_block(field_n2, spec30, enumerate_modes(2.0, 10))

@@ -481,6 +481,10 @@ class TestNonlinear:
             NonlinearConfig(alpha=-1.0, dt=1e-3, grid=grid)
         with pytest.raises(ValueError):
             NonlinearConfig(alpha=0.0, dt=0.0, grid=grid)
+        # the first six modes at L = 1 reach (5, 1); the 4x4 grid resolves j1 <= 3
+        with pytest.raises(ValueError, match=r"mode \(4, 1\) not resolved on the 4x4"):
+            NonlinearConfig(alpha=0.0, dt=1e-3, grid=StaggeredGrid(L=1.0, nx=4, ny=4))
+        NonlinearConfig(alpha=0.0, dt=1e-3, grid=grid, log_populations=0)
 
 
 def two_solve_strang(initial, control, config, v0):

@@ -61,7 +61,7 @@ def test_uncaught_exception_is_exit_1(tmp_path, monkeypatch):
 
 def child_env():
     """The environment of a fresh interpreter on this checkout, with one BLAS thread as the tool sets."""
-    env = {k: v for k, v in os.environ.items() if k != "GATEDQDOT_OUT"}
+    env = dict(os.environ)
     env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     return env
 
@@ -82,8 +82,7 @@ def subprocess_record(name, command, workdir):
     "key, code",
     [("fourier-n2-t20/certify", 0), ("fourier-n2-t1/control", 2), ("segment-overflow/certify", 3)],
 )
-def test_in_process_run_matches_a_fresh_interpreter(tmp_path, monkeypatch, key, code):
-    monkeypatch.delenv("GATEDQDOT_OUT", raising=False)
+def test_in_process_run_matches_a_fresh_interpreter(tmp_path, key, code):
     name, command = key.split("/")
     (tmp_path / "in").mkdir()
     (tmp_path / "sub").mkdir()

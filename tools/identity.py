@@ -207,7 +207,6 @@ def main() -> int:
     if sys.argv[1:]:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    os.environ.pop("GATEDQDOT_OUT", None)
     os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     sys.path.insert(0, str(SRC))
     import numpy
