@@ -100,6 +100,7 @@ FD_RUNS = [
     ),
     "fourier-n2-t30/gate-sweep",
     "segment-overflow/certify",
+    "segment-256/certify",
 ]
 
 REPLAY = """

@@ -116,6 +116,12 @@ CONFIGS = {
         "grid": {"nx": 64, "ny": 48},
         "gate": {"kind": "segment", "a": 0.03, "b": 3.11, "trace_mode": 2},
     },
+    # the partial-gate benchmark's shape: trace mode 1 on a 256^2 lattice
+    "segment-256": {
+        **SEGMENT,
+        "grid": {"nx": 256, "ny": 256},
+        "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 1},
+    },
     # cosh(2 * 400) overflows in the segment's trace
     "segment-overflow": {
         "L": 400.0, "truncation": 1, "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 2}
