@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gatedqdot.cli import run
+from gatedqdot.errors import SolverFailureError
 from gatedqdot.poisson import (
     GateSegment,
     GridField,
@@ -194,6 +195,25 @@ class TestPartialGate:
         free[ia - 1 : ib, ny] = False
         scaled = np.abs(lap[free]) / ((c1 + c2) * np.abs(u).max())
         assert scaled.max() <= 1e-12
+
+    def test_factorization_failure_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        seg = GateSegment(0.6, 2.2)
+        with pytest.raises(SolverFailureError, match="Factor is exactly singular"):
+            solve_partial_gate_fd(seg, segment_trace(seg, 1, L, 64), L, 64, 64)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "grid": {"nx": 64, "ny": 64},
+            "gate": {"kind": "segment", "a": 0.6, "b": 2.2, "trace_mode": 1},
+        }))
+        assert run("certify", config, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("trace_mode", [1, 2, 3])
     def test_segment_trace_is_the_mode_trace_with_zero_ends(self, trace_mode):
