@@ -192,16 +192,17 @@ def synthesize_chain_transfer(
     sin((a*b/2)*t)**2, which first reaches 1 there.  The cosine is sampled
     piecewise-constantly at interval midpoints and clamped into [0, delta]
     on a grid commensurate with its period: every full sample lasts exactly
-    period/samples_per_period, and full sample k repeats the value of
-    sample k mod samples_per_period bit for bit.  The cosine is symmetric
-    about the period's midpoint, so only the first
-    ceil(samples_per_period/2) values are evaluated and sample
-    samples_per_period-1-k repeats sample k.  One remainder sample, valued
-    at its own midpoint, makes the edge exactly pi/(a*|b_jk|) long; it is
-    dropped when shorter than 1e-12 of that.  An edge therefore has at
-    most ceil(samples_per_period/2) + 1 distinct values, which bounds the
-    eigendecompositions `propagate_bilinear` spends on it, whatever the
-    pulse length.
+    period/samples_per_period, and full sample k takes the value at phase
+    2*pi*(k mod samples_per_period + 1/2)/samples_per_period.  That one
+    table of values serves every edge; edges differ only in the length of
+    their samples.  The cosine is symmetric about the period's midpoint, so
+    only the first ceil(samples_per_period/2) values are evaluated and
+    sample samples_per_period-1-k repeats sample k.  One remainder sample, valued
+    at its own midpoint with the edge's omega, makes the edge exactly
+    pi/(a*|b_jk|) long; it is dropped when shorter than 1e-12 of that.  A
+    pulse of E edges therefore has at most ceil(samples_per_period/2) + E
+    distinct values, which bounds the eigendecompositions
+    `propagate_bilinear` spends on it, whatever the pulse length.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -220,6 +221,12 @@ def synthesize_chain_transfer(
     shifted = shifted_spectrum(spectrum, coupling, u_bar).eigenvalues
 
     amp = amplitude_fraction * delta
+    # one period in units of its own length, shared by every edge: the period
+    # is mirror-symmetric, k <-> spp-1-k, so evaluate the first half and
+    # reflect it, and mirror samples share one value bitwise
+    phases = (2.0 * math.pi / samples_per_period) * (np.arange((samples_per_period + 1) // 2) + 0.5)
+    half = np.clip(u_bar + amp * np.cos(phases), 0.0, delta).tolist()
+    values = half + half[: samples_per_period // 2][::-1]
     samples: list[tuple[float, float]] = []
     for p, pnext in zip(positions[:-1], positions[1:]):
         if p == pnext:
@@ -239,12 +246,7 @@ def synthesize_chain_transfer(
                 f"pi-pulse duration {t_pi:.3e} exceeds cap {duration_cap:.3e}"
             )
         dt = (2.0 * math.pi / omega) / samples_per_period
-        # the period is mirror-symmetric, k <-> spp-1-k: evaluate the first
-        # half and reflect it, so mirror samples share one value bitwise
-        mids = dt * (np.arange((samples_per_period + 1) // 2) + 0.5)
-        half = np.clip(u_bar + amp * np.cos(omega * mids), 0.0, delta)
-        values = np.concatenate((half, half[: samples_per_period // 2][::-1]))
-        one_period = [(dt, float(v)) for v in values]
+        one_period = [(dt, v) for v in values]
         nfull = int(t_pi // dt)
         cycles, rest = divmod(nfull, samples_per_period)
         samples.extend(one_period * cycles)

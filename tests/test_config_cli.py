@@ -6,6 +6,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -773,6 +774,28 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure: gate-sweep produced a non-finite result" in capsys.readouterr().err
     # the artifacts are written before the check
     assert [p.name for p in out.iterdir()] == ["gate_sweep.csv"]
+
+
+def test_csv_rows_follow_the_per_value_rule(tmp_path):
+    # floats (np.float64 too) with 17 significant digits, everything else as
+    # str; column 1 changes kind from row to row, and the 5000 plain rows
+    # span more than one formatting block
+    mixed = [
+        (0, True, -0.0, math.inf),
+        (np.int64(7), 1.5, -math.inf, math.nan),
+        (-3, False, 5e-324, 1e16),
+        (np.float64(0.1), np.int64(-2), np.float64(-0.0), 2.0**-1074),
+        (),
+        ("x", None, 1e300 * 10, -1e-310),
+    ]
+    plain = [(k, 0.1 * k, k % 3 == 0, float(k) ** 3.5) for k in range(5000)]
+    rows = mixed[:3] + plain + mixed[3:]
+    path = tmp_path / "rows.csv"
+    cli._write_rows_csv(path, "a,b,c,d", iter(rows))
+    want = ["a,b,c,d"] + [
+        ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def gate_sections():

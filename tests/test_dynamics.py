@@ -25,7 +25,7 @@ from gatedqdot.dynamics import (
     transfer_fidelity,
 )
 from gatedqdot.errors import DurationCapError, InstabilityError
-from gatedqdot.poisson import StaggeredGrid, hartree_field
+from gatedqdot.poisson import StaggeredGrid, fourier_term, hartree_field, solve_full_gate
 from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
 
 L = 1.0
@@ -316,6 +316,18 @@ class TestSynthesis:
             for e in CHAIN_EDGES
         ]
         assert chain.samples == edges[0].samples + edges[1].samples
+
+    @pytest.mark.parametrize("height", (0.9, 0.97, 1.0, 1.1))
+    def test_edges_share_one_table_of_values(self, height):
+        # each edge scales one period's table by its own sample length, so a
+        # 3-edge pulse adds only its three remainder samples to the table
+        spec = enumerate_modes(height, 100)
+        matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(2, height)], height), spec)
+        sig = synthesize_chain_transfer(
+            [(1, 1), (2, 1), (3, 1), (4, 1)], spec, matrix, DELTA, 0.5
+        )
+        assert len(sig.samples) > 1000
+        assert len({v for _, v in sig.samples}) <= math.ceil(40 / 2) + 3
 
     def test_eigh_calls_bounded_per_edge(self, spec30, matrix_n2_30, monkeypatch):
         sig = synthesize_chain_transfer(
