@@ -146,28 +146,18 @@ class _Run:
 
 
 def _write_rows_csv(path, header, rows):
-    """The one CSV writer: floats with 17 significant digits, other values as str.
-
-    A run of up to 4096 rows whose columns have one kind signature
-    (which of them hold floats) is formatted by one `%` operation, with a
-    line format of `%.17g` and `%s` fields built once per signature.
-    """
-    formats = {}
+    """The one CSV writer: floats with 17 significant digits, other values as str."""
+    # one `%` operation formats each block of up to 4096 rows
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        kinds, flat, count = None, [], 0
+        lines, flat = [], []
         for row in rows:
-            sig = tuple([isinstance(x, float) for x in row])
-            if sig != kinds or count == 4096:
-                if count:
-                    fh.write(formats[kinds] * count % tuple(flat))
-                if sig not in formats:
-                    formats[sig] = ",".join("%.17g" if f else "%s" for f in sig) + "\n"
-                kinds, flat, count = sig, [], 0
+            lines.append(",".join(["%.17g" if isinstance(x, float) else "%s" for x in row]) + "\n")
             flat.extend(row)
-            count += 1
-        if count:
-            fh.write(formats[kinds] * count % tuple(flat))
+            if len(lines) == 4096:
+                fh.write("".join(lines) % tuple(flat))
+                lines, flat = [], []
+        fh.write("".join(lines) % tuple(flat))
 
 
 def _write_json(path, doc):

@@ -193,16 +193,16 @@ def synthesize_chain_transfer(
     piecewise-constantly at interval midpoints and clamped into [0, delta]
     on a grid commensurate with its period: every full sample lasts exactly
     period/samples_per_period, and full sample k takes the value at phase
-    2*pi*(k mod samples_per_period + 1/2)/samples_per_period.  That one
-    table of values serves every edge; edges differ only in the length of
-    their samples.  The cosine is symmetric about the period's midpoint, so
-    only the first ceil(samples_per_period/2) values are evaluated and
-    sample samples_per_period-1-k repeats sample k.  One remainder sample, valued
-    at its own midpoint with the edge's omega, makes the edge exactly
-    pi/(a*|b_jk|) long; it is dropped when shorter than 1e-12 of that.  A
-    pulse of E edges therefore has at most ceil(samples_per_period/2) + E
-    distinct values, which bounds the eigendecompositions
-    `propagate_bilinear` spends on it, whatever the pulse length.
+    2*pi*(k mod samples_per_period + 1/2)/samples_per_period from one
+    table that every edge shares.  The cosine is symmetric about the
+    period's midpoint, so only the first ceil(samples_per_period/2) values
+    are evaluated and sample samples_per_period-1-k repeats sample k.  One
+    remainder sample, valued at its own midpoint with the edge's omega,
+    makes the edge exactly pi/(a*|b_jk|) long; it is dropped when shorter
+    than 1e-12 of that.  A pulse of E edges therefore has at most
+    ceil(samples_per_period/2) + E distinct values, which bounds the
+    eigendecompositions `propagate_bilinear` spends on it, whatever the
+    pulse length.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -221,9 +221,8 @@ def synthesize_chain_transfer(
     shifted = shifted_spectrum(spectrum, coupling, u_bar).eigenvalues
 
     amp = amplitude_fraction * delta
-    # one period in units of its own length, shared by every edge: the period
-    # is mirror-symmetric, k <-> spp-1-k, so evaluate the first half and
-    # reflect it, and mirror samples share one value bitwise
+    # the period is mirror-symmetric, k <-> spp-1-k: evaluate the first
+    # half and reflect it, so mirror samples share one value bitwise
     phases = (2.0 * math.pi / samples_per_period) * (np.arange((samples_per_period + 1) // 2) + 0.5)
     half = np.clip(u_bar + amp * np.cos(phases), 0.0, delta).tolist()
     values = half + half[: samples_per_period // 2][::-1]

@@ -218,11 +218,10 @@ def solve_partial_gate_fd(
     # off-diagonals, zero row sums except next to a Dirichlet node, connected
     # lattice), so every symmetric ordering factors without pivoting
     try:
-        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        sol = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).solve(rhs)
     except RuntimeError as exc:
         raise SolverFailureError(f"sparse LU failed: {exc}") from exc
-    sol = lu.solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverFailureError("sparse solve returned non-finite values")
     scale = max(np.abs(rhs).max(), np.abs(sol).max() * (c1 + c2), 1.0)
