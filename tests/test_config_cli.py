@@ -784,9 +784,9 @@ def test_csv_rows_follow_the_per_value_rule(tmp_path):
         (0, True, -0.0, math.inf),
         (np.int64(7), 1.5, -math.inf, math.nan),
         (-3, False, 5e-324, 1e16),
-        (np.float64(0.1), np.int64(-2), np.float64(-0.0), 2.0**-1074),
+        (np.float64(0.1), np.int64(-2), np.float64(-0.0), np.float64(math.nan)),
         (),
-        ("x", None, 1e300 * 10, -1e-310),
+        ("x", None, np.float64(-math.inf), -1e-310),
     ]
     plain = [(k, 0.1 * k, k % 3 == 0, float(k) ** 3.5) for k in range(5000)]
     rows = mixed[:3] + plain + mixed[3:]
