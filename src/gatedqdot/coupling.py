@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.fft.<fn>: SciPy loads scipy.fft on the first transform
 
 from .errors import NumericalError
 from .poisson import GridField, SpectralField, gate_term_cosh
@@ -88,10 +87,11 @@ def coupling_block(field, rows: Spectrum, cols: Spectrum) -> np.ndarray:
         int h_i(x) cos(f x) dx = w_i * h * cos(f x_i) * sinc^2(f h/2).
 
     sin(j x) sin(k x) is half the difference of the cosines at j - k and
-    j + k, so every entry is four lattice cosine sums, which one DCT-I of
-    the node values tabulates.  On an n-cell axis the lattice cosine is
-    even and 2n-periodic in the (integer) frequency, so frequencies above
-    n fold back into the table.  Overflow raises NumericalError.
+    j + k, so every entry is four lattice cosine sums, and with the
+    normalization h1 h2 / (pi L) = 1 / (nx ny) one table C1^T @ values @ C2
+    holds them all: column f of C holds w_i sinc^2(f h/2) cos(f x_i) / n for
+    every frequency f that rows and cols together reach.  Overflow raises
+    NumericalError.
     """
     if not isinstance(field, (SpectralField, GridField)):
         raise ValueError(
@@ -114,22 +114,22 @@ def coupling_block(field, rows: Spectrum, cols: Spectrum) -> np.ndarray:
                 out += np.where(x1 == 0.0, 0.0, scale * x1 * x2)
     else:
         nx, ny = field.values.shape[0] - 1, field.values.shape[1] - 1
-        h1, h2 = math.pi / nx, L / ny
-        table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
 
-        def factor(freq, n):
-            # sinc^2 hat weight and folded DCT index of an integer frequency in
-            # units of pi/span; np.sinc(x) is sin(pi x)/(pi x), and f h/2 = pi freq/(2n)
-            freq = np.abs(freq)
-            fold = freq % (2 * n)
-            return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
+        def cosines(n, top):
+            # w_i sinc^2(f h/2) cos(f x_i) / n for f = 0..top on an n-cell axis,
+            # where f x_i = pi ((i f) mod 2n) / n and np.sinc(u) = sin(pi u)/(pi u)
+            f = np.arange(top + 1)
+            c = np.cos(np.outer(np.arange(n + 1), f) % (2 * n) * (math.pi / n))
+            c *= np.sinc(f / (2 * n)) ** 2 / n
+            c[[0, n]] *= 0.5
+            return c
 
+        c1 = cosines(nx, 2 * max(a1.max(), b1.max()))
+        c2 = cosines(ny, 2 * max(a2.max(), b2.max()))
+        table = c1.T @ field.values @ c2
         for s in (1, -1):
-            w1, f1 = factor(a1 + s * b1, nx)
             for t in (1, -1):
-                w2, f2 = factor(a2 + t * b2, ny)
-                out += (s * t) * w1 * w2 * table[f1, f2]
-        out /= math.pi * L
+                out += (s * t) * table[np.abs(a1 + s * b1), np.abs(a2 + t * b2)]
     if not np.all(np.isfinite(out)):
         raise NumericalError("coupling entries overflow the float range")
     return out

@@ -213,12 +213,12 @@ def check_weak_nonresonance(eigenvalues: Sequence[float], tol: float) -> Nonreso
     A violation is a quadruple ((s1, s2), (t1, t2), gap) of 0-based
     positions with s1 != s2, (s1, s2) != (t1, t2) and
     |(lam_s1 - lam_s2) - (lam_t1 - lam_t2)| <= tol.  Each is oriented so
-    both differences are nonnegative; only the (s <-> t) swap and the joint
-    swap are deduplicated.  A four-level relation lam_a - lam_b = lam_c - lam_d
-    (a > b, c > d, a > c) is therefore counted in both of its pairings,
-    ((a, b), (c, d)) and ((a, c), (b, d)), since it also reads
-    lam_a - lam_c = lam_b - lam_d (the two coincide, and it is counted
-    once, when b == c).  Each row has (s1, s2) < (t1, t2), and the listed
+    both differences are nonnegative, and the (s <-> t) swap and the joint
+    swap are deduplicated.  On four levels a > b > c > d the relation
+    lam_a - lam_b = lam_c - lam_d also reads lam_a - lam_c = lam_b - lam_d,
+    and it is counted once: as ((a, b), (c, d)), at the smaller frequency,
+    and as ((a, c), (b, d)) only where rounding leaves just that pairing
+    within tol.  Each row has (s1, s2) < (t1, t2), and the listed
     rows come first in lexicographic ((s1, s2), (t1, t2)) order.  A count
     of 0 certifies weak non-resonance at this truncation/tolerance.
 
@@ -242,13 +242,22 @@ def check_weak_nonresonance(eigenvalues: Sequence[float], tol: float) -> Nonreso
     keys = np.empty(0, dtype=np.int64)
     gaps = np.empty(0)
     for i, j, chunk_gaps in _close_pair_chunks(diffs, tol):
-        count += i.size
+        first, second = np.minimum(code[i], code[j]), np.maximum(code[i], code[j])
+        # a hit (q1, q2) = first, (p1, p2) = second on levels p1 > q1 > p2 > q2
+        # is also the pairing (p1, q1), (p2, q2), at the smaller frequency
+        # lam_p1 - lam_q1: drop it where that pairing, by the walk's own
+        # subtraction, is a hit too
+        pick = np.flatnonzero(
+            (second // n > first // n) & (first % n < second % n) & (second % n < first // n)
+        )
+        (q1, q2), (p1, p2) = np.divmod(first[pick], n), np.divmod(second[pick], n)
+        pick = pick[np.abs((lam[p1] - lam[q1]) - (lam[p2] - lam[q2])) <= tol]
+        count += i.size - pick.size
         # codes are < n**2, so first * n**2 + second orders (first, second)
         # lexicographically; it fits int64 for n below 55,000
-        keys = np.concatenate(
-            (keys, np.minimum(code[i], code[j]) * n**2 + np.maximum(code[i], code[j]))
-        )
-        gaps = np.concatenate((gaps, chunk_gaps))
+        keys = np.concatenate((keys, np.delete(first * n**2 + second, pick)))
+        gaps = np.concatenate((gaps, np.delete(chunk_gaps, pick)))
+        del first, second, pick, p1, p2, q1, q2  # chunk-sized: freed before the next chunk
         if keys.size > LISTED_VIOLATIONS:
             smallest = np.argpartition(keys, LISTED_VIOLATIONS - 1)[:LISTED_VIOLATIONS]
             keys, gaps = keys[smallest], gaps[smallest]

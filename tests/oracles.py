@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 
@@ -15,6 +16,36 @@ def panel_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarra
     pts = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
     wts = (halves[:, None] * ws[None, :]).ravel()
     return pts, wts
+
+
+def lattice_coupling_dct(field, rows, cols) -> np.ndarray:
+    """Lattice coupling entries between `rows` and `cols` through one DCT-I of the node values.
+
+    The bilinear interpolant's cosine integrals are
+    h1 h2 w_i w_k cos(f1 x_i) cos(f2 y_k) sinc^2(f1 h1/2) sinc^2(f2 h2/2)
+    summed over the nodes, and (h1 h2 / 4) dctn(values, type=1) tabulates
+    the node sums for 0 <= f1 <= nx, 0 <= f2 <= ny.  The lattice cosine is
+    even and 2n-periodic in the integer frequency, so a frequency above n
+    reads the table at its folded index.
+    """
+    L = field.L
+    nx, ny = field.values.shape[0] - 1, field.values.shape[1] - 1
+    h1, h2 = math.pi / nx, L / ny
+    table = (h1 * h2 / 4.0) * scipy.fft.dctn(field.values, type=1)
+
+    def factor(freq, n):
+        freq = np.abs(freq)
+        fold = freq % (2 * n)
+        return np.sinc(freq / (2 * n)) ** 2, np.where(fold > n, 2 * n - fold, fold)
+
+    a1, a2, b1, b2 = rows.j1[:, None], rows.j2[:, None], cols.j1, cols.j2
+    out = np.zeros((a1.size, b1.size))
+    for s in (1, -1):
+        w1, f1 = factor(a1 + s * b1, nx)
+        for t in (1, -1):
+            w2, f2 = factor(a2 + t * b2, ny)
+            out += (s * t) * w1 * w2 * table[f1, f2]
+    return out / (math.pi * L)
 
 
 def trajectory_csv(times, values, eigenvalues, controls, k: int) -> str:
@@ -131,3 +162,31 @@ def weak_resonances(values, tol: float) -> list:
             gap[hit].tolist(),
         )
     )
+
+
+def relation(s, t) -> frozenset:
+    """{{s1, t2}, {s2, t1}}: the relation lam_s1 + lam_t2 = lam_s2 + lam_t1 of a hit (s, t)."""
+    return frozenset((frozenset((s[0], t[1])), frozenset((s[1], t[0]))))
+
+
+def weak_relations(values, tol: float) -> list:
+    """`weak_resonances` with each four-level relation once, at its smaller frequency.
+
+    A hit ((s1, s2), (t1, t2), gap) belongs to the relation
+    {{s1, t2}, {s2, t1}} of `relation`.  Only four distinct
+    levels w > x > y > z give one relation two hits: ((w, x), (y, z)) at
+    frequency lam_w - lam_x and ((w, y), (x, z)) at lam_w - lam_y.  Grouped
+    by relation, the hit whose top level w has the smaller difference to its
+    partner is kept; a tie (lam_x == lam_y) keeps the partner higher in the
+    ordering.  The list stays sorted.
+    """
+    lam = np.asarray(values, dtype=float)
+    hits = weak_resonances(lam, tol)
+    best = {}
+    for k, (s, t, _) in enumerate(hits):
+        key = relation(s, t)
+        top, partner = max(s, t)
+        rank = (lam[top] - lam[partner], -partner)
+        if key not in best or rank < best[key][0]:
+            best[key] = (rank, k)
+    return [hits[k] for k in sorted(k for _, k in best.values())]

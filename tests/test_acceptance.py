@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import panel_rule, weak_resonances
+from oracles import panel_rule, relation, weak_relations
 
 from gatedqdot.chains import build_graph, certify_nonresonant_chain, check_connected
 from gatedqdot.coupling import (
@@ -162,14 +162,15 @@ def test_criterion_05_shifted_weak_nonresonance():
     # The paper proves the shifted spectrum non-resonant *generically* in
     # rho; no particular rho is promised to be clean at a given tolerance.
     # At rho = 0 the rectangle has exact resonances, since
-    # lam(a,m) - lam(b,m) = a**2 - b**2 for every m: 539 collisions at
-    # truncation 40, all with gap <= 1.4e-14, each split at first order
-    # (Hellmann-Feynman gap slope >= 1.5e-6).  At rho in {0.19, 0.2, 0.21}
-    # four violations remain: two four-level relations, (8,1)-(6,1) vs
-    # (8,3)-(6,3) and (7,2)-(3,2) vs (7,3)-(3,3), each reported in both of
-    # its pairings.  The shift split them, and their gap functions g(rho)
-    # cross zero again near rho = 0.2 (one at rho ~ 0.20005, gap 3.3e-9 and
-    # slope -6.1e-5 at rho = 0.2).  With |g'| of 4-7e-5 each stays inside
+    # lam(a,m) - lam(b,m) = a**2 - b**2 for every m: 271 collisions at
+    # truncation 40 (539 pairings), all with gap <= 1.4e-14, each split at
+    # first order (Hellmann-Feynman gap slope >= 1.5e-6).  At rho in
+    # {0.19, 0.2, 0.21} two violations remain: the four-level relations
+    # (8,1)-(6,1) vs (8,3)-(6,3) and (7,2)-(3,2) vs (7,3)-(3,3), each
+    # reported once, in its pairing at the smaller frequency.  The shift
+    # split them, and their gap functions g(rho) cross zero again near
+    # rho = 0.2 (one at rho ~ 0.20005, gap 3.3e-9 and slope -6.1e-5 at
+    # rho = 0.2).  With |g'| of 4-7e-5 each stays inside
     # the 1e-6 band over a rho-interval about 0.03 wide that covers
     # 0.19-0.21.  So the criterion checks what genericity promises: the
     # rho = 0 collisions are exact resonances, and every violation left at
@@ -187,9 +188,9 @@ def test_criterion_05_shifted_weak_nonresonance():
     # the scan counts every collision and lists the first 200; the
     # brute-force oracle gives all of them, for the gap bound
     base = check_weak_nonresonance(spec.eigenvalues, tol)
-    collisions = weak_resonances(spec.eigenvalues, tol)
+    collisions = weak_relations(spec.eigenvalues, tol)
     base_gap = max((g for _, _, g in collisions), default=math.inf)
-    ok = base.count == len(collisions) == 539 and base.rows == tuple(collisions[:200])
+    ok = base.count == len(collisions) == 271 and base.rows == tuple(collisions[:200])
     ok &= base_gap <= 1e-12
     counts = {}
     relations = set()
@@ -204,10 +205,9 @@ def test_criterion_05_shifted_weak_nonresonance():
         hf = np.einsum("ik,ij,jk->k", vecs, dense, vecs)  # <v, M v> per level
         violations = check_weak_nonresonance(shifted.eigenvalues, tol)
         counts[rho] = violations.count
-        ok &= violations.count == len(violations.rows)
+        ok &= violations.count == len(violations.rows) == 2
         for s, t, _ in violations.rows:
-            # lam_a - lam_b = lam_c - lam_d  <=>  lam_a + lam_d = lam_b + lam_c
-            relations.add(frozenset((frozenset((s[0], t[1])), frozenset((s[1], t[0])))))
+            relations.add(relation(s, t))
             slope = gap(hf, s, t)
             fd = (gap(up, s, t) - gap(dn, s, t)) / (2 * h)
             rel = abs(fd - slope) / abs(slope)

@@ -1,12 +1,14 @@
 """Closed-form commands never load scipy.fft, scipy.special, scipy.sparse
-or concurrent.futures.
+or concurrent.futures, and segment-gate commands never load scipy.fft or
+scipy.special.
 
 scipy.fft (which pulls in scipy.special) is reached as `scipy.fft.<fn>`, so
-SciPy's lazy submodule loading imports it on the first transform;
-scipy.sparse is imported inside the finite-difference solve, and
-concurrent.futures (which pulls in logging) inside the alpha study, for its
-thread pool.  Each check runs in a fresh interpreter, because this test
-process has long imported all four.
+SciPy's lazy submodule loading imports it on the first transform, which
+only `nonlinear` runs: lattice couplings are cosine sums, not a DCT.
+scipy.sparse (which pulls in concurrent.futures) is imported inside the
+finite-difference solve, and concurrent.futures (which pulls in logging)
+inside the alpha study, for its thread pool.  Each check runs in a fresh
+interpreter, because this test process has long imported all four.
 """
 
 import json
@@ -64,8 +66,15 @@ def test_closed_form_certify_and_control_leave_heavy_modules_unloaded(tmp_path):
     assert result == {"codes": [0, 0], "loaded": []}
 
 
-@pytest.mark.parametrize("command, doc", [("nonlinear", NONLINEAR), ("coupling", SEGMENT)])
+@pytest.mark.parametrize("command, doc", [("nonlinear", NONLINEAR)])
 def test_transforms_load_scipy_fft_on_first_use(tmp_path, command, doc):
     result = probe(tmp_path, (command, doc))
     assert result["codes"] == [0]
     assert "scipy.fft" in result["loaded"]
+
+
+def test_segment_coupling_and_certify_leave_scipy_fft_unloaded(tmp_path):
+    result = probe(tmp_path, ("coupling", SEGMENT), ("certify", SEGMENT))
+    assert result["codes"] == [0, 0]
+    assert "scipy.sparse" in result["loaded"]
+    assert "scipy.fft" not in result["loaded"] and "scipy.special" not in result["loaded"]

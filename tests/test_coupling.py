@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import panel_rule
+from oracles import lattice_coupling_dct, panel_rule
 
 from gatedqdot.cli import run
 from gatedqdot.coupling import (
@@ -349,6 +349,28 @@ class TestLatticeFields:
         want = cellwise_oracle(field, spectrum, nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize(
+        "a, b, trace_mode, nx, ny, truncation",
+        [
+            (0.6, 2.2, 1, 64, 64, 60),
+            (0.03, 3.11, 2, 64, 48, 60),
+            (0.6, 2.2, 2, 16, 16, 100),
+            (0.6, 2.2, 1, 256, 256, 60),
+        ],
+    )
+    def test_entries_match_the_dct_oracle(self, a, b, trace_mode, nx, ny, truncation):
+        # the same cosine sums as one DCT-I of the node values; at 16^2 and
+        # truncation 100 the frequencies reach 40 > 16, which the DCT table
+        # holds only at folded indices
+        L = 1.03
+        segment = GateSegment(a, b)
+        trace = segment_trace(segment, trace_mode, L, nx)
+        field = solve_partial_gate_fd(segment, trace, L, nx, ny)
+        spectrum = enumerate_modes(L, truncation)
+        want = lattice_coupling_dct(field, spectrum, spectrum)
+        got = coupling_block(field, spectrum, spectrum)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n, L", [(2, 1.0), (1, 1.3)])
     def test_rasterized_closed_form_converges_at_second_order(self, n, L):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from oracles import weak_resonances
+from oracles import relation, weak_relations, weak_resonances
 from strategies import scan_inputs
 
 from gatedqdot import spectral
@@ -183,7 +183,7 @@ def test_simplicity_matches_all_pairs(instance):
 
 
 def assert_scan_matches(values, tol):
-    expected = weak_resonances(values, tol)
+    expected = weak_relations(values, tol)
     got = check_weak_nonresonance(values, tol)
     assert got.count == len(got) == len(expected)
     assert got.rows == tuple(expected[:LISTED_VIOLATIONS])
@@ -204,7 +204,8 @@ def test_weak_nonresonance_matches_all_pairs_of_pairs(instance):
         if gap <= tol:
             expected.append((min(p, q), max(p, q), gap))
     assert weak_resonances(values, tol) == sorted(expected)
-    assert_scan_matches(values, tol)
+    # the scan counts each relation once
+    assert assert_scan_matches(values, tol).count == len({relation(s, t) for s, t, _ in expected})
 
 
 def test_weak_nonresonance_distinct_differences():
@@ -217,18 +218,20 @@ def test_weak_nonresonance_equal_spacings():
 
 
 def test_weak_nonresonance_integer_collision():
-    # shifted copies of the j1 ladder: 64-49 = 16-1 = 15, so 64+1 = 49+16
-    # and the same relation also reads 64-16 = 49-1 = 48; both pairings
-    # are reported (the values are exact in binary, so the gaps are 0.0)
+    # shifted copies of the j1 ladder: 64-49 = 16-1 = 15, so 64+1 = 49+16;
+    # the same relation also reads 64-16 = 49-1 = 48, and only its pairing
+    # at the smaller frequency, 15, is reported (the values are exact in
+    # binary, so the gap is 0.0)
     lam = sorted(v + 7.25 for v in (1.0, 16.0, 49.0, 64.0))
     out = assert_scan_matches(lam, 1e-12)
-    assert out == NonresonanceScan(count=2, rows=(((1, 0), (3, 2), 0.0), ((2, 0), (3, 1), 0.0)))
+    assert out == NonresonanceScan(count=1, rows=(((1, 0), (3, 2), 0.0),))
 
 
 def test_weak_nonresonance_lists_first_rows():
-    # every equal spacing of 0..39 collides: 9,880 violations, 200 listed
+    # every equal spacing of 0..39 collides: 9,880 pairings of 5,130
+    # relations, 200 listed
     out = assert_scan_matches(np.arange(40.0), 1e-9)
-    assert out.count == 9880
+    assert out.count == 5130
     assert len(out.rows) == LISTED_VIOLATIONS
     with pytest.raises(TypeError):  # the rows are a prefix, not the violations
         iter(out)
@@ -240,14 +243,15 @@ def test_weak_nonresonance_chunks(monkeypatch, chunk):
     # a row whose window alone exceeds the chunk is a chunk of its own
     monkeypatch.setattr(spectral, "SCAN_CHUNK", chunk)
     values = np.sort(np.random.default_rng(5).integers(0, 40, 50).astype(float))
-    assert assert_scan_matches(values, 0.5).count > LISTED_VIOLATIONS
-    assert_scan_matches(enumerate_modes(math.pi, 40).eigenvalues, 1e-6)
+    assert assert_scan_matches(values, 0.5).count == 12551
+    assert assert_scan_matches(enumerate_modes(math.pi, 40).eigenvalues, 1e-6).count == 4436
 
 
-@pytest.mark.parametrize("n", [200, 300])
+@pytest.mark.parametrize("n", [250, 300])
 def test_weak_nonresonance_memory_is_set_by_the_chunk(n):
-    # the square at rho = 0: 1,136,417 violations at 200 levels and
-    # 3,906,283 at 300; one tuple per violation peaked at 357 MB at 200
+    # the square at rho = 0: 1,164,279 violations at 250 levels and
+    # 2,008,536 at 300 (2,252,682 and 3,906,283 pairings); one tuple per
+    # pairing peaked at 357 MB at 200 levels
     lam = enumerate_modes(math.pi, n).eigenvalues
     tracemalloc.start()
     try:
