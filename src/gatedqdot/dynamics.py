@@ -17,8 +17,8 @@ nonlinear solver is Strang splitting on a staggered grid with one Hartree
 solve per step: a potential half step leaves |psi|^2 unchanged, so the
 field solved after the kinetic step also opens the next step.  The alpha
 study's flows share only read-only arrays, so they run on a thread pool;
-the transforms and ufuncs that take their time release the GIL, and each
-flow is the same call, so every result is the serial one bit for bit.
+the matrix products and ufuncs that take their time release the GIL, and
+each flow is the same call, so every result is the serial one bit for bit.
 
 States are plain arrays: Galerkin coefficients over all the positions of
 the `Spectrum`, which names them, or values on `NonlinearConfig.grid`.
@@ -311,9 +311,10 @@ def propagate_nonlinear(
 
     The unit-norm `initial` and the gate potential `v0` are on `config.grid`.
 
-    Each step: half potential phase, exact kinetic step in the Dirichlet
-    sine basis, then one Hartree solve from the post-kinetic density and
-    the second half potential phase with that field (no lagging).  A phase
+    Each step: half potential phase, the exact kinetic step
+    psi -> k1 @ psi @ k2.T of `grid.kinetic` (built once per step length),
+    then one Hartree solve from the post-kinetic density and the second
+    half potential phase with that field (no lagging).  A phase
     multiply leaves |psi|^2 unchanged, so the same field and phase array
     open the next step; each control sample rebuilds the phase from the
     carried field, and one solve from the initial state opens the first.
@@ -373,7 +374,7 @@ def propagate_nonlinear(
     # the linear flow (alpha = 0) has the field 0 and solves nothing
     nonlinear = config.alpha != 0.0
     w = hartree_field(np.abs(psi) ** 2, config.alpha, grid) if nonlinear else 0.0
-    kin_cache: dict[float, np.ndarray] = {}
+    kin_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     phase = np.empty(grid.shape, dtype=complex)
 
     def set_phase(step, u, w):
@@ -389,16 +390,13 @@ def propagate_nonlinear(
         nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
         step = dur / nsteps
         if step not in kin_cache:
-            kin_cache[step] = np.exp(-1j * sine_eigs * step)
-        kin = kin_cache[step]
+            kin_cache[step] = grid.kinetic(step)
+        k1, k2 = kin_cache[step]
         # the carried field w belongs to the current |psi|^2
         set_phase(step, u, w)
         for _ in range(nsteps):
             psi *= phase
-            # kin first: the complex product is not bitwise symmetric
-            coeffs = grid.sine_forward(psi)
-            np.multiply(kin, coeffs, out=coeffs)
-            psi = grid.sine_backward(coeffs)
+            psi = k1 @ psi @ k2.T
             if nonlinear:
                 w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
                 set_phase(step, u, w)

@@ -7,7 +7,8 @@ solution is closed form; a partial gate is solved by second-order finite
 differences.  The Hartree field W solves -Delta W = alpha * density with
 Dirichlet 0 on top and sides, Neumann 0 at the bottom, via the separable
 basis sin(j1*x1) * cos((k2+1/2)*pi*x2/L) which matches those mixed
-conditions exactly.
+conditions exactly.  The staggered grid's transforms are dense
+orthonormal tables applied by matrix products, so no FFT library is loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy  # scipy.fft.<fn>: SciPy loads scipy.fft on the first transform
 
 from .errors import SolverFailureError
 
@@ -305,6 +305,27 @@ def gate_convergence_sweep(
     return rows
 
 
+def _ortho_table(kind: str, n: int) -> np.ndarray:
+    """Orthonormal DST-I, DST-II or DCT-IV matrix of size n, rows the frequencies.
+
+    Every argument is pi*p/m for an integer product p of the two indices;
+    p is reduced mod 2m before it is scaled, so each entry is as accurate
+    as one with a small argument.
+    """
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    if kind == "dst1":  # sqrt(2/(n+1)) sin(pi (k+1)(i+1) / (n+1))
+        m, p, fn, scale = n + 1, (k + 1) * (i + 1), np.sin, math.sqrt(2.0 / (n + 1))
+    elif kind == "dst2":  # sqrt(2/n) sin(pi (k+1)(2i+1) / 2n), the last row / sqrt(2)
+        m, p, fn, scale = 2 * n, (k + 1) * (2 * i + 1), np.sin, math.sqrt(2.0 / n)
+    else:  # dct4: sqrt(2/n) cos(pi (2k+1)(2i+1) / 4n)
+        m, p, fn, scale = 4 * n, (2 * k + 1) * (2 * i + 1), np.cos, math.sqrt(2.0 / n)
+    table = scale * fn(math.pi * (p % (2 * m)) / m)
+    if kind == "dst2":
+        table[-1] *= math.sqrt(0.5)
+    return table
+
+
 @dataclass(frozen=True)
 class StaggeredGrid:
     """Wavefunction grid: x1 at interior integer nodes, x2 at cell midpoints.
@@ -312,9 +333,12 @@ class StaggeredGrid:
     This placement makes three transforms exactly orthogonal at once:
     DST-I in x1 (Dirichlet sides), DST-II in x2 for the full-Dirichlet sine
     basis, and DCT-IV in x2 for the quarter-wave cosine basis of the
-    Hartree problem.  `mixed_eigenvalues` holds the Laplacian eigenvalues
-    of the modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L), k2 = 0..ny-1, built once
-    per grid for the Hartree solve.
+    Hartree problem.  Each is one dense orthonormal table built once per
+    grid, rows the frequencies: `s1` and `c4` are symmetric, `d2` is not.
+    A 2-D transform is two matrix products, real ones also for a complex
+    array.  `mixed_eigenvalues` holds the Laplacian eigenvalues of the
+    modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L), k2 = 0..ny-1, for the Hartree
+    solve.
     """
 
     L: float
@@ -323,6 +347,9 @@ class StaggeredGrid:
     x1: np.ndarray = field(init=False, repr=False)
     x2: np.ndarray = field(init=False, repr=False)
     mixed_eigenvalues: np.ndarray = field(init=False, repr=False)
+    s1: np.ndarray = field(init=False, repr=False)
+    d2: np.ndarray = field(init=False, repr=False)
+    c4: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.L <= 0:
@@ -340,6 +367,9 @@ class StaggeredGrid:
             "mixed_eigenvalues",
             (j1**2)[:, None] + (((k2 + 0.5) * math.pi / self.L) ** 2)[None, :],
         )
+        object.__setattr__(self, "s1", _ortho_table("dst1", self.nx - 1))
+        object.__setattr__(self, "d2", _ortho_table("dst2", self.ny))
+        object.__setattr__(self, "c4", _ortho_table("dct4", self.ny))
 
     @property
     def h1(self) -> float:
@@ -364,23 +394,43 @@ class StaggeredGrid:
         j2 = np.arange(1, self.ny + 1)
         return (j1**2)[:, None] + ((j2 * math.pi / self.L) ** 2)[None, :]
 
-    # each pair of transforms leaves its input alone: only the second one,
-    # which reads the first one's fresh output, may overwrite what it reads
+    def _transform(self, values: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """s1 @ values @ right, `right` a real x2 table or its transpose."""
+        if not np.iscomplexobj(values):
+            return self.s1 @ values @ right
+        # the real tables meet a complex array in real products only: s1
+        # through its real view, `right` one part at a time
+        values = np.ascontiguousarray(values, dtype=complex)
+        left = (self.s1 @ values.view(float)).view(complex)
+        out = np.empty_like(left)
+        out.real = left.real @ right
+        out.imag = left.imag @ right
+        return out
+
     def sine_forward(self, values: np.ndarray) -> np.ndarray:
-        out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
-        return scipy.fft.dstn(out, type=2, axes=[1], norm="ortho", overwrite_x=True)
+        return self._transform(values, self.d2.T)
 
     def sine_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = scipy.fft.idstn(coeffs, type=2, axes=[1], norm="ortho")
-        return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
+        return self._transform(coeffs, self.d2)
 
     def mixed_forward(self, values: np.ndarray) -> np.ndarray:
-        out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
-        return scipy.fft.dctn(out, type=4, axes=[1], norm="ortho", overwrite_x=True)
+        return self._transform(values, self.c4)
 
     def mixed_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        out = scipy.fft.dctn(coeffs, type=4, axes=[1], norm="ortho")
-        return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho", overwrite_x=True)
+        return self._transform(coeffs, self.c4)
+
+    def kinetic(self, step: float) -> tuple[np.ndarray, np.ndarray]:
+        """The exact kinetic step exp(i*step*Delta) as psi -> k1 @ psi @ k2.T.
+
+        The Dirichlet Laplacian is separable in the sine basis, so the step
+        is k1 = s1 diag(exp(-i j1^2 step)) s1 in x1 and
+        k2 = d2.T diag(exp(-i (j2 pi/L)^2 step)) d2 in x2, j2 = 1..ny.
+        """
+        j1 = np.arange(1, self.nx)
+        j2 = np.arange(1, self.ny + 1)
+        k1 = (self.s1 * np.exp(-1j * step * j1**2)) @ self.s1
+        k2 = (self.d2.T * np.exp(-1j * step * (j2 * math.pi / self.L) ** 2)) @ self.d2
+        return k1, k2
 
     def norm(self, values: np.ndarray) -> float:
         """Discrete L2(Omega) norm."""

@@ -89,11 +89,12 @@ def strang_full_log(initial, control, config, v0, phis):
     """The Strang loop as first written: `np.exp` phases, out-of-place products, full log.
 
     One Hartree solve per step, computed inline as
-    `mixed_backward(alpha * mixed_forward(|psi|^2) / mixed_eigenvalues)`;
-    no norm guard.  The state starts on `config.grid` at t = 0.  Returns
-    the final grid values and the per-record times, norms, H1 seminorms,
-    gate expectations, populations against the rows of `phis` and control
-    values.
+    `mixed_backward(alpha * mixed_forward(|psi|^2) / mixed_eigenvalues)`,
+    and the kinetic step `k1 @ psi @ k2.T` of `grid.kinetic`, built once
+    per step length; no norm guard.  The state starts on `config.grid` at
+    t = 0.  Returns the final grid values and the per-record times, norms,
+    H1 seminorms, gate expectations, populations against the rows of `phis`
+    and control values.
     """
     grid = config.grid
     sine_eigs = grid.sine_eigenvalues()
@@ -125,12 +126,12 @@ def strang_full_log(initial, control, config, v0, phis):
         nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
         step = dur / nsteps
         if step not in kin_cache:
-            kin_cache[step] = np.exp(-1j * sine_eigs * step)
-        kin = kin_cache[step]
+            kin_cache[step] = grid.kinetic(step)
+        k1, k2 = kin_cache[step]
         phase = np.exp(-0.5j * step * (u * v0 + w))
         for _ in range(nsteps):
             psi = psi * phase
-            psi = grid.sine_backward(kin * grid.sine_forward(psi))
+            psi = k1 @ psi @ k2.T
             if nonlinear:
                 w = hartree(psi)
                 phase = np.exp(-0.5j * step * (u * v0 + w))
@@ -138,6 +139,36 @@ def strang_full_log(initial, control, config, v0, phis):
             t += step
             record(u)
     return (psi, *(np.array(logs[k]) for k in ("t", "norm", "h1", "gate", "pop", "u")))
+
+
+def fft_sine_forward(values):
+    """Orthonormal DST-I along axis 0, then DST-II along axis 1, by `scipy.fft`."""
+    out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
+    return scipy.fft.dstn(out, type=2, axes=[1], norm="ortho")
+
+
+def fft_sine_backward(coeffs):
+    """Inverse of `fft_sine_forward`."""
+    out = scipy.fft.idstn(coeffs, type=2, axes=[1], norm="ortho")
+    return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho")
+
+
+def fft_mixed_forward(values):
+    """Orthonormal DST-I along axis 0, then DCT-IV along axis 1, by `scipy.fft`."""
+    out = scipy.fft.dstn(values, type=1, axes=[0], norm="ortho")
+    return scipy.fft.dctn(out, type=4, axes=[1], norm="ortho")
+
+
+def fft_mixed_backward(coeffs):
+    """Inverse of `fft_mixed_forward`."""
+    out = scipy.fft.dctn(coeffs, type=4, axes=[1], norm="ortho")
+    return scipy.fft.dstn(out, type=1, axes=[0], norm="ortho")
+
+
+def fft_kinetic_step(grid, psi, step):
+    """exp(i*step*Delta) psi in the sine basis: backward(exp(-i*eig*step) * forward(psi))."""
+    kin = np.exp(-1j * grid.sine_eigenvalues() * step)
+    return fft_sine_backward(kin * fft_sine_forward(psi))
 
 
 def weak_resonances(values, tol: float) -> list:

@@ -524,11 +524,11 @@ def two_solve_strang(initial, control, config, v0):
     for dur, u in control.samples:
         nsteps = max(1, int(math.ceil(dur / config.dt - 1e-12)))
         step = dur / nsteps
-        kin = np.exp(-1j * eigs * step)
+        k1, k2 = grid.kinetic(step)
         for _ in range(nsteps):
             w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
             psi = psi * np.exp(-0.5j * step * (u * v0 + w))
-            psi = grid.sine_backward(kin * grid.sine_forward(psi))
+            psi = k1 @ psi @ k2.T
             w = hartree_field(np.abs(psi) ** 2, config.alpha, grid)
             psi = psi * np.exp(-0.5j * step * (u * v0 + w))
             record()
@@ -618,6 +618,12 @@ class TestAlphaStudy:
             )
 
 
+def growing_kinetic(grid, step, kinetic=StaggeredGrid.kinetic):
+    """The kinetic step scaled by 1.001, so every step grows the norm by 1e-3."""
+    k1, k2 = kinetic(grid, step)
+    return 1.001 * k1, k2
+
+
 def assert_same_bytes(a, b):
     # bytes, so even the sign of a zero must agree
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -694,10 +700,7 @@ class TestLoggedQuantities:
     @pytest.mark.parametrize("alpha, log", [(0.0, "norm"), (0.1, "h1")])
     def test_trimmed_log_still_guards_norm(self, field_n2, monkeypatch, alpha, log):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
-        backward = StaggeredGrid.sine_backward
-        monkeypatch.setattr(
-            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
-        )
+        monkeypatch.setattr(StaggeredGrid, "kinetic", growing_kinetic)
         with pytest.raises(InstabilityError):
             propagate_nonlinear(psi0, ctrl, replace(cfg, alpha=alpha), v0, log=log)
 
@@ -728,9 +731,9 @@ class TestLoggedQuantities:
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", counted_run)
         alpha_scaling_study([0.05, 0.1, 0.2], ctrl, ctrl.total_duration, cfg, v0, psi0)
         steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in ctrl.samples)
-        # the reference transforms once per kinetic step and logs no H1;
-        # every alpha run adds the H1 transform of each record
-        assert [per_run[a] for a in (0.0, 0.05, 0.1, 0.2)] == [steps] + [2 * steps + 1] * 3
+        # the kinetic step transforms nothing, and the reference logs no H1;
+        # every alpha run makes the H1 transform of each record
+        assert [per_run[a] for a in (0.0, 0.05, 0.1, 0.2)] == [0] + [steps + 1] * 3
 
 
 class TestConcurrentAlphaStudy:
@@ -782,11 +785,8 @@ class TestConcurrentAlphaStudy:
 
     def test_failure_raises_the_serial_loops_first_error(self, field_n2, monkeypatch):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
-        backward = StaggeredGrid.sine_backward
         # every flow trips the norm guard
-        monkeypatch.setattr(
-            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
-        )
+        monkeypatch.setattr(StaggeredGrid, "kinetic", growing_kinetic)
         raised = {}
 
         def recorded_run(initial, control, config, *args, **kwargs):
@@ -807,10 +807,7 @@ class TestConcurrentAlphaStudy:
         assert threading.active_count() == threads
 
     def test_failure_exits_3_through_the_cli(self, tmp_path, monkeypatch, capsys):
-        backward = StaggeredGrid.sine_backward
-        monkeypatch.setattr(
-            StaggeredGrid, "sine_backward", lambda grid, coeffs: 1.001 * backward(grid, coeffs)
-        )
+        monkeypatch.setattr(StaggeredGrid, "kinetic", growing_kinetic)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "dynamics": {"T": 0.05, "dt": 1e-2, "alphas": [0.05, 0.1],

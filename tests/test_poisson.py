@@ -3,6 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    fft_kinetic_step,
+    fft_mixed_backward,
+    fft_mixed_forward,
+    fft_sine_backward,
+    fft_sine_forward,
+)
 
 from gatedqdot.cli import run
 from gatedqdot.errors import SolverFailureError
@@ -337,6 +344,44 @@ class TestStaggeredGrid:
             before = v.copy()
             transform(v)
             assert v.tobytes() == before.tobytes()
+
+    SIZES = [(4, 4), (16, 32), (33, 20), (48, 48), (128, 128)]
+
+    @pytest.mark.parametrize("nx, ny", SIZES, ids=[f"{nx}x{ny}" for nx, ny in SIZES])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dense_transforms_match_fft(self, nx, ny, dtype):
+        g = StaggeredGrid(L=1.3, nx=nx, ny=ny)
+        rng = np.random.default_rng(nx * ny)
+        v = rng.standard_normal(g.shape).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(g.shape)
+        for dense, fft in (
+            (g.sine_forward, fft_sine_forward),
+            (g.sine_backward, fft_sine_backward),
+            (g.mixed_forward, fft_mixed_forward),
+            (g.mixed_backward, fft_mixed_backward),
+        ):
+            expected = fft(v)
+            got = dense(v)
+            assert got.dtype == expected.dtype
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nx, ny", SIZES, ids=[f"{nx}x{ny}" for nx, ny in SIZES])
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    def test_kinetic_step_matches_fft(self, nx, ny, step):
+        g = StaggeredGrid(L=1.3, nx=nx, ny=ny)
+        rng = np.random.default_rng(nx + ny)
+        psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        k1, k2 = g.kinetic(step)
+        expected = fft_kinetic_step(g, psi, step)
+        assert np.abs(k1 @ psi @ k2.T - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_tables_are_orthogonal_at_512(self):
+        g = StaggeredGrid(L=1.3, nx=513, ny=512)
+        for table in (g.s1, g.d2, g.c4):
+            assert table.shape == (512, 512)
+            assert np.abs(table @ table.T - np.eye(512)).max() <= 1e-13
+            assert np.abs(table.T @ table - np.eye(512)).max() <= 1e-13
 
     def test_sampled_eigenmode_norm_is_one(self):
         g = StaggeredGrid(L=L, nx=32, ny=32)
