@@ -7,9 +7,7 @@ from .chains import (
     build_graph,
     certify,
     certify_nonresonant_chain,
-    check_connected,
     coupling_path,
-    spanning_chain,
 )
 from .config import ConfigValidationError, RunConfig, load_config, validate_config
 from .coupling import (
@@ -35,7 +33,6 @@ from .errors import (
     DurationCapError,
     InstabilityError,
     NumericalError,
-    QuadraturePrecisionError,
     SolverFailureError,
 )
 from .poisson import (

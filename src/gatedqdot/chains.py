@@ -76,21 +76,6 @@ def breadth_first_forest(adj: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return components, parent.tolist()
 
 
-def check_connected(adj: np.ndarray) -> tuple[bool, list[list[int]]]:
-    """Connectivity verdict; components listed in order of least member."""
-    components, _ = breadth_first_forest(adj)
-    return len(components) == 1, components
-
-
-def _tree_edges(parent: list[int]) -> list[tuple[int, int]]:
-    return [(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0]
-
-
-def spanning_chain(adj: np.ndarray) -> list[tuple[int, int]]:
-    """Breadth-first spanning forest edges, the default chain to certify."""
-    return _tree_edges(breadth_first_forest(adj)[1])
-
-
 def witness_paths(parent: list[int]) -> dict[tuple[int, int], list[int]]:
     """Forest path from each component's least node to every other member."""
     witness = {}
@@ -206,11 +191,10 @@ def certify(matrix: CouplingMatrix, eigenvalues, resonance_tol: float) -> ChainC
     (paths between arbitrary pairs concatenate two witnesses).
     """
     components, parent = breadth_first_forest(build_graph(matrix))
+    tree_edges = [(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0]
     return ChainCertificate(
         connected=len(components) == 1,
         components=components,
         witness_paths=witness_paths(parent),
-        violations=certify_nonresonant_chain(
-            eigenvalues, matrix, _tree_edges(parent), resonance_tol
-        ),
+        violations=certify_nonresonant_chain(eigenvalues, matrix, tree_edges, resonance_tol),
     )

@@ -79,20 +79,11 @@ All floats use 17 significant digits.
 """
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """`json.dumps` hook: numpy scalars and arrays as Python numbers and lists."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class _Run:
@@ -163,7 +154,7 @@ def _write_rows_csv(path, header, rows):
 def _write_json(path, doc):
     """The one JSON writer: indent 2, sorted keys, trailing newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _forest_json(modes, components, witness) -> dict:
@@ -517,10 +508,11 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     except OSError as exc:
         return _output_error(outdir, exc)
 
-    body = _jsonable({"command": command, "config": config.to_dict(), "results": results,
-                      "artifacts": list(artifacts)})
+    body = {"command": command, "config": config.to_dict(), "results": results,
+            "artifacts": list(artifacts)}
     try:
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                               default=_json_default)
     except ValueError:
         print(f"numerical failure: {command} produced a non-finite result", file=sys.stderr)
         return 3
@@ -539,7 +531,7 @@ def run(command: str, config_path, out_dir=None, verbose: bool = False) -> int:
     except OSError as exc:
         return _output_error(outdir, exc)
     if command == "certify":
-        print(json.dumps(body["results"], indent=2, sort_keys=True))
+        print(json.dumps(body["results"], indent=2, sort_keys=True, default=_json_default))
     if verbose:
         print(f"[gatedqdot] wrote report.json and {len(artifacts)} artifact(s)", file=sys.stderr)
     return 0

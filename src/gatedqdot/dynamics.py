@@ -428,6 +428,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_workers(flows: int) -> int:
+    """Pool workers for `flows` concurrent flows, leaving each its BLAS threads.
+
+    Every flow's BLAS uses as many threads as the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS whose first
+    comma-separated entry is a positive integer sets; with none, every
+    usable CPU.  The pool takes min(flows, max(1, CPUs // BLAS threads))
+    workers, so flows and their BLAS threads do not oversubscribe the CPUs.
+    """
+    cpus = _usable_cpus()
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    return min(flows, max(1, cpus // blas))
+
+
 def alpha_scaling_study(
     alphas: Sequence[float],
     control: ControlSignal,
@@ -450,9 +469,10 @@ def alpha_scaling_study(
     maxima; the last run everything, for the trajectory it reports.
 
     The runs share only the read-only `initial` and `v0` arrays and run on
-    a thread pool with one worker per run, at most one per CPU the process
-    may use; the longest runs start first.  Each is the same `propagate_nonlinear` call as in a serial
-    loop, so every result is bitwise the serial one.  Results are read in
+    a thread pool with one worker per run, at most the usable CPUs divided
+    by the BLAS threads (`_pool_workers`); the longest runs start first.
+    Each is the same `propagate_nonlinear` call as in a serial loop, so
+    every result is bitwise the serial one.  Results are read in
     the serial order (the reference, then the alphas ascending), so the
     first failure in that order is the one raised; runs not yet started
     are then cancelled, and no worker outlives the call.
@@ -468,7 +488,7 @@ def alpha_scaling_study(
 
     last = len(alphas) - 1
     jobs = [(0.0, "norm")] + [(a, "all" if i == last else "h1") for i, a in enumerate(alphas)]
-    pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
+    pool = ThreadPoolExecutor(max_workers=_pool_workers(len(jobs)))
     try:
         # longest first: the fully logged run, the H1 runs, then the reference
         futures = [

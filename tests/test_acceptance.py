@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from oracles import panel_rule, relation, weak_relations
 
-from gatedqdot.chains import build_graph, certify_nonresonant_chain, check_connected
+from gatedqdot.chains import breadth_first_forest, build_graph, certify_nonresonant_chain
 from gatedqdot.coupling import (
     assemble_coupling_matrix,
     coupling_x1_closed,
@@ -120,11 +120,11 @@ def test_criterion_02_closed_forms_vs_quadrature():
 def test_criterion_03_chain_connectivity():
     spec = enumerate_modes(L, 100)
     m2 = assemble_coupling_matrix(solve_full_gate([fourier_term(2, L)], L), spec)
-    connected2, comps2 = check_connected(build_graph(m2))
+    comps2, _ = breadth_first_forest(build_graph(m2))
     m1 = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec)
-    connected1, comps1 = check_connected(build_graph(m1))
+    comps1, _ = breadth_first_forest(build_graph(m1))
     parities = [{spec.modes[i].j1 % 2 for i in comp} for comp in comps1]
-    ok = connected2 and not connected1 and len(comps1) == 2 and parities == [{1}, {0}]
+    ok = len(comps2) == 1 and len(comps1) == 2 and parities == [{1}, {0}]
     report(
         3,
         "n=2 graph connected over 100 modes; n=1 splits into j1-parity classes",
@@ -384,16 +384,16 @@ def test_criterion_12_small_instance_oracles():
     pairs4 = list(itertools.combinations(range(4), 2))
     for bits in range(2 ** len(pairs4)):
         edges = [p for i, p in enumerate(pairs4) if bits >> i & 1]
-        got, _ = check_connected(build_graph(toy(4, edges)))
-        mismatches += got != closure(4, edges)
+        comps, _ = breadth_first_forest(build_graph(toy(4, edges)))
+        mismatches += (len(comps) == 1) != closure(4, edges)
     rng = np.random.default_rng(42)
     for _ in range(300):
         n = int(rng.integers(5, 9))
         pairs = list(itertools.combinations(range(n), 2))
         mask = rng.random(len(pairs)) < rng.random()
         edges = [p for p, m in zip(pairs, mask) if m]
-        got, _ = check_connected(build_graph(toy(n, edges)))
-        mismatches += got != closure(n, edges)
+        comps, _ = breadth_first_forest(build_graph(toy(n, edges)))
+        mismatches += (len(comps) == 1) != closure(n, edges)
 
     g = StaggeredGrid(L=L, nx=64, ny=64)
     dens = np.outer(np.sin(g.x1), np.cos(np.pi * g.x2 / (2 * L)))

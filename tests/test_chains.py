@@ -13,9 +13,7 @@ from gatedqdot.chains import (
     build_graph,
     certify,
     certify_nonresonant_chain,
-    check_connected,
     coupling_path,
-    spanning_chain,
 )
 from gatedqdot.cli import run
 from gatedqdot.coupling import CouplingMatrix, assemble_coupling_matrix
@@ -45,6 +43,11 @@ def closure_connected(n_nodes, edges):
     for _ in range(n_nodes):
         adj = adj | (adj @ adj)
     return bool(adj.all())
+
+
+def tree_edges(parent):
+    """Spanning-forest edges of breadth-first parent pointers, each as (min, max)."""
+    return [(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0]
 
 
 def queue_forest(neighbors):
@@ -117,22 +120,22 @@ class TestGraph:
 
 class TestConnectivity:
     def test_even_gate_connected(self, field_n2):
-        connected, comps = check_connected(build_graph(window_matrix(field_n2, 20)))
-        assert connected and len(comps) == 1
+        comps, _ = breadth_first_forest(build_graph(window_matrix(field_n2, 20)))
+        assert len(comps) == 1
 
     def test_odd_gate_two_parity_components(self, field_n1, spec100):
-        connected, comps = check_connected(build_graph(window_matrix(field_n1, 20)))
-        assert not connected and len(comps) == 2
+        comps, _ = breadth_first_forest(build_graph(window_matrix(field_n1, 20)))
+        assert len(comps) == 2
         parities = [{spec100.modes[i].j1 % 2 for i in comp} for comp in comps]
         assert parities == [{1}, {0}]
 
     def test_edgeless_three_components(self):
-        _, comps = check_connected(build_graph(toy_matrix(3, [])))
+        comps, _ = breadth_first_forest(build_graph(toy_matrix(3, [])))
         assert comps == [[0], [1], [2]]
 
     def test_components_ordered_by_least_member(self):
         g = build_graph(toy_matrix(5, [(1, 3), (0, 4)]))
-        _, comps = check_connected(g)
+        comps, _ = breadth_first_forest(g)
         assert comps == [[0, 4], [1, 3], [2]]
 
     def test_small_instance_oracle_exhaustive_4(self):
@@ -140,7 +143,8 @@ class TestConnectivity:
         all_pairs = list(itertools.combinations(range(nodes), 2))
         for bits in range(2 ** len(all_pairs)):
             edges = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
-            got, _ = check_connected(build_graph(toy_matrix(nodes, edges)))
+            comps, _ = breadth_first_forest(build_graph(toy_matrix(nodes, edges)))
+            got = len(comps) == 1
             assert got == closure_connected(nodes, edges)
 
     def test_small_instance_oracle_random_corpus(self):
@@ -150,7 +154,8 @@ class TestConnectivity:
             pairs = list(itertools.combinations(range(n), 2))
             mask = rng.random(len(pairs)) < rng.random()
             edges = [p for p, m in zip(pairs, mask) if m]
-            got, comps = check_connected(build_graph(toy_matrix(n, edges)))
+            comps, _ = breadth_first_forest(build_graph(toy_matrix(n, edges)))
+            got = len(comps) == 1
             assert got == closure_connected(n, edges)
             assert sorted(i for c in comps for i in c) == list(range(n))
 
@@ -161,7 +166,7 @@ class TestConnectivity:
         counts = []
         for k in range(len(extra) + 1):
             g = build_graph(toy_matrix(5, base + extra[:k]))
-            counts.append(len(check_connected(g)[1]))
+            counts.append(len(breadth_first_forest(g)[0]))
         assert all(b <= a for a, b in zip(counts[:-1], counts[1:]))
 
 
@@ -229,7 +234,7 @@ class TestForest:
         matrix = toy_matrix(n, edges)
         adj = build_graph(matrix)
         cert = certify(matrix, np.arange(n, dtype=float), 1e-9)
-        _, comps = check_connected(adj)
+        comps, parent = breadth_first_forest(adj)
         expected = {}
         for comp in comps:
             for node in comp[1:]:
@@ -239,7 +244,7 @@ class TestForest:
         tree = set()
         for path in cert.witness_paths.values():
             tree |= {(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])}
-        chain = spanning_chain(adj)
+        chain = tree_edges(parent)
         assert tree == set(chain)
         assert len(chain) == n - len(comps)
 
@@ -359,7 +364,7 @@ class TestResonanceCertificate:
 
         spec = enumerate_modes(1.0, 40)
         matrix = assemble_coupling_matrix(solve_full_gate([fourier_term(1, 1.0)], 1.0), spec)
-        tree = spanning_chain(build_graph(matrix))
+        tree = tree_edges(breadth_first_forest(build_graph(matrix))[1])
         shifted = shifted_spectrum(spec, matrix, 0.2)
         assert certify_nonresonant_chain(shifted.eigenvalues, matrix, tree, 1e-6) == []
 
@@ -370,7 +375,7 @@ class TestResonanceCertificate:
 
     def test_spanning_chain_is_tree(self, matrix_n2_30):
         adj = build_graph(matrix_n2_30)
-        edges = spanning_chain(adj)
+        edges = tree_edges(breadth_first_forest(adj)[1])
         assert len(edges) == 29
         assert all(adj[e] for e in edges)
 

@@ -776,6 +776,21 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["gate_sweep.csv"]
 
 
+@pytest.mark.parametrize(
+    "value, kind",
+    [(np.int64(3), int), (np.bool_(True), bool), (np.float32(0.1), float), (np.arange(3), list)],
+)
+def test_json_hook_gives_python_values(value, kind):
+    out = cli._json_default(value)
+    assert type(out) is kind and out == value.tolist()
+    assert json.loads(json.dumps({"v": value}, default=cli._json_default)) == {"v": out}
+
+
+def test_json_hook_rejects_other_objects():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json.dumps({"v": object()}, default=cli._json_default)
+
+
 def test_csv_rows_follow_the_per_value_rule(tmp_path):
     # floats (np.float64 too) with 17 significant digits, everything else as
     # str; column 1 changes kind from row to row, and the 5000 plain rows

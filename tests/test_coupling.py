@@ -386,6 +386,21 @@ class TestLatticeFields:
         for coarse, fine in zip(errors[:-1], errors[1:]):
             assert 3.9 <= coarse / fine <= 4.1
 
+    @pytest.mark.parametrize("trace_mode", [1, 2])
+    def test_segment_couplings_converge_at_order_one_half(self, trace_mode):
+        # ends on nodes of every lattice, so each nx solves the same segment;
+        # the scheme is second order locally, but the trace's jumps at the
+        # segment ends leave the couplings order 1/2 in the spacing
+        a, b, L = 6 * math.pi / 32, 22 * math.pi / 32, 1.03
+        spectrum = enumerate_modes(L, 60)
+        values = [
+            assemble_coupling_matrix(segment_field(a, b, trace_mode, L, nx), spectrum, zero_tol=0).values
+            for nx in (32, 64, 128, 256)
+        ]
+        diffs = [np.abs(fine - coarse).max() for coarse, fine in zip(values[:-1], values[1:])]
+        for coarse, fine in zip(diffs[:-1], diffs[1:]):
+            assert 1.3 <= coarse / fine <= 1.6
+
     def test_other_height_rejected(self):
         field = solve_full_gate([fourier_term(1, 1.2)], 1.2).rasterize(32, 32)
         with pytest.raises(ValueError, match="lies on L = 1.2, not on L = 1.0"):

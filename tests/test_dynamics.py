@@ -16,6 +16,7 @@ from gatedqdot.coupling import CouplingMatrix, assemble_coupling_matrix
 from gatedqdot.dynamics import (
     ControlSignal,
     NonlinearConfig,
+    _pool_workers,
     alpha_scaling_study,
     galerkin_mode_state,
     grid_mode_state,
@@ -759,12 +760,31 @@ class TestConcurrentAlphaStudy:
                 barrier.wait()
             return propagate_nonlinear(*args, **kwargs)
 
+        # two workers need two CPUs and one BLAS thread per flow
         monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", paired_run)
         alphas = [0.05, 0.1]
         study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         assert next(entered) == 3
         self.check_study(field_n2, study, alphas)
+
+    @pytest.mark.parametrize(
+        "threads, workers", [("", 1), ("1", 4), ("2", 2), ("4,2", 1), ("abc", 1)]
+    )
+    def test_pool_leaves_each_flow_its_blas_threads(self, monkeypatch, threads, workers):
+        monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 4)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        # unset and unparsable both mean a BLAS thread per CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+        assert _pool_workers(4) == workers
+        assert _pool_workers(1) == 1
+        # the BLAS's own variables come before OpenMP's
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert _pool_workers(4) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _pool_workers(4) == 4
 
     def test_one_cpu_runs_longest_flow_first(self, field_n2, monkeypatch):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
