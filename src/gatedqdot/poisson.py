@@ -7,8 +7,8 @@ solution is closed form; a partial gate is solved by second-order finite
 differences.  The Hartree field W solves -Delta W = alpha * density with
 Dirichlet 0 on top and sides, Neumann 0 at the bottom, via the separable
 basis sin(j1*x1) * cos((k2+1/2)*pi*x2/L) which matches those mixed
-conditions exactly.  The staggered grid's transforms are dense
-orthonormal tables applied by matrix products, so no FFT library is loaded.
+conditions exactly.  The staggered grid is three dense orthonormal tables
+that its callers apply by matrix products, so no FFT library is loaded.
 """
 
 from __future__ import annotations
@@ -335,21 +335,23 @@ class StaggeredGrid:
     basis, and DCT-IV in x2 for the quarter-wave cosine basis of the
     Hartree problem.  Each is one dense orthonormal table built once per
     grid, rows the frequencies: `s1` and `c4` are symmetric, `d2` is not.
-    A 2-D transform is two matrix products, real ones also for a complex
-    array.  `mixed_eigenvalues` holds the Laplacian eigenvalues of the
-    modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L), k2 = 0..ny-1, for the Hartree
-    solve.
+    The callers apply them as matrix products: `s1 @ v @ d2.T` gives the
+    sine coefficients of v and `s1 @ v @ c4` its quarter-wave ones, undone
+    by `s1 @ c @ d2` and `s1 @ c @ c4`.  `mixed_eigenvalues` holds the
+    Laplacian eigenvalues of the modes sin(j1*x1)*cos((k2+1/2)*pi*x2/L),
+    k2 = 0..ny-1, for the Hartree solve.  Grids compare and hash by
+    (L, nx, ny); the arrays derived from them do not take part.
     """
 
     L: float
     nx: int
     ny: int
-    x1: np.ndarray = field(init=False, repr=False)
-    x2: np.ndarray = field(init=False, repr=False)
-    mixed_eigenvalues: np.ndarray = field(init=False, repr=False)
-    s1: np.ndarray = field(init=False, repr=False)
-    d2: np.ndarray = field(init=False, repr=False)
-    c4: np.ndarray = field(init=False, repr=False)
+    x1: np.ndarray = field(init=False, repr=False, compare=False)
+    x2: np.ndarray = field(init=False, repr=False, compare=False)
+    mixed_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    s1: np.ndarray = field(init=False, repr=False, compare=False)
+    d2: np.ndarray = field(init=False, repr=False, compare=False)
+    c4: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.L <= 0:
@@ -372,17 +374,9 @@ class StaggeredGrid:
         object.__setattr__(self, "c4", _ortho_table("dct4", self.ny))
 
     @property
-    def h1(self) -> float:
-        return math.pi / self.nx
-
-    @property
-    def h2(self) -> float:
-        return self.L / self.ny
-
-    @property
     def cell_weight(self) -> float:
         """Quadrature weight per node, exact for the band-limited sine basis."""
-        return self.h1 * self.h2
+        return (math.pi / self.nx) * (self.L / self.ny)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -393,31 +387,6 @@ class StaggeredGrid:
         j1 = np.arange(1, self.nx)
         j2 = np.arange(1, self.ny + 1)
         return (j1**2)[:, None] + ((j2 * math.pi / self.L) ** 2)[None, :]
-
-    def _transform(self, values: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """s1 @ values @ right, `right` a real x2 table or its transpose."""
-        if not np.iscomplexobj(values):
-            return self.s1 @ values @ right
-        # the real tables meet a complex array in real products only: s1
-        # through its real view, `right` one part at a time
-        values = np.ascontiguousarray(values, dtype=complex)
-        left = (self.s1 @ values.view(float)).view(complex)
-        out = np.empty_like(left)
-        out.real = left.real @ right
-        out.imag = left.imag @ right
-        return out
-
-    def sine_forward(self, values: np.ndarray) -> np.ndarray:
-        return self._transform(values, self.d2.T)
-
-    def sine_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._transform(coeffs, self.d2)
-
-    def mixed_forward(self, values: np.ndarray) -> np.ndarray:
-        return self._transform(values, self.c4)
-
-    def mixed_backward(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._transform(coeffs, self.c4)
 
     def kinetic(self, step: float) -> tuple[np.ndarray, np.ndarray]:
         """The exact kinetic step exp(i*step*Delta) as psi -> k1 @ psi @ k2.T.
@@ -444,8 +413,8 @@ def hartree_field(density: np.ndarray, alpha: float, grid: StaggeredGrid) -> np.
     single-eigenmode source is reproduced to machine precision.  The
     density is left unchanged.
     """
-    coeffs = grid.mixed_forward(density)
+    coeffs = grid.s1 @ density @ grid.c4
     coeffs *= alpha
     coeffs /= grid.mixed_eigenvalues
-    return grid.mixed_backward(coeffs)
+    return grid.s1 @ coeffs @ grid.c4
 

@@ -72,7 +72,7 @@ class Spectrum:
             raise ValueError(f"mode {tuple(mode)} not in spectrum") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedSpectrum:
     """Galerkin spectrum of -Delta + rho*V0 over the modes of a `Spectrum`.
 

@@ -85,24 +85,39 @@ def bilinear_expm_rows(eigenvalues, cmat, samples, psi0) -> np.ndarray:
     return np.array(rows)
 
 
+def per_axis_h1(grid, psi):
+    """H1 seminorm of a C-ordered grid state as the integrator logs it.
+
+    Parseval one axis at a time: with the sine tables scaled row by row,
+    t1 by j1 and t2 by j2*pi/L, sqrt(cell_weight * (||t1 psi||^2 +
+    ||psi t2^T||^2)), each a real product on an interleaved real view.
+    `test_logged_h1_matches_fft_coefficients` checks that log against the
+    `fft_sine_forward` coefficients.
+    """
+    t1 = np.arange(1, grid.nx)[:, None] * grid.s1
+    t2 = (np.arange(1, grid.ny + 1) * math.pi / grid.L)[:, None] * grid.d2
+    a = t1 @ psi.view(float)
+    b = t2 @ np.ascontiguousarray(psi.T).view(float)
+    return float(np.sqrt(grid.cell_weight * (np.vdot(a, a) + np.vdot(b, b))))
+
+
 def strang_full_log(initial, control, config, v0, phis):
     """The Strang loop as first written: `np.exp` phases, out-of-place products, full log.
 
-    One Hartree solve per step, computed inline as
-    `mixed_backward(alpha * mixed_forward(|psi|^2) / mixed_eigenvalues)`,
-    and the kinetic step `k1 @ psi @ k2.T` of `grid.kinetic`, built once
-    per step length; no norm guard.  The state starts on `config.grid` at
-    t = 0.  Returns the final grid values and the per-record times, norms,
-    H1 seminorms, gate expectations, populations against the rows of `phis`
-    and control values.
+    One Hartree solve per step, computed inline from the grid's tables as
+    `s1 @ (alpha * (s1 @ |psi|^2 @ c4) / mixed_eigenvalues) @ c4`, and the
+    kinetic step `k1 @ psi @ k2.T` of `grid.kinetic`, built once per step
+    length; H1 by `per_axis_h1`; no norm guard.  The state starts on
+    `config.grid` at t = 0.  Returns the final grid values and the
+    per-record times, norms, H1 seminorms, gate expectations, populations
+    against the rows of `phis` and control values.
     """
     grid = config.grid
-    sine_eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
 
     def hartree(psi):
-        coeffs = grid.mixed_forward(np.abs(psi) ** 2)
-        return grid.mixed_backward(config.alpha * coeffs / grid.mixed_eigenvalues)
+        coeffs = grid.s1 @ np.abs(psi) ** 2 @ grid.c4
+        return grid.s1 @ (config.alpha * coeffs / grid.mixed_eigenvalues) @ grid.c4
 
     psi = np.asarray(initial, dtype=complex).copy()
     t = 0.0
@@ -111,8 +126,7 @@ def strang_full_log(initial, control, config, v0, phis):
     def record(u_next):
         logs["t"].append(t)
         logs["norm"].append(grid.norm(psi))
-        coeffs = grid.sine_forward(psi)
-        logs["h1"].append(float(np.sqrt(weight * np.sum(sine_eigs * np.abs(coeffs) ** 2))))
+        logs["h1"].append(per_axis_h1(grid, psi))
         dens = np.abs(psi) ** 2
         logs["gate"].append(float(weight * np.sum(v0 * dens)))
         logs["pop"].append(np.abs(weight * (phis @ psi.ravel())) ** 2)

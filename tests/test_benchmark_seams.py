@@ -59,6 +59,9 @@ def test_tracer_counts_real_ops(tmp_path):
         "dynamics.strang_steps",
     ):
         assert tracer.counts[name] > 0, name
+    # one Hartree solve per Strang step and one opening each flow: 3 alphas x
+    # (50 steps + 1); spans, since totals() can meet a span another thread left open
+    assert sum(span[0] == "poisson.hartree_field" for span in tracer.spans) == 153
     # the chain views and the cli names no command calls are gone
     assert seams.missing == [
         "gatedqdot.cli.check_connected",

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import bilinear_expm_rows, strang_full_log, trajectory_csv
+from oracles import bilinear_expm_rows, per_axis_h1, strang_full_log, trajectory_csv
 
+from gatedqdot import dynamics
 from gatedqdot.chains import certify
 from gatedqdot.cli import _write_rows_csv, run
 from gatedqdot.coupling import CouplingMatrix, assemble_coupling_matrix
@@ -488,6 +489,22 @@ class TestNonlinear:
         with pytest.raises(ValueError, match="gate field shape does not match grid"):
             propagate_nonlinear(psi0, ControlSignal.constant(0.1, 0.0, DELTA), cfg, v0)
 
+    def test_configs_and_results_compare_without_reading_arrays(self):
+        # configs compare and hash by value, their grids by (L, nx, ny)
+        cfg = NonlinearConfig(alpha=0.1, dt=1e-3, grid=StaggeredGrid(L=L, nx=8, ny=8))
+        same = NonlinearConfig(alpha=0.1, dt=1e-3, grid=StaggeredGrid(L=L, nx=8, ny=8))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != replace(cfg, grid=StaggeredGrid(L=L, nx=8, ny=16))
+        # results hold arrays, so they compare by identity
+        grid = cfg.grid
+        psi0 = grid_mode_state(grid, (1, 1))
+        nothing = ControlSignal(samples=(), delta=DELTA)
+        first, second = (
+            propagate_nonlinear(psi0, nothing, cfg, np.zeros(grid.shape)) for _ in range(2)
+        )
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
     def test_config_validation(self):
         grid = StaggeredGrid(L=L, nx=4, ny=4)
         with pytest.raises(ValueError):
@@ -508,7 +525,6 @@ def two_solve_strang(initial, control, config, v0):
     modes, computed as the integrator logs them.
     """
     grid = config.grid
-    eigs = grid.sine_eigenvalues()
     weight = grid.cell_weight
     pop_modes = enumerate_modes(L, config.log_populations).modes
     phis = np.stack([eigenfunction_on_grid(m, L, grid.x1, grid.x2).ravel() for m in pop_modes])
@@ -517,7 +533,7 @@ def two_solve_strang(initial, control, config, v0):
 
     def record():
         dens = np.abs(psi) ** 2
-        h1 = np.sqrt(weight * np.sum(eigs * np.abs(grid.sine_forward(psi)) ** 2))
+        h1 = per_axis_h1(grid, psi)
         pops = np.abs(weight * (phis @ psi.ravel())) ** 2
         logs.append((grid.norm(psi), h1, weight * np.sum(v0 * dens), pops))
 
@@ -663,6 +679,20 @@ class TestLoggedQuantities:
         for got, expected in zip(self.logs(res), logs):
             assert_same_bytes(got, expected)
 
+    def test_fortran_ordered_initial_state_gives_the_same_bytes(self, field_n2):
+        grid = StaggeredGrid(L=L, nx=32, ny=32)
+        psi0 = (grid_mode_state(grid, (1, 1)) + grid_mode_state(grid, (2, 1))) / math.sqrt(2.0)
+        fortran = np.asfortranarray(psi0)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        cfg = NonlinearConfig(alpha=0.1, dt=1e-2, grid=grid, log_populations=3)
+        ctrl = ControlSignal(samples=TestOneSolvePerStep.SAMPLES, delta=DELTA)
+        v0 = field_n2.values_on(grid.x1, grid.x2)
+        expected = propagate_nonlinear(psi0, ctrl, cfg, v0, log="all")
+        got = propagate_nonlinear(fortran, ctrl, cfg, v0, log="all")
+        assert_same_bytes(got.final, expected.final)
+        for a, b in zip(self.logs(got), self.logs(expected)):
+            assert_same_bytes(a, b)
+
     def test_alpha_study_matches_first_loop(self, field_n2):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
         alphas = [0.05, 0.1]
@@ -712,13 +742,13 @@ class TestLoggedQuantities:
 
     def test_sine_transforms_per_run(self, field_n2, monkeypatch):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
-        forward = StaggeredGrid.sine_forward
-        # the flows run concurrently, so each thread counts its own transforms
+        h1_seminorm = dynamics._h1_seminorm
+        # the flows run concurrently, so each thread counts its own H1 evaluations
         calls = collections.Counter()
 
-        def counted_forward(grid, values):
+        def counted_h1(*args):
             calls[threading.get_ident()] += 1
-            return forward(grid, values)
+            return h1_seminorm(*args)
 
         per_run = {}
 
@@ -728,12 +758,12 @@ class TestLoggedQuantities:
             per_run[config.alpha] = calls[threading.get_ident()] - before
             return res
 
-        monkeypatch.setattr(StaggeredGrid, "sine_forward", counted_forward)
+        monkeypatch.setattr(dynamics, "_h1_seminorm", counted_h1)
         monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", counted_run)
         alpha_scaling_study([0.05, 0.1, 0.2], ctrl, ctrl.total_duration, cfg, v0, psi0)
         steps = sum(max(1, math.ceil(d / cfg.dt - 1e-12)) for d, _ in ctrl.samples)
-        # the kinetic step transforms nothing, and the reference logs no H1;
-        # every alpha run makes the H1 transform of each record
+        # the kinetic step evaluates no H1, and the reference logs none;
+        # every alpha run evaluates it once per record
         assert [per_run[a] for a in (0.0, 0.05, 0.1, 0.2)] == [0] + [steps + 1] * 3
 
 

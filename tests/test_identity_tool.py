@@ -116,6 +116,10 @@ print(json.dumps(dict(tool.run_keys(sys.argv[2:]))))
 BILINEAR_RUNS = [f"{name}/{command}" for name in TOOL.CONFIGS for command in ("evolve", "control")]
 
 
+# every manifest run of the nonlinear layer: the Strang flows of the alpha study
+NONLINEAR_RUNS = [f"{name}/nonlinear" for name in TOOL.CONFIGS]
+
+
 def assert_replay(keys):
     """Rerun `keys` through the tool in one fresh interpreter; each record must match the manifest."""
     import numpy
@@ -139,3 +143,7 @@ def test_fd_runs_replay_the_manifest():
 
 def test_bilinear_runs_replay_the_manifest():
     assert_replay(BILINEAR_RUNS)
+
+
+def test_nonlinear_runs_replay_the_manifest():
+    assert_replay(NONLINEAR_RUNS)

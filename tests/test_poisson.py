@@ -12,6 +12,7 @@ from oracles import (
 )
 
 from gatedqdot.cli import run
+from gatedqdot.dynamics import ControlSignal, NonlinearConfig, grid_mode_state, propagate_nonlinear
 from gatedqdot.errors import SolverFailureError
 from gatedqdot.poisson import (
     GateSegment,
@@ -301,7 +302,7 @@ class TestHartree:
         dens = smooth**2
         alpha = 0.7
         W = hartree_field(dens, alpha, g)
-        coeffs = g.mixed_forward(W)
+        coeffs = g.s1 @ W @ g.c4
         grad_sq = g.cell_weight * float(np.sum(g.mixed_eigenvalues * coeffs**2))
         rhs = alpha * g.cell_weight * float(np.sum(W * dens))
         assert grad_sq == pytest.approx(rhs, rel=1e-10)
@@ -319,13 +320,23 @@ class TestHartree:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
+def table_products(g):
+    """The grid's 2-D transforms as its callers apply them: two table products each."""
+    return {
+        "sine forward": lambda v: g.s1 @ v @ g.d2.T,
+        "sine backward": lambda v: g.s1 @ v @ g.d2,
+        "mixed forward": lambda v: g.s1 @ v @ g.c4,
+        "mixed backward": lambda v: g.s1 @ v @ g.c4,
+    }
+
+
 class TestStaggeredGrid:
     def test_transform_round_trips(self):
         g = StaggeredGrid(L=1.3, nx=24, ny=20)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(g.shape)
-        assert np.abs(g.sine_backward(g.sine_forward(v)) - v).max() <= 1e-13
-        assert np.abs(g.mixed_backward(g.mixed_forward(v)) - v).max() <= 1e-13
+        assert np.abs(g.s1 @ (g.s1 @ v @ g.d2.T) @ g.d2 - v).max() <= 1e-13
+        assert np.abs(g.s1 @ (g.s1 @ v @ g.c4) @ g.c4 - v).max() <= 1e-13
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_transforms_leave_input_unchanged(self, dtype):
@@ -335,10 +346,7 @@ class TestStaggeredGrid:
         if dtype is complex:
             v += 1j * rng.standard_normal(g.shape)
         for transform in (
-            g.sine_forward,
-            g.sine_backward,
-            g.mixed_forward,
-            g.mixed_backward,
+            *table_products(g).values(),
             lambda values: hartree_field(values, 0.7, g),
         ):
             before = v.copy()
@@ -355,12 +363,14 @@ class TestStaggeredGrid:
         v = rng.standard_normal(g.shape).astype(dtype)
         if dtype is complex:
             v += 1j * rng.standard_normal(g.shape)
-        for dense, fft in (
-            (g.sine_forward, fft_sine_forward),
-            (g.sine_backward, fft_sine_backward),
-            (g.mixed_forward, fft_mixed_forward),
-            (g.mixed_backward, fft_mixed_backward),
+        products = table_products(g)
+        for name, fft in (
+            ("sine forward", fft_sine_forward),
+            ("sine backward", fft_sine_backward),
+            ("mixed forward", fft_mixed_forward),
+            ("mixed backward", fft_mixed_backward),
         ):
+            dense = products[name]
             expected = fft(v)
             got = dense(v)
             assert got.dtype == expected.dtype
@@ -375,6 +385,37 @@ class TestStaggeredGrid:
         k1, k2 = g.kinetic(step)
         expected = fft_kinetic_step(g, psi, step)
         assert np.abs(k1 @ psi @ k2.T - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nx, ny", SIZES, ids=[f"{nx}x{ny}" for nx, ny in SIZES])
+    def test_logged_h1_matches_fft_coefficients(self, nx, ny):
+        g = StaggeredGrid(L=1.3, nx=nx, ny=ny)
+        cfg = NonlinearConfig(alpha=0.0, dt=1e-3, grid=g, log_populations=0)
+        nothing = ControlSignal(samples=(), delta=1.0)
+
+        def logged_h1(psi):
+            # a run with no samples records only its initial state
+            return propagate_nonlinear(psi, nothing, cfg, np.zeros(g.shape), log="h1").h1_seminorms[0]
+
+        j1 = np.arange(1, nx)
+        j2 = np.arange(1, ny + 1)
+        eigs = (j1**2)[:, None] + ((j2 * math.pi / 1.3) ** 2)[None, :]
+        rng = np.random.default_rng(nx * ny + 1)
+        for _ in range(3):
+            psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            psi /= g.norm(psi)
+            coeffs = fft_sine_forward(psi)
+            expected = math.sqrt(g.cell_weight * np.sum(eigs * np.abs(coeffs) ** 2))
+            assert abs(logged_h1(psi) - expected) <= 1e-13 * expected
+        for m1, m2 in ((1, 1), (nx - 1, ny - 1)):
+            expected = math.sqrt(m1**2 + (m2 * math.pi / 1.3) ** 2)
+            assert abs(logged_h1(grid_mode_state(g, (m1, m2))) - expected) <= 1e-13 * expected
+
+    def test_grids_compare_and_hash_by_their_inputs(self):
+        g = StaggeredGrid(1.0, 8, 8)
+        assert g == StaggeredGrid(1.0, 8, 8)
+        assert hash(g) == hash(StaggeredGrid(1.0, 8, 8))
+        assert g != StaggeredGrid(1.0, 8, 16) and g != StaggeredGrid(1.1, 8, 8)
+        assert len({g, StaggeredGrid(1.0, 8, 8), StaggeredGrid(1.0, 16, 8)}) == 2
 
     def test_tables_are_orthogonal_at_512(self):
         g = StaggeredGrid(L=1.3, nx=513, ny=512)

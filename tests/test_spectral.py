@@ -281,6 +281,14 @@ def test_shifted_spectrum_truncation_guard(spec100, matrix_n2_30):
         shifted_spectrum(spec100, matrix_n2_30, 0.1)
 
 
+def test_shifted_spectra_compare_by_identity(spec30, matrix_n2_30):
+    # they hold arrays, as Spectrum and CouplingMatrix do, so == reads no array
+    first = shifted_spectrum(spec30, matrix_n2_30, 0.1)
+    second = shifted_spectrum(spec30, matrix_n2_30, 0.1)
+    assert first == first and first != second
+    assert len({first, second}) == 2
+
+
 def test_shifted_spectrum_first_order_slope(field_n1):
     # lambda_j(rho) - lambda_j(0) ~ rho * alpha_j for small rho
     rho = 1e-4
