@@ -47,10 +47,7 @@ from .poisson import (
     solve_partial_gate_fd,
 )
 from .spectral import (
-    BoundaryDisplacement,
-    ModeIndex,
     NonresonanceScan,
-    ShiftedSpectrum,
     Spectrum,
     check_simplicity,
     check_weak_nonresonance,

@@ -36,7 +36,7 @@ import numpy as np
 from .coupling import CouplingMatrix
 from .errors import DurationCapError, InstabilityError
 from .poisson import StaggeredGrid, hartree_field
-from .spectral import ModeIndex, Spectrum, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
+from .spectral import Spectrum, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
 
 NORM_GUARD = 1e-6
 
@@ -85,7 +85,7 @@ class ControlSignal:
 def galerkin_mode_state(spectrum: Spectrum, mode) -> np.ndarray:
     """Galerkin coefficients of one mode over the positions of `spectrum`."""
     values = np.zeros(len(spectrum), dtype=complex)
-    values[spectrum.position(ModeIndex(*mode))] = 1.0
+    values[spectrum.position(mode)] = 1.0
     return values
 
 
@@ -98,7 +98,7 @@ def _check_resolved(grid: StaggeredGrid, mode):
 def grid_mode_state(grid: StaggeredGrid, mode) -> np.ndarray:
     """Eigenmode sampled on the staggered grid as a complex array; exactly unit norm there."""
     _check_resolved(grid, mode)
-    return eigenfunction_on_grid(ModeIndex(*mode), grid.L, grid.x1, grid.x2).astype(complex)
+    return eigenfunction_on_grid(mode, grid.L, grid.x1, grid.x2).astype(complex)
 
 
 def _check_initial(norm: float):
@@ -148,8 +148,8 @@ def propagate_bilinear(
     t = times[0] = 0.0
     for k, (dur, u) in enumerate(control.samples, start=1):
         if u not in eigs:
-            frozen = shifted_spectrum(spectrum, coupling, u)
-            eigs[u] = frozen.eigenvalues, frozen.eigenvectors.astype(complex)
+            w, v = shifted_spectrum(spectrum, coupling, u)
+            eigs[u] = w, v.astype(complex)
         w, v = eigs[u]
         phase = phases.get((u, dur))
         if phase is None:
@@ -169,7 +169,7 @@ def transfer_fidelity(spectrum: Spectrum, values, target_mode) -> float:
         raise ValueError(f"{values.size} coefficients for a {len(spectrum)}-mode spectrum")
     if abs(float(np.linalg.norm(values)) - 1.0) > 1e-8:
         raise ValueError("state is not normalized")
-    return float(abs(values[spectrum.position(ModeIndex(*target_mode))]) ** 2)
+    return float(abs(values[spectrum.position(target_mode)]) ** 2)
 
 
 def synthesize_chain_transfer(
@@ -218,7 +218,7 @@ def synthesize_chain_transfer(
         return ControlSignal(samples=(), delta=delta)
 
     cmat, u_bar = coupling.values, 0.5 * delta
-    shifted = shifted_spectrum(spectrum, coupling, u_bar).eigenvalues
+    shifted, _ = shifted_spectrum(spectrum, coupling, u_bar)
 
     amp = amplitude_fraction * delta
     # the period is mirror-symmetric, k <-> spp-1-k: evaluate the first
@@ -230,13 +230,13 @@ def synthesize_chain_transfer(
     for p, pnext in zip(positions[:-1], positions[1:]):
         if p == pnext:
             raise ValueError(
-                f"path repeats mode {tuple(spectrum.modes[p])}; not a chain edge"
+                f"path repeats mode {spectrum.modes[p]}; not a chain edge"
             )
         b = cmat[p, pnext]
         if b == 0.0:
             raise ValueError(
-                f"zero coupling between {tuple(spectrum.modes[p])} and "
-                f"{tuple(spectrum.modes[pnext])}; not a chain edge"
+                f"zero coupling between {spectrum.modes[p]} and "
+                f"{spectrum.modes[pnext]}; not a chain edge"
             )
         omega = abs(shifted[pnext] - shifted[p])
         t_pi = math.pi / (amp * abs(b))
@@ -471,7 +471,7 @@ def alpha_scaling_study(
     requested alpha; reports ||psi_alpha(T) - psi_lin(T)||_L2 and the
     least-squares slope of log(deviation) against log(alpha) (None when
     fewer than two points are available).  `runs` holds the per-alpha
-    results, `linear_reference` the alpha = 0 one.
+    results; the alpha = 0 run is read only for the deviations.
 
     Each run logs only what is read from it (see `propagate_nonlinear`'s
     `log`): the reference its norms, which the norm guard checks; every
@@ -527,4 +527,4 @@ def alpha_scaling_study(
         slope = float(
             np.polyfit(np.log([r["alpha"] for r in rows]), np.log([r["deviation"] for r in rows]), 1)[0]
         )
-    return {"rows": rows, "slope": slope, "linear_reference": linear, "runs": runs}
+    return {"rows": rows, "slope": slope, "runs": runs}

@@ -17,10 +17,6 @@ class DegenerateEigenvalueError(NumericalError):
 class SolverFailureError(NumericalError):
     """A linear solve did not reach the requested residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class QuadraturePrecisionError(NumericalError):
     """Quadrature precision failure; no package code raises it, perfbench/tracing.py counts it."""

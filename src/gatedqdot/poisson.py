@@ -227,9 +227,7 @@ def solve_partial_gate_fd(
     scale = max(np.abs(rhs).max(), np.abs(sol).max() * (c1 + c2), 1.0)
     residual = float(np.abs(mat @ sol - rhs).max() / scale)
     if residual > 1e-8:
-        raise SolverFailureError(
-            f"discrete Laplace residual {residual:.3e} above tolerance", residual=residual
-        )
+        raise SolverFailureError(f"discrete Laplace residual {residual:.3e} above tolerance")
     values[~known] = sol
 
     # harmonic fields attain extrema on the boundary; the 5-point scheme
@@ -381,12 +379,6 @@ class StaggeredGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx - 1, self.ny)
-
-    def sine_eigenvalues(self) -> np.ndarray:
-        """Dirichlet Laplacian eigenvalues for modes (j1, j2), j2 = 1..ny."""
-        j1 = np.arange(1, self.nx)
-        j2 = np.arange(1, self.ny + 1)
-        return (j1**2)[:, None] + ((j2 * math.pi / self.L) ** 2)[None, :]
 
     def kinetic(self, step: float) -> tuple[np.ndarray, np.ndarray]:
         """The exact kinetic step exp(i*step*Delta) as psi -> k1 @ psi @ k2.T.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,18 +31,14 @@ SCAN_CHUNK = 1 << 20
 LISTED_VIOLATIONS = 200
 
 
-class ModeIndex(NamedTuple):
-    j1: int
-    j2: int
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ordered truncation of the rectangle spectrum: three read-only arrays.
 
     Eigenvalues are nondecreasing; exact ties are broken lexicographically
     in (j1, j2) so enumeration is reproducible in degenerate geometries
-    (L**2 a rational multiple of pi**2).  A dict maps modes to positions.
+    (L**2 a rational multiple of pi**2).  A dict maps each mode, a plain
+    (j1, j2) tuple of ints, to its position.
     """
 
     L: float
@@ -54,14 +50,14 @@ class Spectrum:
     def __post_init__(self):
         for values in (self.j1, self.j2, self.eigenvalues):
             values.flags.writeable = False
-        modes = map(ModeIndex, self.j1.tolist(), self.j2.tolist())
+        modes = zip(self.j1.tolist(), self.j2.tolist())
         object.__setattr__(self, "_positions", {m: i for i, m in enumerate(modes)})
 
     def __len__(self):
         return self.eigenvalues.size
 
     @property
-    def modes(self) -> list[ModeIndex]:
+    def modes(self) -> list[tuple[int, int]]:
         return list(self._positions)
 
     def position(self, mode) -> int:
@@ -72,36 +68,7 @@ class Spectrum:
             raise ValueError(f"mode {tuple(mode)} not in spectrum") from None
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedSpectrum:
-    """Galerkin spectrum of -Delta + rho*V0 over the modes of a `Spectrum`.
-
-    `eigenvectors[:, k]` holds the coefficients of the k-th shifted
-    eigenfunction in the unshifted eigenbasis.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class BoundaryDisplacement:
-    """Normal displacement X.nu of one rectangle wall.
-
-    `profile` maps arclength along the wall (x2 on vertical walls, x1 on
-    horizontal ones) to the displacement speed; the default is the uniform
-    outward displacement X.nu = 1.
-    """
-
-    wall: str
-    profile: Callable[[np.ndarray], np.ndarray] = field(default=lambda s: np.ones_like(s))
-
-    def __post_init__(self):
-        if self.wall not in WALLS:
-            raise ValueError(f"wall must be one of {WALLS}, got {self.wall!r}")
-
-
-def eigenfunction_on_grid(mode: ModeIndex, L: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def eigenfunction_on_grid(mode: tuple[int, int], L: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Normalized eigenfunction evaluated on the outer product of node arrays."""
     c = 2.0 / math.sqrt(math.pi * L)
     return c * np.outer(np.sin(mode[0] * x1), np.sin(mode[1] * math.pi * x2 / L))
@@ -269,21 +236,23 @@ def check_weak_nonresonance(eigenvalues: Sequence[float], tol: float) -> Nonreso
     return NonresonanceScan(count=count, rows=rows)
 
 
-def shifted_spectrum(spectrum: Spectrum, matrix, rho: float) -> ShiftedSpectrum:
+def shifted_spectrum(spectrum: Spectrum, matrix, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize diag(lambda) + rho * matrix.values over the modes of `spectrum`.
 
-    `matrix` is a CouplingMatrix over the same modes.  rho may be slightly
-    negative: central differencing of eigenvalue slopes at rho = 0 needs
-    both signs even though physical controls live in [0, delta].
+    Returns the `(eigenvalues, eigenvectors)` pair of `np.linalg.eigh`:
+    the eigenvalues ascending, and column k of `eigenvectors` the
+    coefficients of the k-th shifted eigenfunction in the unshifted
+    eigenbasis.  `matrix` is a CouplingMatrix over the same modes.  rho
+    may be slightly negative: central differencing of eigenvalue slopes at
+    rho = 0 needs both signs even though physical controls live in
+    [0, delta].
     """
     if len(matrix) != len(spectrum):
         raise ValueError(f"{len(matrix)}-mode coupling matrix for a {len(spectrum)}-mode spectrum")
-    h = np.diag(spectrum.eigenvalues) + rho * matrix.values
-    vals, vecs = np.linalg.eigh(h)
-    return ShiftedSpectrum(eigenvalues=vals, eigenvectors=vecs)
+    return np.linalg.eigh(np.diag(spectrum.eigenvalues) + rho * matrix.values)
 
 
-def _normal_derivative_sq(mode: ModeIndex, L: float, wall: str, s: np.ndarray) -> np.ndarray:
+def _normal_derivative_sq(mode: tuple[int, int], L: float, wall: str, s: np.ndarray) -> np.ndarray:
     # squared outward normal derivative of the normalized eigenfunction,
     # as a function of arclength s along the wall
     j1, j2 = mode
@@ -294,30 +263,37 @@ def _normal_derivative_sq(mode: ModeIndex, L: float, wall: str, s: np.ndarray) -
 
 def eigenvalue_shape_derivative(
     spectrum: Spectrum,
-    mode: ModeIndex,
-    disp: BoundaryDisplacement,
+    mode: tuple[int, int],
+    wall: str,
+    profile=np.ones_like,
     *,
     simplicity_tol: float = 1e-9,
 ) -> float:
-    """Hadamard derivative -int_wall (d(phi)/d(nu))**2 (X.nu) ds of a simple eigenvalue."""
-    mode = ModeIndex(*mode)
+    """Hadamard derivative -int_wall (d(phi)/d(nu))**2 (X.nu) ds of a simple eigenvalue.
+
+    `wall` is one of WALLS, and `profile` maps arclength along it (x2 on
+    the vertical walls, x1 on the horizontal ones) to the normal
+    displacement X.nu; the default is the uniform outward X.nu = 1.
+    """
+    if wall not in WALLS:
+        raise ValueError(f"wall must be one of {WALLS}, got {wall!r}")
     pos = spectrum.position(mode)
     close = np.abs(spectrum.eigenvalues - spectrum.eigenvalues[pos]) <= simplicity_tol
     close[pos] = False
     if close.any():
         raise DegenerateEigenvalueError(
-            f"eigenvalue of mode {tuple(mode)} collides with {tuple(spectrum.modes[close.argmax()])}; "
+            f"eigenvalue of mode {tuple(mode)} collides with {spectrum.modes[close.argmax()]}; "
             "the Hadamard formula requires a simple eigenvalue"
         )
-    length = spectrum.L if disp.wall in ("left", "right") else math.pi
+    length = spectrum.L if wall in ("left", "right") else math.pi
     xs, ws = np.polynomial.legendre.leggauss(SHAPE_NODES)
     edges = np.linspace(0.0, length, SHAPE_PANELS + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = mid + half * xs
-        vals = _normal_derivative_sq(mode, spectrum.L, disp.wall, pts) * np.asarray(
-            disp.profile(pts), dtype=float
+        vals = _normal_derivative_sq(mode, spectrum.L, wall, pts) * np.asarray(
+            profile(pts), dtype=float
         )
         total += half * float(np.dot(ws, vals))
     return -total

@@ -181,7 +181,10 @@ def fft_mixed_backward(coeffs):
 
 def fft_kinetic_step(grid, psi, step):
     """exp(i*step*Delta) psi in the sine basis: backward(exp(-i*eig*step) * forward(psi))."""
-    kin = np.exp(-1j * grid.sine_eigenvalues() * step)
+    j1 = np.arange(1, grid.nx)
+    j2 = np.arange(1, grid.ny + 1)
+    eigenvalues = (j1**2)[:, None] + ((j2 * math.pi / grid.L) ** 2)[None, :]
+    kin = np.exp(-1j * eigenvalues * step)
     return fft_sine_backward(kin * fft_sine_forward(psi))
 
 

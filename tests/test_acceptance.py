@@ -39,7 +39,6 @@ from gatedqdot.poisson import (
     solve_full_gate,
 )
 from gatedqdot.spectral import (
-    BoundaryDisplacement,
     check_weak_nonresonance,
     enumerate_modes,
     eigenvalue_shape_derivative,
@@ -123,7 +122,7 @@ def test_criterion_03_chain_connectivity():
     comps2, _ = breadth_first_forest(build_graph(m2))
     m1 = assemble_coupling_matrix(solve_full_gate([fourier_term(1, L)], L), spec)
     comps1, _ = breadth_first_forest(build_graph(m1))
-    parities = [{spec.modes[i].j1 % 2 for i in comp} for comp in comps1]
+    parities = [{spec.j1[i] % 2 for i in comp} for comp in comps1]
     ok = len(comps2) == 1 and len(comps1) == 2 and parities == [{1}, {0}]
     report(
         3,
@@ -198,12 +197,11 @@ def test_criterion_05_shifted_weak_nonresonance():
     worst_rel = 0.0
     crossings = []
     for rho in (0.19, 0.2, 0.21):
-        shifted = shifted_spectrum(spec, matrix, rho)
-        up = shifted_spectrum(spec, matrix, rho + h).eigenvalues
-        dn = shifted_spectrum(spec, matrix, rho - h).eigenvalues
-        vecs = shifted.eigenvectors
+        levels, vecs = shifted_spectrum(spec, matrix, rho)
+        up, _ = shifted_spectrum(spec, matrix, rho + h)
+        dn, _ = shifted_spectrum(spec, matrix, rho - h)
         hf = np.einsum("ik,ij,jk->k", vecs, dense, vecs)  # <v, M v> per level
-        violations = check_weak_nonresonance(shifted.eigenvalues, tol)
+        violations = check_weak_nonresonance(levels, tol)
         counts[rho] = violations.count
         ok &= violations.count == len(violations.rows) == 2
         for s, t, _ in violations.rows:
@@ -214,7 +212,7 @@ def test_criterion_05_shifted_weak_nonresonance():
             worst_rel = max(worst_rel, rel)
             min_slope = min(min_slope, abs(slope))
             ok &= rel <= 1e-3 and abs(slope) >= tol / reach
-            crossings.append((rho, rho - gap(shifted.eigenvalues, s, t) / slope))
+            crossings.append((rho, rho - gap(levels, s, t) / slope))
     nearest = min(crossings, key=lambda c: abs(c[1] - c[0]), default=None)
     near = "none" if nearest is None else f"rho={nearest[1]:.5f} (from {nearest[0]})"
     report(
@@ -237,9 +235,9 @@ def test_criterion_06_hellmann_feynman():
     for n in (1, 2):
         field = solve_full_gate([fourier_term(n, L)], L)
         matrix = assemble_coupling_matrix(field, spec)
-        up = shifted_spectrum(spec, matrix, h)
-        dn = shifted_spectrum(spec, matrix, -h)
-        fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
+        up, _ = shifted_spectrum(spec, matrix, h)
+        dn, _ = shifted_spectrum(spec, matrix, -h)
+        fd = (up - dn) / (2 * h)
         slopes = matrix.values.diagonal()
         if n % 2 == 0:
             worst = max(np.abs(fd[:10]).max(), np.abs(slopes[:10]).max())
@@ -254,11 +252,10 @@ def test_criterion_06_hellmann_feynman():
 
 def test_criterion_07_shape_derivative():
     spec = enumerate_modes(L, 40)
-    disp = BoundaryDisplacement("left")
     t = 1e-5
     worst_exact = worst_oracle = 0.0
     for j1 in range(1, 5):
-        value = eigenvalue_shape_derivative(spec, (j1, 1), disp)
+        value = eigenvalue_shape_derivative(spec, (j1, 1), "left")
         exact = -2.0 * j1**2 / math.pi
         lam = lambda s: j1**2 * math.pi**2 / (math.pi + s) ** 2 + math.pi**2
         oracle = (lam(t) - lam(-t)) / (2 * t)

@@ -644,6 +644,33 @@ class TestSegmentGates:
         verdict = json.loads((out / "report.json").read_text())["results"]
         assert verdict["chain"]["connected"] is True
 
+    @pytest.mark.parametrize("trace_mode", [1, 2, 3])
+    def test_seeded_segments_certify_down_to_two_cells(self, tmp_path, trace_mode):
+        # on 64^2 a width of two cells, 2*pi/64, leaves the snapped ends at
+        # least one node apart; the first draw is that narrow, the rest
+        # run from there to 3
+        rng = np.random.default_rng(4000 + trace_mode)
+        for k in range(10):
+            width = 2 * math.pi / 64 if k == 0 else rng.uniform(2 * math.pi / 64, 3.0)
+            a = rng.uniform(0.0, math.pi - width)
+            doc = {
+                "L": rng.uniform(0.9, 1.1),
+                "truncation": 60,
+                "grid": {"nx": 64, "ny": 64},
+                "gate": {"kind": "segment", "a": a, "b": a + width, "trace_mode": trace_mode},
+            }
+            cfg = write_config(tmp_path, doc, f"config{k}.json")
+            assert run("certify", cfg, tmp_path / f"out{k}") == 0, doc
+
+    def test_segment_on_one_node_is_a_validation_error(self, tmp_path, capsys):
+        # both ends round to node 20 of the 64-cell x1 axis
+        doc = {
+            "grid": {"nx": 64, "ny": 64},
+            "gate": {"kind": "segment", "a": 1.0, "b": 1.005, "trace_mode": 1},
+        }
+        assert run("certify", write_config(tmp_path, doc), tmp_path / "out") == 2
+        assert "collapses after snapping" in capsys.readouterr().err
+
 
 # no doc has a control section: `evolve` reports the gate, the earlier stage
 @pytest.mark.parametrize("command", ["coupling", "potential", "certify", "evolve"])

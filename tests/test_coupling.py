@@ -122,11 +122,11 @@ class TestQuadratureEntry:
 class TestAssembly:
     def test_even_gate_parity_pattern(self, matrix_n2_100, spec100):
         for a, b in matrix_n2_100.entries:
-            assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 1
+            assert (spec100.j1[a] + spec100.j1[b]) % 2 == 1
 
     def test_odd_gate_parity_pattern(self, matrix_n1_100, spec100):
         for a, b in matrix_n1_100.entries:
-            assert (spec100.modes[a].j1 + spec100.modes[b].j1) % 2 == 0
+            assert (spec100.j1[a] + spec100.j1[b]) % 2 == 0
 
     def test_parity_exhaustive_truncation_20(self, spec100, field_n2, field_n1):
         spec20 = enumerate_modes(1.0, 20)
@@ -134,13 +134,13 @@ class TestAssembly:
         stored2 = set(m2.entries)
         for i in range(20):
             for j in range(i, 20):
-                odd = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 1
+                odd = (spec100.j1[i] + spec100.j1[j]) % 2 == 1
                 assert ((i, j) in stored2) == odd
         m1 = assemble_coupling_matrix(field_n1, spec20, None)
         stored1 = set(m1.entries)
         for i in range(20):
             for j in range(i, 20):
-                even = (spec100.modes[i].j1 + spec100.modes[j].j1) % 2 == 0
+                even = (spec100.j1[i] + spec100.j1[j]) % 2 == 0
                 assert ((i, j) in stored1) == even
 
     def test_infinite_zero_tol_empty(self, field_n2):
@@ -182,9 +182,9 @@ class TestEigenvalueSlope:
         h = 1e-4
         spec = enumerate_modes(1.0, 60)
         matrix = assemble_coupling_matrix(field_n1, spec)
-        up = shifted_spectrum(spec, matrix, h)
-        dn = shifted_spectrum(spec, matrix, -h)
-        fd = (up.eigenvalues - dn.eigenvalues) / (2 * h)
+        up, _ = shifted_spectrum(spec, matrix, h)
+        dn, _ = shifted_spectrum(spec, matrix, -h)
+        fd = (up - dn) / (2 * h)
         for pos in range(10):
             assert fd[pos] == pytest.approx(matrix.values[pos, pos], rel=1e-6)
 
@@ -219,11 +219,11 @@ def loop_oracle(terms, modes, L, zero_tol):
         scale = (4.0 / (math.pi * L)) * c / math.cosh(m * L)
         for i in range(n):
             for j in range(i, n):
-                a, b = modes[i], modes[j]
-                a1 = scalar_x1(m, a.j1, b.j1)
-                if a1 == 0.0:
+                (a1, a2), (b1, b2) = modes[i], modes[j]
+                x1 = scalar_x1(m, a1, b1)
+                if x1 == 0.0:
                     continue
-                raw[i, j] += scale * a1 * scalar_x2(m, a.j2, b.j2, L)
+                raw[i, j] += scale * x1 * scalar_x2(m, a2, b2, L)
     if zero_tol is None:
         row_max = np.abs(raw + np.triu(raw, 1).T).max(axis=1)
         thresh = 1e-12 * np.maximum.outer(row_max, row_max)
@@ -324,8 +324,8 @@ def cellwise_oracle(field, spectrum, nodes):
     x2, w2 = panel_rule(0.0, L, field.x2.size - 1, nodes)
     v = field.values_on(x1, x2)
     modes = spectrum.modes
-    s1 = np.array([np.sin(m.j1 * x1) for m in modes])
-    s2 = np.array([np.sin(m.j2 * math.pi * x2 / L) for m in modes])
+    s1 = np.array([np.sin(j1 * x1) for j1, _ in modes])
+    s2 = np.array([np.sin(j2 * math.pi * x2 / L) for _, j2 in modes])
     out = np.zeros((len(modes), len(modes)))
     for a in range(len(modes)):
         core = (s1[a] * s1 * w1) @ v

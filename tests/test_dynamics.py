@@ -28,7 +28,7 @@ from gatedqdot.dynamics import (
 )
 from gatedqdot.errors import DurationCapError, InstabilityError
 from gatedqdot.poisson import StaggeredGrid, fourier_term, hartree_field, solve_full_gate
-from gatedqdot.spectral import ModeIndex, eigenfunction_on_grid, enumerate_modes, shifted_spectrum
+from gatedqdot.spectral import eigenfunction_on_grid, enumerate_modes, shifted_spectrum
 
 L = 1.0
 DELTA = 0.3
@@ -38,7 +38,7 @@ CHAIN_EDGES = (((1, 1), (2, 1)), ((2, 1), (3, 1)))
 def shifted_gap(spec, matrix, a, b):
     """|lambda'_b - lambda'_a| of the delta/2-shifted spectrum."""
     shifted = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + 0.5 * DELTA * matrix.values)
-    return abs(shifted[spec.position(ModeIndex(*b))] - shifted[spec.position(ModeIndex(*a))])
+    return abs(shifted[spec.position(b)] - shifted[spec.position(a)])
 
 
 class TestControlSignal:
@@ -237,7 +237,7 @@ class TestSynthesis:
         # default rho = delta/2, bit for bit
         spec = request.getfixturevalue(f"spec{size}")
         matrix = request.getfixturevalue(f"matrix_n2_{size}")
-        levels = shifted_spectrum(spec, matrix, 0.5 * DELTA).eigenvalues
+        levels, _ = shifted_spectrum(spec, matrix, 0.5 * DELTA)
         pairs = [
             (p, q) for p, q in itertools.permutations(range(12), 2) if matrix.values[p, q] != 0
         ]
@@ -290,7 +290,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("edge", CHAIN_EDGES)
     def test_edge_lasts_one_pi_pulse(self, spec30, matrix_n2_30, edge):
         sig = synthesize_chain_transfer(list(edge), spec30, matrix_n2_30, DELTA, 0.5)
-        p, q = (spec30.position(ModeIndex(*m)) for m in edge)
+        p, q = (spec30.position(m) for m in edge)
         t_pi = math.pi / (0.5 * DELTA * abs(matrix_n2_30.values[p, q]))
         assert sig.total_duration == pytest.approx(t_pi, rel=1e-12)
 
@@ -646,6 +646,16 @@ def assert_same_bytes(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def recording(run, flows):
+    """`run` that also keeps each flow's result under its alpha in `flows`."""
+
+    def recorded(initial, control, config, *args, **kwargs):
+        flows[config.alpha] = run(initial, control, config, *args, **kwargs)
+        return flows[config.alpha]
+
+    return recorded
+
+
 class TestLoggedQuantities:
     """Runs log only what is read, and what they log is the first-written loop's, byte for byte."""
 
@@ -693,13 +703,18 @@ class TestLoggedQuantities:
         for a, b in zip(self.logs(got), self.logs(expected)):
             assert_same_bytes(a, b)
 
-    def test_alpha_study_matches_first_loop(self, field_n2):
+    def test_alpha_study_matches_first_loop(self, field_n2, monkeypatch):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)
+        flows = {}
+        monkeypatch.setattr(
+            "gatedqdot.dynamics.propagate_nonlinear", recording(propagate_nonlinear, flows)
+        )
         alphas = [0.05, 0.1]
         study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
-        self.check_study(field_n2, study, alphas)
+        self.check_study(field_n2, study, alphas, flows[0.0])
 
-    def check_study(self, field_n2, study, alphas):
+    def check_study(self, field_n2, study, alphas, reference):
+        """`reference` is the study's alpha = 0 flow, recorded by `recording`."""
         psi0, ctrl, cfg, _ = self.setup_run(field_n2)
         linear = self.oracle(field_n2, psi0, ctrl, cfg, 0.0)
         runs = [self.oracle(field_n2, psi0, ctrl, cfg, a) for a in alphas]
@@ -715,7 +730,6 @@ class TestLoggedQuantities:
         assert study["rows"] == rows
         slope = np.polyfit(np.log(alphas), np.log([r["deviation"] for r in rows]), 1)[0]
         assert study["slope"] == float(slope)
-        reference = study["linear_reference"]
         assert_same_bytes(reference.final, linear[0])
         assert_same_bytes(reference.norms, linear[2])
         assert reference.h1_seminorms.size == 0 and reference.populations.size == 0
@@ -793,11 +807,14 @@ class TestConcurrentAlphaStudy:
         # two workers need two CPUs and one BLAS thread per flow
         monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", paired_run)
+        flows = {}
+        monkeypatch.setattr(
+            "gatedqdot.dynamics.propagate_nonlinear", recording(paired_run, flows)
+        )
         alphas = [0.05, 0.1]
         study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         assert next(entered) == 3
-        self.check_study(field_n2, study, alphas)
+        self.check_study(field_n2, study, alphas, flows[0.0])
 
     @pytest.mark.parametrize(
         "threads, workers", [("", 1), ("1", 4), ("2", 2), ("4,2", 1), ("abc", 1)]
@@ -825,13 +842,16 @@ class TestConcurrentAlphaStudy:
             return propagate_nonlinear(initial, control, config, *args, log=log, **kwargs)
 
         monkeypatch.setattr("gatedqdot.dynamics._usable_cpus", lambda: 1)
-        monkeypatch.setattr("gatedqdot.dynamics.propagate_nonlinear", recorded_run)
+        flows = {}
+        monkeypatch.setattr(
+            "gatedqdot.dynamics.propagate_nonlinear", recording(recorded_run, flows)
+        )
         alphas = [0.05, 0.1]
         study = alpha_scaling_study(alphas, ctrl, ctrl.total_duration, cfg, v0, psi0)
         assert [(a, log) for a, log, _ in started] == [(0.1, "all"), (0.05, "h1"), (0.0, "norm")]
         # one worker, which is not the caller's thread
         assert len({ident for _, _, ident in started} - {threading.get_ident()}) == 1
-        self.check_study(field_n2, study, alphas)
+        self.check_study(field_n2, study, alphas, flows[0.0])
 
     def test_failure_raises_the_serial_loops_first_error(self, field_n2, monkeypatch):
         psi0, ctrl, cfg, v0 = self.setup_run(field_n2)

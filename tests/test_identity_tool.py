@@ -120,6 +120,15 @@ BILINEAR_RUNS = [f"{name}/{command}" for name in TOOL.CONFIGS for command in ("e
 NONLINEAR_RUNS = [f"{name}/nonlinear" for name in TOOL.CONFIGS]
 
 
+# every manifest run of the certify side: the bytes that name modes, read
+# shifted spectra and take the shape derivative
+CERTIFY_RUNS = [
+    f"{name}/{command}"
+    for name in TOOL.CONFIGS
+    for command in ("spectrum", "shape-derivative", "resonance", "certify")
+]
+
+
 def assert_replay(keys):
     """Rerun `keys` through the tool in one fresh interpreter; each record must match the manifest."""
     import numpy
@@ -147,3 +156,8 @@ def test_bilinear_runs_replay_the_manifest():
 
 def test_nonlinear_runs_replay_the_manifest():
     assert_replay(NONLINEAR_RUNS)
+
+
+def test_certify_runs_replay_the_manifest():
+    assert len(CERTIFY_RUNS) == 104
+    assert_replay(CERTIFY_RUNS)
